@@ -63,11 +63,6 @@ def write_stats_json(path: Path, stats: list[ExperimentStats]) -> None:
         fh.write("\n")
 
 
-def read_stats_json(path: Path) -> list[ExperimentStats]:
-    with open(path) as fh:
-        return [ExperimentStats(**record) for record in json.load(fh)]
-
-
 def write_trace_csv(path: Path, result: RunResult) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

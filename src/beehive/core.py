@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,16 +88,6 @@ class Colony:
     best_objective: float
     cycle: int = 0
     nfe: int = 0
-
-
-def clamp_to_bounds(position: np.ndarray, bounds: Bounds) -> np.ndarray:
-    """Clip every coordinate into the box; in-bound coordinates are unchanged."""
-    x = np.asarray(position, dtype=float)
-    if x.shape != bounds.lower.shape:
-        raise ValueError(
-            f"position has length {x.size}, bounds have length {bounds.dimension}"
-        )
-    return np.clip(x, bounds.lower, bounds.upper)
 
 
 def random_position(bounds: Bounds, rng: RngStream) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""The bee colony optimization loop and its pluggable candidate strategies.
+"""The bee colony optimization loop and its candidate strategies.
 
 One cycle runs employed bees, then fitness-proportional onlookers, then at most
 one scout, then (for the adaptive variants) a colony resize driven by the
@@ -8,18 +8,11 @@ of the bee's own position; out-of-box values are clamped to the violated bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Bounds,
-    Colony,
-    ConfigurationError,
-    FoodSource,
-    RngStream,
-    random_position,
-)
+from .core import Colony, ConfigurationError, FoodSource, RngStream, random_position
 from .problems import Problem
 
 STRATEGIES = ("basic", "sac", "sac1", "sac2", "gbest")
@@ -45,6 +38,8 @@ class VariantConfig:
             raise ConfigurationError(f"unknown strategy {self.strategy!r}")
         if self.limit < 1:
             raise ConfigurationError("limit must be positive")
+        if not math.isfinite(self.c_factor):
+            raise ConfigurationError(f"c_factor must be finite, got {self.c_factor!r}")
         if self.initial_colony < 8 or self.initial_colony % 2:
             raise ConfigurationError("initial_colony must be even and >= 8")
         if not (4 <= self.sn_min <= self.sn_max) or self.sn_min % 2 or self.sn_max % 2:
@@ -62,6 +57,13 @@ class TerminationRule:
     max_nfe: int = 1_000_000
     accuracy: float = 1e-20
     target: float | None = None  # minimization sense
+
+    def __post_init__(self):
+        if self.max_nfe < 1:
+            raise ConfigurationError(f"max_nfe must be >= 1, got {self.max_nfe!r}")
+        if not (math.isfinite(self.accuracy) and self.accuracy >= 0.0):
+            raise ConfigurationError(
+                f"accuracy must be finite and >= 0, got {self.accuracy!r}")
 
     def reached(self, best_objective: float) -> bool:
         return self.target is not None and abs(best_objective - self.target) < self.accuracy
@@ -106,14 +108,6 @@ def _evaluate(colony: Colony, problem: Problem, position: np.ndarray) -> float:
     return f
 
 
-def _child_gene(parent: FoodSource, partner: FoodSource, phi: float) -> float | None:
-    """Parent gene perturbed by the same phi draw, against the partner's gene."""
-    g = parent.size_gene
-    if g is None:
-        return None
-    return g + phi * (g - partner.size_gene)
-
-
 def _pick_other(n: int, rng: RngStream, *taken: int) -> int:
     k = rng.uniform_int(n)
     while k in taken:
@@ -125,126 +119,67 @@ def _clip(v: float, lo: float, hi: float) -> float:
     return lo if v < lo else hi if v > hi else v
 
 
-def candidate_basic(i, colony, bounds, rng):
-    """Neighborhood move: perturb coordinate j toward/away from a random partner.
+def candidate(i, colony, bounds, rng, config):
+    """One-coordinate move of source i; returns (position, clamped size gene).
 
-    Draw order: dimension j, partner k != i, phi in [-1, 1).
+    Draw order: dimension j; partner a != i; for sac1/sac2 only, partner
+    b not in {i, a}; phi in [-1, 1); for gbest only, psi in [0, C). The
+    coordinate becomes
+
+    - basic, sac: x_ij + phi * (x_ij - x_aj)
+    - sac1:       best_j + phi * (x_aj - x_bj)  (elitist)
+    - sac2:       x_ij + phi * (x_ij - x_aj) + C * (best_j - x_ij)
+    - gbest:      x_ij + phi * (x_ij - x_aj) + psi * (best_j - x_ij)
+
+    clamped to the violated bound. sac2 draws b and does not use it, so its
+    draw order and three-source minimum hold. The size gene, if the colony
+    carries one, moves by the same phi against b for sac1 and against a
+    otherwise, and is clamped to [sn_min, sn_max].
     """
+    strategy = config.strategy
     sources = colony.sources
     n = len(sources)
-    if n < 2:
-        raise ValueError("basic candidate needs at least 2 sources")
+    two_partners = strategy in ("sac1", "sac2")
+    needed = 3 if two_partners else 2
+    if n < needed:
+        raise ValueError(f"{strategy} candidate needs at least {needed} sources")
     j = rng.uniform_int(bounds.dimension)
-    k = _pick_other(n, rng, i)
+    a = _pick_other(n, rng, i)
+    b = _pick_other(n, rng, i, a) if two_partners else a
     phi = rng.uniform_real(-1.0, 1.0)
     xi = sources[i].position
+    if strategy == "sac1":
+        v = colony.best_position[j] + phi * (sources[a].position[j] - sources[b].position[j])
+        partner = sources[b]
+    else:
+        # the pull is added only where it exists: + 0.0 would turn -0.0 into +0.0
+        v = xi[j] + phi * (xi[j] - sources[a].position[j])
+        if strategy == "sac2":
+            v += config.c_factor * (colony.best_position[j] - xi[j])
+        elif strategy == "gbest":
+            v += rng.uniform_real(0.0, config.c_factor) * (colony.best_position[j] - xi[j])
+        partner = sources[a]
     pos = xi.copy()
-    pos[j] = _clip(
-        xi[j] + phi * (xi[j] - sources[k].position[j]), bounds.lower[j], bounds.upper[j]
-    )
-    return pos, _child_gene(sources[i], sources[k], phi)
+    pos[j] = _clip(v, bounds.lower[j], bounds.upper[j])
+    gene = sources[i].size_gene
+    if gene is not None:
+        gene = _clip(gene + phi * (gene - partner.size_gene),
+                     float(config.sn_min), float(config.sn_max))
+    return pos, gene
 
 
-def candidate_elitist(i, colony, bounds, rng):
-    """Elitist move: coordinate j is built on the best-so-far position.
+def _new_source(colony, config, problem, rng):
+    """A uniform random source, evaluated and counted.
 
-    Draw order: dimension j, partner r1 != i, partner k not in {i, r1},
-    phi in [-1, 1).
+    Draws the position, then (adaptive variants only) a size gene uniform over
+    the integers in [sn_min, sn_max].
     """
-    sources = colony.sources
-    n = len(sources)
-    if n < 3:
-        raise ValueError("elitist candidate needs at least 3 sources")
-    j = rng.uniform_int(bounds.dimension)
-    r1 = _pick_other(n, rng, i)
-    k = _pick_other(n, rng, i, r1)
-    phi = rng.uniform_real(-1.0, 1.0)
-    pos = sources[i].position.copy()
-    pos[j] = _clip(
-        colony.best_position[j]
-        + phi * (sources[r1].position[j] - sources[k].position[j]),
-        bounds.lower[j],
-        bounds.upper[j],
-    )
-    return pos, _child_gene(sources[i], sources[k], phi)
-
-
-def candidate_global_local(i, colony, bounds, rng, c_factor=1.5):
-    """Neighborhood move plus a fixed-weight pull from the bee toward the best.
-
-    The pull C * (best_j - x_ij) is measured from the bee's own coordinate, so
-    it vanishes for a bee that already sits at the best-so-far position.
-
-    Draw order: dimension j, partner k != i, partner r1 not in {i, k},
-    phi in [-1, 1). r1 does not enter the update; it is still drawn, so this
-    draw order and the three-source minimum hold.
-    """
-    sources = colony.sources
-    n = len(sources)
-    if n < 3:
-        raise ValueError("global-local candidate needs at least 3 sources")
-    j = rng.uniform_int(bounds.dimension)
-    k = _pick_other(n, rng, i)
-    _pick_other(n, rng, i, k)  # r1
-    phi = rng.uniform_real(-1.0, 1.0)
-    xi = sources[i].position
-    pos = xi.copy()
-    pos[j] = _clip(
-        xi[j]
-        + phi * (xi[j] - sources[k].position[j])
-        + c_factor * (colony.best_position[j] - xi[j]),
-        bounds.lower[j],
-        bounds.upper[j],
-    )
-    return pos, _child_gene(sources[i], sources[k], phi)
-
-
-def candidate_gbest(i, colony, bounds, rng, c_factor=1.5):
-    """Neighborhood move plus a random pull toward the best-so-far position.
-
-    Draw order: dimension j, partner k != i, phi in [-1, 1), psi in [0, C).
-    """
-    sources = colony.sources
-    n = len(sources)
-    if n < 2:
-        raise ValueError("gbest candidate needs at least 2 sources")
-    j = rng.uniform_int(bounds.dimension)
-    k = _pick_other(n, rng, i)
-    phi = rng.uniform_real(-1.0, 1.0)
-    psi = rng.uniform_real(0.0, c_factor)
-    xi = sources[i].position
-    pos = xi.copy()
-    pos[j] = _clip(
-        xi[j]
-        + phi * (xi[j] - sources[k].position[j])
-        + psi * (colony.best_position[j] - xi[j]),
-        bounds.lower[j],
-        bounds.upper[j],
-    )
-    return pos, _child_gene(sources[i], sources[k], phi)
-
-
-def _strategy_fn(config: VariantConfig):
-    s = config.strategy
-    if s in ("basic", "sac"):
-        return candidate_basic
-    if s == "sac1":
-        return candidate_elitist
-    if s == "sac2":
-        c = config.c_factor
-        return lambda i, colony, bounds, rng: candidate_global_local(i, colony, bounds, rng, c)
-    c = config.c_factor
-    return lambda i, colony, bounds, rng: candidate_gbest(i, colony, bounds, rng, c)
-
-
-def _clamp_gene(gene: float | None, config: VariantConfig) -> float | None:
-    if gene is None:
-        return None
-    return _clip(gene, float(config.sn_min), float(config.sn_max))
-
-
-def _fresh_gene(config: VariantConfig, rng: RngStream) -> float:
-    return float(config.sn_min + rng.uniform_int(config.sn_max - config.sn_min + 1))
+    pos = random_position(problem.bounds, rng)
+    gene = None
+    if config.adaptive_sizing:
+        gene = float(config.sn_min + rng.uniform_int(config.sn_max - config.sn_min + 1))
+    f = _evaluate(colony, problem, pos)
+    return FoodSource(pos, f, fitness_map(f), 0, gene)
 
 
 def greedy_select(current, candidate_position, colony, problem, size_gene=None):
@@ -267,21 +202,17 @@ def greedy_select(current, candidate_position, colony, problem, size_gene=None):
 
 def employed_phase(colony, config, problem, rng):
     """One candidate per source, in order; NFE grows by the source count."""
-    make = _strategy_fn(config)
     bounds = problem.bounds
     sources = colony.sources
     for i in range(len(sources)):
-        pos, gene = make(i, colony, bounds, rng)
-        sources[i] = greedy_select(
-            sources[i], pos, colony, problem, _clamp_gene(gene, config)
-        )
+        pos, gene = candidate(i, colony, bounds, rng, config)
+        sources[i] = greedy_select(sources[i], pos, colony, problem, gene)
     return colony
 
 
 def onlooker_phase(colony, config, problem, rng):
     """Exactly SN fitness-proportional placements via a roving roulette index."""
     probs = selection_probabilities(colony).tolist()
-    make = _strategy_fn(config)
     bounds = problem.bounds
     sources = colony.sources
     n = len(sources)
@@ -290,10 +221,8 @@ def onlooker_phase(colony, config, problem, rng):
     rand = rng.random
     while placed < n:
         if rand() < probs[i]:
-            pos, gene = make(i, colony, bounds, rng)
-            sources[i] = greedy_select(
-                sources[i], pos, colony, problem, _clamp_gene(gene, config)
-            )
+            pos, gene = candidate(i, colony, bounds, rng, config)
+            sources[i] = greedy_select(sources[i], pos, colony, problem, gene)
             placed += 1
         i += 1
         if i == n:
@@ -304,24 +233,16 @@ def onlooker_phase(colony, config, problem, rng):
 def scout_phase(colony, config, problem, rng):
     """Replace at most one exhausted source with a fresh random one."""
     sources = colony.sources
-    worst = 0
-    for i in range(1, len(sources)):
-        if sources[i].trials > sources[worst].trials:
-            worst = i
-    if sources[worst].trials <= config.limit:
-        return colony
-    pos = random_position(problem.bounds, rng)
-    gene = _fresh_gene(config, rng) if config.adaptive_sizing else None
-    f = _evaluate(colony, problem, pos)
-    sources[worst] = FoodSource(pos, f, fitness_map(f), 0, gene)
+    worst = max(range(len(sources)), key=lambda i: sources[i].trials)  # first on ties
+    if sources[worst].trials > config.limit:
+        sources[worst] = _new_source(colony, config, problem, rng)
     return colony
 
 
 def adapt_colony_size(colony, config, rng, problem):
     """Resize toward the gene average: round half up, force even, clamp.
 
-    Growth adds random evaluated sources with fresh genes; shrinkage drops the
-    lowest-fitness sources.
+    Growth appends new random sources; shrinkage drops the lowest-fitness ones.
     """
     sources = colony.sources
     mean_gene = sum(s.size_gene for s in sources) / len(sources)
@@ -332,10 +253,7 @@ def adapt_colony_size(colony, config, rng, problem):
     current = len(sources)
     if sn > current:
         for _ in range(sn - current):
-            pos = random_position(problem.bounds, rng)
-            gene = _fresh_gene(config, rng)
-            f = _evaluate(colony, problem, pos)
-            sources.append(FoodSource(pos, f, fitness_map(f), 0, gene))
+            sources.append(_new_source(colony, config, problem, rng))
     elif sn < current:
         doomed = set(
             sorted(range(current), key=lambda i: (sources[i].fitness, -i))[: current - sn]
@@ -348,18 +266,10 @@ def run(problem: Problem, config: VariantConfig, termination: TerminationRule,
         seed: int) -> RunResult:
     """Full optimization run; deterministic for a fixed (problem, config, seed)."""
     rng = RngStream(seed)
-    colony = Colony(
-        sources=[],
-        best_position=np.zeros(problem.dimension),
-        best_objective=math.inf,
-        cycle=0,
-        nfe=0,
-    )
+    colony = Colony(sources=[], best_position=np.zeros(problem.dimension),
+                    best_objective=math.inf)
     for _ in range(config.initial_colony // 2):
-        pos = random_position(problem.bounds, rng)
-        gene = _fresh_gene(config, rng) if config.adaptive_sizing else None
-        f = _evaluate(colony, problem, pos)
-        colony.sources.append(FoodSource(pos, f, fitness_map(f), 0, gene))
+        colony.sources.append(_new_source(colony, config, problem, rng))
 
     trace = [(colony.nfe, colony.best_objective)]
     while not termination.reached(colony.best_objective) and colony.nfe < termination.max_nfe:

@@ -1,7 +1,6 @@
 """Multi-run experiments: 30-run statistics, acceleration rates, comparison tables."""
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -9,7 +8,7 @@ import numpy as np
 
 from .core import ConfigurationError
 from .engine import RunResult, TerminationRule, VariantConfig, run
-from .problems import Problem, make_problem
+from .problems import Problem
 
 # Report formatting threshold: statistics whose magnitude falls below this are
 # written as exact zero.
@@ -30,25 +29,22 @@ class ExperimentStats:
     mean_nfe: float
 
 
-def _run_remote(problem_name, dimension, config, termination, seed):
-    # worker-side rebuild keeps the payload picklable (no objective closures)
-    problem = make_problem(problem_name, dimension)
-    return run(problem, config, termination, seed)
-
-
 def run_batch(problem: Problem, config: VariantConfig, termination: TerminationRule,
               runs: int, base_seed: int, jobs: int = 1) -> list[RunResult]:
-    """Independent seeded runs, seed = base_seed + index; order follows the seeds."""
+    """Independent seeded runs, seed = base_seed + index; order follows the seeds.
+
+    With jobs > 1 the problem itself is sent to worker processes, so its
+    `evaluate` must pickle: a module-level function or a callable instance.
+    """
     if runs < 1:
         raise ConfigurationError("runs must be >= 1")
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs!r}")
     seeds = [base_seed + i for i in range(runs)]
-    if jobs <= 1 or runs == 1:
+    if jobs == 1 or runs == 1:
         return [run(problem, config, termination, s) for s in seeds]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(_run_remote, problem.name, problem.dimension, config, termination, s)
-            for s in seeds
-        ]
+        futures = [pool.submit(run, problem, config, termination, s) for s in seeds]
         return [f.result() for f in futures]
 
 

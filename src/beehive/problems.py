@@ -131,17 +131,13 @@ def make_gas_production() -> Problem:
     )
 
 
-# The friction-factor chain is implemented exactly as typeset: f_r's power term
-# uses x3, while R_M uses x2 (likely a typo for x2 in the original reference).
-# AIR_HEATER_FR_USES_X2 switches f_r to the x2 reading.
-AIR_HEATER_FR_USES_X2 = False
-
-
 def _air_heater(x):
     x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
     fs = 0.079 * x3 ** -0.25
-    fr_base = x2 if AIR_HEATER_FR_USES_X2 else x3
-    fr = 2.0 / (0.95 * fr_base ** 0.53 + 2.5 * math.log(1.0 / (2.0 * x1)) ** 2 - 3.75) ** 2
+    # The friction-factor chain is implemented exactly as typeset: f_r's power
+    # term uses x3, while R_M uses x2 (likely a typo for x2 in the original
+    # reference).
+    fr = 2.0 / (0.95 * x3 ** 0.53 + 2.5 * math.log(1.0 / (2.0 * x1)) ** 2 - 3.75) ** 2
     f_bar = 0.5 * (fs + fr)
     e_plus = x1 * x3 * math.sqrt(f_bar / 2.0)
     r_m = 0.95 * x2 ** 0.53
@@ -196,19 +192,20 @@ class LJConfig:
         return 2.0 * self.n_atoms ** (1.0 / 3.0)
 
 
-def make_lennard_jones(config: LJConfig | None = None, n_atoms: int | None = None) -> Problem:
-    """Cluster potential energy, 3N coordinates, minimize.
+@dataclass(frozen=True)
+class LennardJones:
+    """Cluster potential energy of `n_atoms` atoms from their 3N coordinates.
 
     Pair energy is normalized so a pair at unit distance sits at the minimum
     with energy -1 (i.e. 1/r^12 - 2/r^6); a cluster of N atoms at mutual unit
-    distances therefore scores -1 per pair.
+    distances therefore scores -1 per pair. A module-level callable, so a
+    `Problem` that uses it pickles into worker processes.
     """
-    if config is None:
-        config = LJConfig(n_atoms if n_atoms is not None else 3)
-    n = config.n_atoms
-    half = config.half_width
 
-    def evaluate(x):
+    n_atoms: int
+
+    def __call__(self, x):
+        n = self.n_atoms
         pts = np.asarray(x, dtype=float).reshape(n, 3)
         total = 0.0
         for i in range(n - 1):
@@ -221,11 +218,18 @@ def make_lennard_jones(config: LJConfig | None = None, n_atoms: int | None = Non
             total += float(np.sum(np.where(tiny, LJ_PENALTY, pair)))
         return total
 
+
+def make_lennard_jones(config: LJConfig | None = None, n_atoms: int | None = None) -> Problem:
+    """Lennard-Jones cluster (see `LennardJones`), 3N coordinates, minimize."""
+    if config is None:
+        config = LJConfig(n_atoms if n_atoms is not None else 3)
+    n = config.n_atoms
+    half = config.half_width
     return Problem(
         name="lennard_jones",
         dimension=3 * n,
         bounds=Bounds.cube(-half, half, 3 * n),
-        evaluate=evaluate,
+        evaluate=LennardJones(n),
     )
 
 

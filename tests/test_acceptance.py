@@ -15,9 +15,7 @@ from beehive.engine import (
     STRATEGIES,
     TerminationRule,
     VariantConfig,
-    candidate_basic,
-    candidate_gbest,
-    candidate_global_local,
+    candidate,
     fitness_map,
     run,
     selection_probabilities,
@@ -228,15 +226,15 @@ def test_criterion_09_property_suite():
     # strategy reductions: zero weight / zero pull collapse to the basic move
     from conftest import ScriptedRng
     box = Bounds.cube(-10, 10, 2)
-    pos_a, _ = candidate_global_local(
+    pos_a, _ = candidate(
         0, make_colony([[2, 3], [4, 1], [-2, 0]]), box,
-        ScriptedRng(ints=[1, 1, 2], reals=[0.3]), c_factor=0.0)
-    pos_b, _ = candidate_gbest(
+        ScriptedRng(ints=[1, 1, 2], reals=[0.3]), VariantConfig("sac2", c_factor=0.0))
+    pos_b, _ = candidate(
         0, make_colony([[2, 3], [4, 1], [-2, 0]]), box,
-        ScriptedRng(ints=[1, 1], reals=[0.3, 0.0]))
-    pos_c, _ = candidate_basic(
+        ScriptedRng(ints=[1, 1], reals=[0.3, 0.0]), VariantConfig("gbest"))
+    pos_c, _ = candidate(
         0, make_colony([[2, 3], [4, 1], [-2, 0]]), box,
-        ScriptedRng(ints=[1, 1], reals=[0.3]))
+        ScriptedRng(ints=[1, 1], reals=[0.3]), VariantConfig("basic"))
     checks.append(("reductions",
                    pos_a.tolist() == pos_c.tolist() == pos_b.tolist()))
 
@@ -257,19 +255,15 @@ def test_criterion_09_property_suite():
     # spot-check by running an adaptive strategy and replaying its sizes
     sizes_ok = True
     from beehive.engine import (
-        _evaluate, _fresh_gene, adapt_colony_size, employed_phase,
-        onlooker_phase, scout_phase,
+        _new_source, adapt_colony_size, employed_phase, onlooker_phase, scout_phase,
     )
-    from beehive.core import Colony, FoodSource, random_position
+    from beehive.core import Colony
     p = make_problem("griewank", dimension=3)
     cfg = VariantConfig(strategy="sac", initial_colony=20, sn_min=10, sn_max=20)
     stream = RngStream(3)
     col = Colony([], np.zeros(3), math.inf)
     for _ in range(10):
-        pos = random_position(p.bounds, stream)
-        g = _fresh_gene(cfg, stream)
-        f = _evaluate(col, p, pos)
-        col.sources.append(FoodSource(pos, f, fitness_map(f), 0, g))
+        col.sources.append(_new_source(col, cfg, p, stream))
     for _ in range(40):
         employed_phase(col, cfg, p, stream)
         onlooker_phase(col, cfg, p, stream)

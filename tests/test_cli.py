@@ -4,11 +4,17 @@ import json
 
 import pytest
 
-from beehive.cli import main, read_stats_json
+from beehive.cli import main
+from beehive.harness import ExperimentStats
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def read_stats_json(path):
+    with open(path) as fh:
+        return [ExperimentStats(**r) for r in json.load(fh)]
 
 
 def read_csv(path):
@@ -206,6 +212,21 @@ class TestErrorsAndConfig:
         code = run_cli("run", "--problem", "sphere", "--config", str(cfg),
                        "--output-dir", str(tmp_path))
         assert code == 2
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--c-factor", "nan"),
+        ("--max-nfe", "0"),
+        ("--accuracy", "-1e-08"),
+        ("--accuracy", "inf"),
+        ("--jobs", "-1"),
+    ])
+    def test_bad_value_exits_2_and_names_it(self, tmp_path, capsys, flag, value):
+        code = run_cli("run", "--problem", "sphere", "--dim", "2", "--runs", "2",
+                       "--max-nfe", "300", f"{flag}={value}", "--output-dir", str(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flag[2:].replace("-", "_") in err and value in err
+        assert not (tmp_path / "stats.json").exists()
 
     def test_usage_error_exits_nonzero(self, capsys):
         code = run_cli("run")  # --problem is required

@@ -1,9 +1,8 @@
-"""Bounds, clamping, random positions, and the seeded RNG stream."""
+"""Bounds, random positions, and the seeded RNG stream."""
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from beehive.core import Bounds, RngStream, clamp_to_bounds, random_position
+from beehive.core import Bounds, RngStream, random_position
 
 
 class TestBounds:
@@ -27,33 +26,6 @@ class TestBounds:
         assert b.contains(np.array([0.5, 0.0]))
         assert not b.contains(np.array([1.5, 0.0]))
         assert not b.contains(np.array([0.5]))
-
-
-class TestClamp:
-    def test_examples(self):
-        b = Bounds(np.array([-1.0, 0.0, 2.0]), np.array([1.0, 5.0, 3.0]))
-        out = clamp_to_bounds(np.array([-2.0, 2.5, 10.0]), b)
-        assert out.tolist() == [-1.0, 2.5, 3.0]
-
-    def test_dimension_mismatch_raises(self):
-        b = Bounds.cube(0.0, 1.0, 3)
-        with pytest.raises(ValueError):
-            clamp_to_bounds(np.array([0.5, 0.5]), b)
-
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
-                              min_value=-1e6, max_value=1e6),
-                    min_size=1, max_size=8))
-    def test_idempotent_and_in_box(self, values):
-        x = np.array(values)
-        b = Bounds.cube(-10.0, 10.0, x.size)
-        once = clamp_to_bounds(x, b)
-        assert b.contains(once)
-        assert np.array_equal(clamp_to_bounds(once, b), once)
-
-    def test_interior_points_unchanged(self):
-        b = Bounds.cube(-2.0, 2.0, 4)
-        x = np.array([-2.0, -0.5, 1.5, 2.0])
-        assert np.array_equal(clamp_to_bounds(x, b), x)
 
 
 class TestRandomPosition:

@@ -17,14 +17,10 @@ from beehive.engine import (
     STRATEGIES,
     TerminationRule,
     VariantConfig,
-    _evaluate,
-    _fresh_gene,
+    _new_source,
     _pick_other,
     adapt_colony_size,
-    candidate_basic,
-    candidate_elitist,
-    candidate_gbest,
-    candidate_global_local,
+    candidate,
     employed_phase,
     fitness_map,
     greedy_select,
@@ -53,6 +49,9 @@ def make_colony(positions, objectives=None, genes=None):
         best_position=sources[best].position.copy(),
         best_objective=sources[best].objective,
     )
+
+
+BASIC = VariantConfig()
 
 
 def small_problem(dimension=2, half=10.0):
@@ -127,7 +126,7 @@ class TestCandidateOperators:
         colony = make_colony([[1, 2], [1, 4]])
         bounds = Bounds.cube(-10, 10, 2)
         rng = scripted(ints=[1, 1], reals=[0.5])
-        pos, gene = candidate_basic(0, colony, bounds, rng)
+        pos, gene = candidate(0, colony, bounds, rng, BASIC)
         assert pos.tolist() == [1.0, 1.0]
         assert gene is None
 
@@ -135,26 +134,26 @@ class TestCandidateOperators:
         colony = make_colony([[9, 0], [-9, 0]])
         bounds = Bounds.cube(-10, 10, 2)
         rng = scripted(ints=[0, 1], reals=[0.9])
-        pos, _ = candidate_basic(0, colony, bounds, rng)
+        pos, _ = candidate(0, colony, bounds, rng, BASIC)
         assert pos.tolist() == [10.0, 0.0]
 
     def test_basic_propagates_size_gene(self, scripted):
         colony = make_colony([[1, 2], [1, 4]], genes=[20.0, 30.0])
         rng = scripted(ints=[1, 1], reals=[0.5])
-        _, gene = candidate_basic(0, colony, Bounds.cube(-10, 10, 2), rng)
+        _, gene = candidate(0, colony, Bounds.cube(-10, 10, 2), rng, BASIC)
         assert gene == 20.0 + 0.5 * (20.0 - 30.0)
 
     def test_elitist_scripted(self, scripted):
         # best is the origin; the move builds coordinate 0 from it
         colony = make_colony([[5, 5], [3, 0], [1, 0], [0, 0]])
         rng = scripted(ints=[0, 1, 2], reals=[0.5])
-        pos, _ = candidate_elitist(0, colony, Bounds.cube(-10, 10, 2), rng)
+        pos, _ = candidate(0, colony, Bounds.cube(-10, 10, 2), rng, VariantConfig("sac1"))
         assert pos.tolist() == [0.0 + 0.5 * (3.0 - 1.0), 5.0]
 
     def test_global_local_scripted(self, scripted):
         colony = make_colony([[2, 0], [4, 0], [-2, 0], [0, 0]])
         rng = scripted(ints=[0, 1, 2], reals=[0.0])
-        pos, _ = candidate_global_local(0, colony, Bounds.cube(-10, 10, 2), rng)
+        pos, _ = candidate(0, colony, Bounds.cube(-10, 10, 2), rng, VariantConfig("sac2"))
         # phi = 0 leaves only the pull from the bee's own coordinate:
         # 2 + 1.5 * (0 - 2) = -1
         assert pos.tolist() == [-1.0, 0.0]
@@ -162,30 +161,31 @@ class TestCandidateOperators:
     def test_gbest_scripted(self, scripted):
         colony = make_colony([[0, 4], [3, 0], [2, 2]], objectives=[5.0, 7.0, 0.0])
         rng = scripted(ints=[0, 1], reals=[0.0, 1.5])
-        pos, _ = candidate_gbest(0, colony, Bounds.cube(-10, 10, 2), rng)
+        pos, _ = candidate(0, colony, Bounds.cube(-10, 10, 2), rng, VariantConfig("gbest"))
         # phi = 0, psi = 1.5: 0 + 1.5 * (2 - 0) = 3
         assert pos.tolist() == [3.0, 4.0]
 
     def test_global_local_with_zero_weight_matches_basic(self, scripted):
         colony_a = make_colony([[2, 3], [4, 1], [-2, 0]])
         colony_b = make_colony([[2, 3], [4, 1], [-2, 0]])
-        pos_a, _ = candidate_global_local(
+        pos_a, _ = candidate(
             0, colony_a, Bounds.cube(-10, 10, 2),
-            scripted(ints=[1, 1, 2], reals=[0.25]), c_factor=0.0,
+            scripted(ints=[1, 1, 2], reals=[0.25]), VariantConfig("sac2", c_factor=0.0),
         )
-        pos_b, _ = candidate_basic(
-            0, colony_b, Bounds.cube(-10, 10, 2), scripted(ints=[1, 1], reals=[0.25])
+        pos_b, _ = candidate(
+            0, colony_b, Bounds.cube(-10, 10, 2), scripted(ints=[1, 1], reals=[0.25]), BASIC
         )
         assert pos_a.tolist() == pos_b.tolist()
 
     def test_gbest_with_zero_pull_matches_basic(self, scripted):
         colony_a = make_colony([[2, 3], [4, 1], [-2, 0]])
         colony_b = make_colony([[2, 3], [4, 1], [-2, 0]])
-        pos_a, _ = candidate_gbest(
-            0, colony_a, Bounds.cube(-10, 10, 2), scripted(ints=[1, 1], reals=[0.25, 0.0])
+        pos_a, _ = candidate(
+            0, colony_a, Bounds.cube(-10, 10, 2), scripted(ints=[1, 1], reals=[0.25, 0.0]),
+            VariantConfig("gbest"),
         )
-        pos_b, _ = candidate_basic(
-            0, colony_b, Bounds.cube(-10, 10, 2), scripted(ints=[1, 1], reals=[0.25])
+        pos_b, _ = candidate(
+            0, colony_b, Bounds.cube(-10, 10, 2), scripted(ints=[1, 1], reals=[0.25]), BASIC
         )
         assert pos_a.tolist() == pos_b.tolist()
 
@@ -193,10 +193,9 @@ class TestCandidateOperators:
         colony = make_colony([[1, 2, 3, 4], [4, 3, 2, 1], [0, 0, 0, 0]])
         bounds = Bounds.cube(-10, 10, 4)
         rng = RngStream(3)
-        for op in (candidate_basic, candidate_elitist, candidate_global_local,
-                   candidate_gbest):
+        for strategy in ("basic", "sac1", "sac2", "gbest"):
             for _ in range(50):
-                pos, _ = op(0, colony, bounds, rng)
+                pos, _ = candidate(0, colony, bounds, rng, VariantConfig(strategy))
                 diff = pos != colony.sources[0].position
                 assert diff.sum() <= 1
 
@@ -206,11 +205,11 @@ class TestCandidateOperators:
         bounds = Bounds.cube(-10, 10, 2)
         rng = RngStream(0)
         with pytest.raises(ValueError):
-            candidate_basic(0, one, bounds, rng)
+            candidate(0, one, bounds, rng, BASIC)
         with pytest.raises(ValueError):
-            candidate_elitist(0, two, bounds, rng)
+            candidate(0, two, bounds, rng, VariantConfig("sac1"))
         with pytest.raises(ValueError):
-            candidate_global_local(0, two, bounds, rng)
+            candidate(0, two, bounds, rng, VariantConfig("sac2"))
 
 
 class TestGreedySelect:
@@ -578,11 +577,7 @@ class TestColonyInvariantsOverManyCycles:
             rng = RngStream(31)
             colony = Colony([], np.zeros(3), math.inf)
             for _ in range(config.initial_colony // 2):
-                from beehive.core import random_position
-                pos = random_position(problem.bounds, rng)
-                gene = _fresh_gene(config, rng) if config.adaptive_sizing else None
-                f = _evaluate(colony, problem, pos)
-                colony.sources.append(FoodSource(pos, f, fitness_map(f), 0, gene))
+                colony.sources.append(_new_source(colony, config, problem, rng))
             for _ in range(60):
                 employed_phase(colony, config, problem, rng)
                 onlooker_phase(colony, config, problem, rng)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from beehive.core import ConfigurationError
+from beehive.core import Bounds, ConfigurationError
 from beehive.engine import RunResult, TerminationRule, VariantConfig
 from beehive.harness import (
     ExperimentStats,
@@ -16,7 +16,13 @@ from beehive.harness import (
     run_batch,
     run_experiment,
 )
-from beehive.problems import make_problem
+from beehive.problems import LJConfig, Problem, make_lennard_jones, make_problem
+
+
+def shifted_sphere(x):
+    """A user objective at module level, so a Problem using it pickles."""
+    d = np.asarray(x, dtype=float) - 1.0
+    return float(np.dot(d, d))
 
 
 def stub_result(best, nfe=100, seed=0, trace=None):
@@ -46,6 +52,22 @@ class TestRunBatch:
         par = run_batch(problem, config, term, runs=4, base_seed=7, jobs=2)
         for a, b in zip(seq, par):
             assert a.best_objective == b.best_objective
+            assert a.nfe == b.nfe
+            assert a.trace == b.trace
+
+    @pytest.mark.parametrize("problem", [
+        make_lennard_jones(LJConfig(3, box_half_width=0.4)),
+        Problem(name="shifted_sphere", dimension=4, bounds=Bounds.cube(-5.0, 5.0, 4),
+                evaluate=shifted_sphere),
+    ], ids=["lj3-box0.4", "user-problem"])
+    def test_parallel_matches_serial_for_problems_without_a_registry_name(self, problem):
+        config = VariantConfig()
+        term = TerminationRule(max_nfe=2000)
+        seq = run_batch(problem, config, term, runs=2, base_seed=1, jobs=1)
+        par = run_batch(problem, config, term, runs=2, base_seed=1, jobs=2)
+        for a, b in zip(seq, par):
+            assert a.best_objective == b.best_objective
+            assert a.best_position.tobytes() == b.best_position.tobytes()
             assert a.nfe == b.nfe
             assert a.trace == b.trace
 
