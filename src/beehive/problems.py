@@ -6,6 +6,7 @@ optimizer consumes (maximization problems are negated at this boundary, once).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -192,6 +193,19 @@ class LJConfig:
         return 2.0 * self.n_atoms ** (1.0 / 3.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _lj_pairs(n):
+    """Pair index table for n atoms: (first, second, row slices), shared read-only.
+
+    Pairs run in `np.triu_indices` order, so atom i's pairs with atoms i+1..n-1
+    are the contiguous slice rows[i] of the pair arrays.
+    """
+    first, second = np.triu_indices(n, 1)
+    first.flags.writeable = second.flags.writeable = False
+    starts = [i * (2 * n - i - 1) // 2 for i in range(n)]
+    return first, second, tuple(map(slice, starts, starts[1:]))
+
+
 @dataclass(frozen=True)
 class LennardJones:
     """Cluster potential energy of `n_atoms` atoms from their 3N coordinates.
@@ -206,16 +220,20 @@ class LennardJones:
 
     def __call__(self, x):
         n = self.n_atoms
+        first, second, rows = _lj_pairs(n)
         pts = np.asarray(x, dtype=float).reshape(n, 3)
+        d = pts.take(second, axis=0) - pts.take(first, axis=0)
+        r2 = np.einsum("ij,ij->i", d, d)
+        tiny = r2 < LJ_R2_FLOOR
+        r2 = np.where(tiny, 1.0, r2)
+        inv6 = 1.0 / (r2 * r2 * r2)
+        pair = np.where(tiny, LJ_PENALTY, inv6 * inv6 - 2.0 * inv6)
+        # Sum atom by atom: each atom's row with numpy's own reduction, then
+        # the rows one after another into a float. Any other grouping (one
+        # np.sum over all pairs, np.add.reduceat) changes the last bits.
         total = 0.0
-        for i in range(n - 1):
-            d = pts[i + 1:] - pts[i]
-            r2 = np.einsum("ij,ij->i", d, d)
-            tiny = r2 < LJ_R2_FLOOR
-            r2 = np.where(tiny, 1.0, r2)
-            inv6 = 1.0 / (r2 * r2 * r2)
-            pair = inv6 * inv6 - 2.0 * inv6
-            total += float(np.sum(np.where(tiny, LJ_PENALTY, pair)))
+        for row in rows:
+            total += float(np.add.reduce(pair[row]))
         return total
 
 

@@ -483,6 +483,29 @@ class TestRun:
         assert result.nfe >= 300
         assert all(f == 7.0 for _, f in result.trace)
 
+    @pytest.mark.parametrize("k,bad,direction", [
+        (0, math.nan, "minimize"),        # first evaluation of the initial colony
+        (37, math.inf, "minimize"),       # inside the initial colony
+        (140, -math.inf, "maximize"),     # in a later phase, maximize sense
+    ])
+    def test_non_finite_objective_stops_with_a_named_error(self, k, bad, direction):
+        calls = [0]
+
+        def fails_after_k(x):
+            calls[0] += 1
+            return bad if calls[0] > k else float(np.dot(x, x))
+
+        problem = Problem(name="flaky", dimension=2, bounds=Bounds.cube(-1, 1, 2),
+                          evaluate=fails_after_k, direction=direction)
+        with pytest.raises(ValueError) as info:
+            run(problem, VariantConfig(strategy="sac"), TerminationRule(max_nfe=1000), seed=3)
+        message = str(info.value)
+        assert calls[0] == k + 1
+        assert "'flaky'" in message
+        assert repr(bad) in message
+        assert f"evaluation {k + 1} " in message
+        assert "(position [" in message
+
     def test_deterministic_for_fixed_seed(self):
         problem = make_problem("rastrigin", dimension=4)
         config = VariantConfig(strategy="sac1", initial_colony=20, sn_min=10, sn_max=20)

@@ -23,6 +23,9 @@ PROBLEMS = {
     "gear_train": {},
     "lennard_jones": dict(n_atoms=3),
     "air_heater": {},
+    # 13 atoms: rows of up to 12 pair terms, so a change to the order in which
+    # the energy is summed changes the bits (3 atoms give rows of at most 2)
+    "lennard_jones13": dict(name="lennard_jones", n_atoms=13),
 }
 
 # A small colony with a short limit: scouts fire, and the adaptive strategies
@@ -50,6 +53,11 @@ GOLDEN = {
     "lennard_jones/sac1": "f72e6e16ed478da65745b3f8ebe35beb764d6c8a64111c3d96605b3f5f2571d5",
     "lennard_jones/sac2": "f8b9a6973637bcbedb94e6ad2190753fc7c7f7ccf77b49764c8e685e54d379af",
     "lennard_jones/gbest": "72d1463b280b05cacc1ae0ab6e3daef4ef31e981a87d5f6e8b429c5214e79a72",
+    "lennard_jones13/basic": "38e8dfcb778a22b07ddfa26aaf97d1c2f32a502d24d0642174cdbf1551f53f20",
+    "lennard_jones13/sac": "1bcd4656b0379f14867f055db9139a446ed8ddc19820d06e586ef4ca2ccde6e8",
+    "lennard_jones13/sac1": "0bb29bea391d308d7d68c8c3def0f67ec4eeb8596ad22f4825154042c7cff0c6",
+    "lennard_jones13/sac2": "da3e2323bf1815f31e5a7489a166b49f8eefffb5d727ebc172c65ece04c8013d",
+    "lennard_jones13/gbest": "4ddaed271c0ef9ed799debd8f6402e3b57aba90f5058adac6460ca741566e6da",
     "air_heater/basic": "d481c54f532ec863cc59cb9f70062b5b916ca9ec39eef44a25b34d47cc84ba09",
     "air_heater/sac": "a0660004ca9fbbcc34bf8fc3412d982be422358be3db3dc6fb2451a9cfb347b8",
     "air_heater/sac1": "f587612c6e7d3467c6ed3854cd55ca44cc758d0b142a985c5b7df7d12429e7f0",
@@ -72,6 +80,11 @@ def digest(problem, config) -> str:
     return h.hexdigest()
 
 
+def make(key):
+    kwargs = dict(PROBLEMS[key])
+    return make_problem(kwargs.pop("name", key), **kwargs)
+
+
 CELLS = [(name, strategy, {}) for name in PROBLEMS for strategy in STRATEGIES]
 CELLS += [("sphere", strategy, SCOUTING) for strategy in STRATEGIES]
 
@@ -83,7 +96,7 @@ def _key(name, strategy, extra):
 @pytest.mark.parametrize("name,strategy,extra", CELLS,
                          ids=[_key(*c) for c in CELLS])
 def test_seeded_results_match_golden_digest(name, strategy, extra):
-    problem = make_problem(name, **PROBLEMS[name])
+    problem = make(name)
     got = digest(problem, VariantConfig(strategy=strategy, **extra))
     assert got == GOLDEN[_key(name, strategy, extra)]
 
@@ -108,7 +121,7 @@ def test_scouting_config_fires_scouts_and_resizes(monkeypatch):
 
     monkeypatch.setattr(engine, "scout_phase", counting_scout)
     monkeypatch.setattr(engine, "adapt_colony_size", recording_adapt)
-    problem = make_problem("sphere", **PROBLEMS["sphere"])
+    problem = make("sphere")
     digest(problem, VariantConfig(strategy="sac", **SCOUTING))
     assert scouts[0] > 0
     assert any(after > before for before, after in sizes)

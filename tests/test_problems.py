@@ -1,16 +1,21 @@
 """Objective function values, symmetries, and the problem registry."""
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beehive.core import ConfigurationError
 from beehive.problems import (
     BENCHMARK_NAMES,
     ENGINEERING_NAMES,
+    LJ_PENALTY,
+    LJ_R2_FLOOR,
     PROBLEM_NAMES,
     LJConfig,
+    LennardJones,
     make_benchmark,
     make_lennard_jones,
     make_problem,
@@ -195,6 +200,65 @@ class TestLennardJones:
         assert p.dimension == 24
         assert np.all(p.bounds.upper == 2.0 * 8 ** (1.0 / 3.0))
         assert LJConfig(3, box_half_width=5.0).half_width == 5.0
+
+
+def lj_reference(n, x):
+    """The atom-by-atom Lennard-Jones loop the batched kernel must match bit for bit."""
+    pts = np.asarray(x, dtype=float).reshape(n, 3)
+    total = 0.0
+    for i in range(n - 1):
+        d = pts[i + 1:] - pts[i]
+        r2 = np.einsum("ij,ij->i", d, d)
+        tiny = r2 < LJ_R2_FLOOR
+        r2 = np.where(tiny, 1.0, r2)
+        inv6 = 1.0 / (r2 * r2 * r2)
+        pair = inv6 * inv6 - 2.0 * inv6
+        total += float(np.sum(np.where(tiny, LJ_PENALTY, pair)))
+    return total
+
+
+LJ_ATOMS = (2, 3, 4, 5, 9, 13, 38)
+
+
+class TestLennardJonesKernelMatchesLoop:
+    """`==`, not isclose: seeded Lennard-Jones runs depend on the exact bits."""
+
+    @pytest.mark.parametrize("n", LJ_ATOMS)
+    def test_random_points_in_default_box(self, n):
+        f = LennardJones(n)
+        half = LJConfig(n).half_width
+        rng = np.random.default_rng(n)
+        for _ in range(300):
+            x = rng.uniform(-half, half, 3 * n)
+            assert f(x) == lj_reference(n, x)
+
+    @pytest.mark.parametrize("n", LJ_ATOMS)
+    def test_coincident_atoms(self, n):
+        f = LennardJones(n)
+        half = LJConfig(n).half_width
+        rng = np.random.default_rng(100 + n)
+        for _ in range(100):
+            pts = rng.uniform(-half, half, (n, 3))
+            a, b = rng.choice(n, 2, replace=False)
+            pts[b] = pts[a]
+            assert f(pts.ravel()) == lj_reference(n, pts)
+            assert f(pts.ravel()) >= LJ_PENALTY
+        assert f(np.zeros(3 * n)) == lj_reference(n, np.zeros(3 * n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(LJ_ATOMS).flatmap(lambda n: st.lists(
+        st.floats(-10.0, 10.0), min_size=3 * n, max_size=3 * n)))
+    def test_any_coordinates(self, coords):
+        x = np.array(coords)
+        n = x.size // 3
+        assert LennardJones(n)(x) == lj_reference(n, x)
+
+    def test_pickled_callable_gives_the_same_value(self):
+        f = LennardJones(13)
+        g = pickle.loads(pickle.dumps(f))
+        x = np.random.default_rng(5).uniform(-4.0, 4.0, 39)
+        assert g == f
+        assert g(x) == f(x)
 
 
 class TestGasCompressor:
