@@ -15,7 +15,6 @@ from .harness import (
     compare_table,
     convergence_export,
     run_batch,
-    run_experiment,
 )
 from .problems import (
     BENCHMARK_NAMES,
@@ -44,7 +43,6 @@ __all__ = [
     "compare_table",
     "convergence_export",
     "run_batch",
-    "run_experiment",
     "BENCHMARK_NAMES",
     "ENGINEERING_NAMES",
     "PROBLEM_NAMES",

@@ -28,7 +28,7 @@ from .harness import (
     format_stat,
     run_batch,
 )
-from .problems import BENCHMARK_NAMES, ENGINEERING_NAMES, PROBLEM_NAMES, make_problem
+from .problems import ENGINEERING_NAMES, make_problem
 
 STATS_HEADER = ["problem", "variant", "dim", "runs", "best", "mean", "sd", "mean_nfe"]
 
@@ -114,14 +114,6 @@ def write_convergence_csv(path: Path, grid, median) -> None:
 # Experiment plumbing
 # ---------------------------------------------------------------------------
 
-def _build_problem(name: str, dim: int | None, atoms: int | None):
-    if name not in PROBLEM_NAMES:
-        raise ConfigurationError(
-            f"unknown problem {name!r}; choose from {', '.join(PROBLEM_NAMES)}"
-        )
-    return make_problem(name, dimension=dim, n_atoms=atoms)
-
-
 def _build_variant(args, strategy: str) -> VariantConfig:
     adaptive = False if getattr(args, "no_adaptive", False) else None
     return VariantConfig(
@@ -150,12 +142,17 @@ def _execute(problem, args, strategy: str):
     return results, stats
 
 
-def _emit_stats(out_dir: Path, fmt: str, stats: list[ExperimentStats]) -> None:
+def _emit(out_dir: Path, fmt: str, stats: list[ExperimentStats],
+          table: ComparisonTable | None = None) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     if fmt in ("csv", "both"):
         write_stats_csv(out_dir / "stats.csv", stats)
+        if table is not None:
+            write_comparison_csv(out_dir / "comparison.csv", table)
     if fmt in ("json", "both"):
         write_stats_json(out_dir / "stats.json", stats)
+        if table is not None:
+            write_comparison_json(out_dir / "comparison.json", table)
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +160,10 @@ def _emit_stats(out_dir: Path, fmt: str, stats: list[ExperimentStats]) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_run(args) -> int:
-    problem = _build_problem(args.problem, args.dim, args.atoms)
+    problem = make_problem(args.problem, dimension=args.dim, n_atoms=args.atoms)
     results, stats = _execute(problem, args, args.variant)
     out_dir = Path(args.output_dir)
-    _emit_stats(out_dir, args.format, [stats])
+    _emit(out_dir, args.format, [stats])
     if args.traces:
         for r in results:
             write_trace_csv(
@@ -188,27 +185,21 @@ def cmd_compare(args) -> int:
         raise ConfigurationError("compare needs at least 2 variants")
     if args.baseline not in variants:
         raise ConfigurationError(f"baseline {args.baseline!r} is not among the variants")
-    problems = [_build_problem(p, args.dim, args.atoms) for p in _split(args.problems)]
+    problems = [make_problem(p, dimension=args.dim, n_atoms=args.atoms)
+                for p in _split(args.problems)]
     all_stats = []
     for problem in problems:
         for strategy in variants:
             _, stats = _execute(problem, args, strategy)
             all_stats.append(stats)
     table = compare_table(all_stats, args.baseline)
-    out_dir = Path(args.output_dir)
-    _emit_stats(out_dir, args.format, all_stats)
-    if args.format in ("csv", "both"):
-        write_comparison_csv(out_dir / "comparison.csv", table)
-    if args.format in ("json", "both"):
-        write_comparison_json(out_dir / "comparison.json", table)
+    _emit(Path(args.output_dir), args.format, all_stats, table)
     for v, avg in table.average_ar.items():
         print(f"average AR {table.baseline} vs {v}: {avg:.2f}%")
     return 0
 
 
 def cmd_bench(args) -> int:
-    if args.suite not in ("benchmarks", "engineering", "all"):
-        raise ConfigurationError(f"unknown suite {args.suite!r}")
     out_dir = Path(args.output_dir)
     all_stats: list[ExperimentStats] = []
     if args.suite in ("benchmarks", "all"):
@@ -222,7 +213,7 @@ def cmd_bench(args) -> int:
     if args.suite in ("engineering", "all"):
         eng_stats = []
         for name in ENGINEERING_NAMES:
-            problem = _build_problem(name, None, args.atoms)
+            problem = make_problem(name, n_atoms=args.atoms)
             for strategy in STRATEGIES:
                 _, stats = _execute(problem, args, strategy)
                 eng_stats.append(stats)
@@ -230,12 +221,7 @@ def cmd_bench(args) -> int:
         comparison = compare_table(
             [s for s in eng_stats if s.variant != "gbest"], "sac2"
         )
-    _emit_stats(out_dir, args.format, all_stats)
-    if comparison is not None:
-        if args.format in ("csv", "both"):
-            write_comparison_csv(out_dir / "comparison.csv", comparison)
-        if args.format in ("json", "both"):
-            write_comparison_json(out_dir / "comparison.json", comparison)
+    _emit(out_dir, args.format, all_stats, comparison)
     print(f"wrote {len(all_stats)} stats records to {out_dir}")
     return 0
 
@@ -248,41 +234,45 @@ def _split(csv_list: str) -> list[str]:
     return [item.strip() for item in csv_list.split(",") if item.strip()]
 
 
-def load_config_file(path: str) -> dict:
-    """Simple key=value file; keys use the long flag names."""
-    values = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config file: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), 1):
+# store-true flags: a config file switches them on with a truthy value
+_SWITCHES = ("traces", "no-adaptive", "sample-sd")
+
+
+def load_config_file(path: str) -> list[str]:
+    """Read a key=value file as `--key=value` argv tokens; keys are the long flag names.
+
+    A store-true flag becomes a bare `--flag` when its value is 1, true, yes
+    or on, and is left off otherwise. Every value is then checked by the
+    same argparse parser as the flags.
+    """
+    tokens = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigurationError(f"{path}:{lineno}: expected key=value")
+            raise ValueError(f"line {lineno}: expected key=value")
         key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
+        key = key.strip().replace("_", "-")
+        value = value.strip()
+        if key not in _SWITCHES:
+            tokens.append(f"--{key}={value}")
+        elif value.lower() in ("1", "true", "yes", "on"):
+            tokens.append(f"--{key}")
+    return tokens
 
 
-_INT_KEYS = {"dim", "atoms", "runs", "seed", "colony", "limit", "max_nfe", "jobs"}
-_FLOAT_KEYS = {"c_factor", "accuracy"}
-_BOOL_KEYS = {"traces", "no_adaptive", "sample_sd"}
-
-
-def _coerce_config(values: dict) -> dict:
-    out = {}
-    for key, value in values.items():
-        if key in _INT_KEYS:
-            out[key] = int(float(value))
-        elif key in _FLOAT_KEYS:
-            out[key] = float(value)
-        elif key in _BOOL_KEYS:
-            out[key] = value.lower() in ("1", "true", "yes", "on")
-        else:
-            out[key] = value
-    return out
+def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """Splice the --config file's tokens in after the subcommand, so later flags win."""
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return argv
+    try:
+        return argv[:1] + load_config_file(path) + argv[1:]
+    except (OSError, ValueError) as exc:
+        parser.error(f"config file {path}: {exc}")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -331,32 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("suite", choices=("benchmarks", "engineering", "all"))
     _add_common(p_bench)
     p_bench.set_defaults(func=cmd_bench)
-    parser.command_parsers = [p_run, p_cmp, p_bench]
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    if "--config" in argv:
-        try:
-            cfg_path = argv[argv.index("--config") + 1]
-        except IndexError:
-            parser.error("--config requires a path")
-        try:
-            defaults = _coerce_config(load_config_file(cfg_path))
-            # options live on the subcommand parsers, so defaults go there too
-            for sub in parser.command_parsers:
-                sub.set_defaults(**defaults)
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"error: bad config value: {exc}", file=sys.stderr)
-            return 2
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = parser.parse_args(_with_config(parser, argv))
+    except SystemExit as exc:  # argparse has printed the help or the usage error
         return int(exc.code or 0)
     if "BEEHIVE_SEED" in os.environ:
         try:

@@ -66,13 +66,6 @@ def aggregate(problem: Problem, variant: str, results: list[RunResult],
     )
 
 
-def run_experiment(problem: Problem, config: VariantConfig, termination: TerminationRule,
-                   runs: int = 30, base_seed: int = 0, jobs: int = 1,
-                   sample_sd: bool = False) -> ExperimentStats:
-    results = run_batch(problem, config, termination, runs, base_seed, jobs)
-    return aggregate(problem, config.strategy, results, sample_sd=sample_sd)
-
-
 def acceleration_rate(nfe_baseline: float, nfe_other: float) -> float:
     """Percent NFE reduction of `other` relative to `baseline`; positive = faster."""
     if nfe_baseline <= 0:

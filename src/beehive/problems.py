@@ -313,4 +313,6 @@ def make_problem(name: str, dimension: int | None = None, n_atoms: int | None = 
         return make_lennard_jones(LJConfig(n_atoms))
     if name == "gas_compressor":
         return make_gas_compressor()
-    raise ConfigurationError(f"unknown problem {name!r}")
+    raise ConfigurationError(
+        f"unknown problem {name!r}; choose from {', '.join(PROBLEM_NAMES)}"
+    )

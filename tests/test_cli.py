@@ -1,10 +1,16 @@
 """End-to-end command-line behavior: artifacts, exit codes, config handling."""
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from beehive.cli import main
+from beehive.engine import STRATEGIES
 from beehive.harness import ExperimentStats
 
 
@@ -112,6 +118,15 @@ class TestCompareCommand:
         assert doc["baseline"] == "sac2"
         assert set(doc["acceleration_rate"]) == {"basic"}
 
+    def test_format_csv_writes_no_json(self, tmp_path):
+        code = run_cli("compare", "--problems", "sphere", "--dim", "2",
+                       "--variants", "basic,sac2", "--runs", "1", "--max-nfe", "300",
+                       "--format", "csv", "--output-dir", str(tmp_path))
+        assert code == 0
+        assert read_csv(tmp_path / "comparison.csv")[0][0] == "problem"
+        assert (tmp_path / "stats.csv").exists()
+        assert not list(tmp_path.glob("*.json"))
+
     def test_missing_baseline_is_usage_error(self, tmp_path, capsys):
         code = run_cli("compare", "--problems", "sphere", "--variants",
                        "basic,sac", "--baseline", "sac2", "--runs", "1",
@@ -199,6 +214,39 @@ class TestErrorsAndConfig:
         assert s.variant == "sac1"  # file value fills the unset option
         assert 400 <= s.mean_nfe < 1200
 
+    def test_config_equals_form_is_read(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("runs = 1\nvariant = sac1\n")
+        out = tmp_path / "out"
+        code = run_cli("run", "--problem", "sphere", "--dim", "2", "--max-nfe", "300",
+                       f"--config={cfg}", "--output-dir", str(out))
+        assert code == 0
+        s = read_stats_json(out / "stats.json")[0]
+        assert s.runs == 1 and s.variant == "sac1"
+
+    def test_config_seed_above_2_to_the_53_runs_exactly(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("seed = 9007199254740993\nruns = 1\n")
+        code = run_cli("run", "--problem", "sphere", "--dim", "2", "--max-nfe", "200",
+                       "--traces", "--config", str(cfg), "--output-dir", str(tmp_path))
+        assert code == 0
+        assert (tmp_path / "sphere_basic_trace_seed9007199254740993.csv").exists()
+
+    @pytest.mark.parametrize("line,named", [
+        ("format = xml", "xml"),
+        ("runs = 2.7", "2.7"),
+        ("maxnfe = 5", "maxnfe"),
+        ("max-nfe = 1e3", "1e3"),
+    ])
+    def test_bad_config_file_exits_2_and_names_it(self, tmp_path, capsys, line, named):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code = run_cli("run", "--problem", "sphere", "--dim", "2", "--max-nfe", "300",
+                       "--config", str(cfg), "--output-dir", str(tmp_path))
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "stats.json").exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code = run_cli("run", "--problem", "sphere",
                        "--config", str(tmp_path / "nope.cfg"),
@@ -232,3 +280,83 @@ class TestErrorsAndConfig:
         code = run_cli("run")  # --problem is required
         assert code == 2
         capsys.readouterr()
+
+
+SWITCH_ON = ("1", "true", "yes", "on", "TRUE", "On")
+SWITCH_OFF = ("0", "false", "no", "off", "")
+INT_KEYS = ("runs", "seed", "colony", "limit", "max-nfe", "jobs", "dim", "atoms")
+FLOAT_KEYS = ("c-factor", "accuracy")
+
+settings_strategy = st.fixed_dictionaries({
+    "runs": st.integers(1, 2),
+    "seed": st.integers(-2**64, 2**64),
+    "limit": st.integers(1, 200),
+    "c-factor": st.floats(-10, 10, allow_nan=False),
+    "colony": st.integers(4, 10).map(lambda n: 2 * n),
+    "max-nfe": st.integers(1, 300),
+    "variant": st.sampled_from(STRATEGIES),
+    "format": st.sampled_from(("csv", "json", "both")),
+})
+switches_strategy = st.fixed_dictionaries(
+    {k: st.booleans() for k in ("traces", "no-adaptive", "sample-sd")})
+
+
+def rejects(convert, text):
+    try:
+        convert(text)
+    except ValueError:
+        return True
+    return False
+
+
+def quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def artifacts(out_dir):
+    return {p.name: p.read_bytes() for p in Path(out_dir).iterdir()}
+
+
+class TestConfigFuzz:
+    @settings(max_examples=25, deadline=None)
+    @given(values=settings_strategy, switches=switches_strategy,
+           underscores=st.booleans(), data=st.data())
+    def test_config_file_equals_flags(self, values, switches, underscores, data):
+        base = ["run", "--problem", "sphere", "--dim", "2"]
+        flags = [f"--{k}={v}" for k, v in values.items()]
+        flags += [f"--{k}" for k, on in switches.items() if on]
+        words = {k: data.draw(st.sampled_from(SWITCH_ON if on else SWITCH_OFF))
+                 for k, on in switches.items()}
+        lines = [f"{k.replace('-', '_') if underscores else k} = {v}"
+                 for k, v in {**values, **words}.items()]
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp, "exp.cfg")
+            cfg.write_text("\n".join(lines) + "\n")
+            by_flags, by_file = Path(tmp, "flags"), Path(tmp, "file")
+            assert quiet_main(base + flags + ["--output-dir", str(by_flags)]) == 0
+            assert quiet_main(base + ["--config", str(cfg),
+                                      "--output-dir", str(by_file)]) == 0
+            from_file = artifacts(by_file)
+            assert artifacts(by_flags) == from_file
+            assert ("stats.json" in from_file) == (values["format"] != "csv")
+
+    @settings(max_examples=200, deadline=None)
+    @given(key=st.sampled_from(INT_KEYS + FLOAT_KEYS),
+           value=st.text().filter(lambda v: len(f"x{v}x".splitlines()) == 1),
+           via_file=st.booleans())
+    def test_non_number_exits_2(self, key, value, via_file):
+        convert = float if key in FLOAT_KEYS else int
+        assume(rejects(convert, value) and rejects(convert, value.strip()))
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["run", "--problem", "sphere", "--dim", "2", "--runs", "1",
+                    "--max-nfe", "100", "--output-dir", tmp]
+            if via_file:
+                cfg = Path(tmp, "bad.cfg")
+                cfg.write_text(f"{key} = {value}\n")
+                argv += ["--config", str(cfg)]
+            else:
+                argv.append(f"--{key}={value}")
+            assert quiet_main(argv) == 2
+            assert not Path(tmp, "stats.json").exists()

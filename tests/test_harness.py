@@ -14,7 +14,6 @@ from beehive.harness import (
     convergence_export,
     format_stat,
     run_batch,
-    run_experiment,
 )
 from beehive.problems import LJConfig, Problem, make_lennard_jones, make_problem
 
@@ -117,8 +116,9 @@ class TestAggregate:
 
     def test_run_experiment_end_to_end(self):
         problem = make_problem("sphere", dimension=2)
-        stats = run_experiment(problem, VariantConfig(strategy="basic"),
-                               TerminationRule(max_nfe=500), runs=3, base_seed=1)
+        stats = aggregate(problem, "basic",
+                          run_batch(problem, VariantConfig(strategy="basic"),
+                                    TerminationRule(max_nfe=500), runs=3, base_seed=1))
         assert stats.problem == "sphere" and stats.variant == "basic"
         assert stats.runs == 3 and stats.dim == 2
         assert stats.best <= stats.mean
