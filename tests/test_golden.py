@@ -19,10 +19,15 @@ SEEDS = (1, 2)
 
 PROBLEMS = {
     "sphere": dict(dimension=10),
+    "griewank": dict(dimension=10),
+    "ackley": dict(dimension=10),
+    "rastrigin": dict(dimension=10),
     "schaffer": dict(dimension=2),
     "gear_train": {},
     "lennard_jones": dict(n_atoms=3),
     "air_heater": {},
+    "gas_production": {},
+    "gas_compressor": {},
     # 13 atoms: rows of up to 12 pair terms, so a change to the order in which
     # the energy is summed changes the bits (3 atoms give rows of at most 2)
     "lennard_jones13": dict(name="lennard_jones", n_atoms=13),
@@ -38,6 +43,21 @@ GOLDEN = {
     "sphere/sac1": "7aeec80e9b88a747540114e8add1b8ef683cb1a8c84594ba4e7fe11df6bf6e22",
     "sphere/sac2": "5a242c3fa7491809ca4bc02d8df0328a16fe0bbb416703a9308b035f0c1a4193",
     "sphere/gbest": "669e879b5d037f713ba8c43542d5840697deddcd6ee3a91982df94d7ba777ded",
+    "griewank/basic": "9dc80466e01674b287f28219e1cbcd2266f66f0918916c1c7d98ebecec6703c0",
+    "griewank/sac": "e478e250a085c2a72ab9a789c56f5d6f126185948997025cb2026c3f92ea0d5c",
+    "griewank/sac1": "94c20a4fe910408cc6ef77abc1c9abd4b02dd2600fc7ba58cba3896ee1a4a0fa",
+    "griewank/sac2": "5b2b9260ee599706c029c2023e82908ab33458d352dd4d493ae70379c8ec9e00",
+    "griewank/gbest": "8c44d4e7a11fee4fdb28a1ca1262f935af9577d19904b91ab323d0cace848dfe",
+    "ackley/basic": "a91f91a81f53c065ff4a1bf0e0d85875692698dca56a084d7fea589c39b0baf9",
+    "ackley/sac": "6f7bf19c6f515630d75d8cc3d5185f78e15ee0f09b9025977fb4022d325c9a4d",
+    "ackley/sac1": "2eb50855b6860fce7b833d32c46e4621cdfa7b0ec9768cdb8c871f22df239ff6",
+    "ackley/sac2": "cfee8d8c647b1e1e2065d1d251edb7c97f8f01af07eb7b63a9be5b4082e57788",
+    "ackley/gbest": "ee1809359d8d19aa7b104ef0050030051655767cae68922ce21406191de22e50",
+    "rastrigin/basic": "fefb14a02d5c847ef19a4c7d524af957075aeae98ce721cdc713351658eb5db1",
+    "rastrigin/sac": "3ff3776cf58cb35b7c4f9d6fc4ac8be0fa0db9e8b988b6e3625ec225455f1ee1",
+    "rastrigin/sac1": "232ee95977c6ed8545191e09a9878c006fb860fe2290793768db677121a7348b",
+    "rastrigin/sac2": "de54d09d5a158331d62f752d773ed46e51931b09204f6184acbd755eb75301fb",
+    "rastrigin/gbest": "1965d48c63231d9ca80555f18c4067450ab0e8e472000d33accaf0193c0073fe",
     "schaffer/basic": "1cc071405edb9b3c0b473d593f008ee26ce3193db1ceeefae473ad447c8e57b1",
     "schaffer/sac": "56f920886fc72a84f572681d261451ce2e51b4c16c9d0f100bc6731f2fdd5d77",
     "schaffer/sac1": "4b03af752ef006bcbd1529e30e74ba4a04d082cd3fc0ac319e95bd2ba77a78fc",
@@ -63,6 +83,16 @@ GOLDEN = {
     "air_heater/sac1": "f587612c6e7d3467c6ed3854cd55ca44cc758d0b142a985c5b7df7d12429e7f0",
     "air_heater/sac2": "91a2c5a656a4d2fc74d396a9f60cc3062c57cade1372fad0769585c7e492afd3",
     "air_heater/gbest": "53af03c2a69b934934b6397d3586ee5c0ab58eeab3d820e945834545b02fd775",
+    "gas_production/basic": "d7ea7dc93bd2160a57efa289eaee9a82ced11b0a85b4ecbfc2cf721d6c81f71f",
+    "gas_production/sac": "e5bb15d68eb3ecc4d807bc4f3ceb84405765d2546efe762e08805b31cb5fc566",
+    "gas_production/sac1": "209a020d7b2009ce5608d6835753e6c91277c42085945314c44cbe09f1d7b0a1",
+    "gas_production/sac2": "77166628e93e00bfc25640bf412eb0c7872c060c9f5cfaab3acfc836a60c9949",
+    "gas_production/gbest": "27291bd9f1ec3b7501d3649c121ee483ae436261c425c1532b8a882ea3db3c69",
+    "gas_compressor/basic": "a8420409c8ab964e8a32911b38dfe2c922c1d2a77ae5d880cac0f21b80a2adda",
+    "gas_compressor/sac": "3184724b64f8fe3e6bcf094df30190b4fd16f2febce5bca6988b0a6430917325",
+    "gas_compressor/sac1": "bfaa67f972439984eecb950672a549ff1076fcff30af59e72febddbe43087951",
+    "gas_compressor/sac2": "f5ea1da4f0c7482fa01e827b5315a7028943c2561238666dbd661b946cbf220d",
+    "gas_compressor/gbest": "d5793bf2df4932d4f37a9f245efece446f157fc5f6a3187d6359290ecb803713",
     "sphere-scouting/basic": "1a6ea37b88bf9b579f2ecaacda6bbc3090782a5a4725ce287e0747797dae2dc7",
     "sphere-scouting/sac": "f0b81c489580f21914fe0e06337b468ae001f31b1404efd23b0173f7464874b2",
     "sphere-scouting/sac1": "650efbdd9a11f5872c12e3d3df621e62283978e709d5dd4d2602a587df01b914",
