@@ -22,7 +22,6 @@ from .problems import (
     PROBLEM_NAMES,
     LJConfig,
     Problem,
-    make_benchmark,
     make_problem,
 )
 
@@ -48,6 +47,5 @@ __all__ = [
     "PROBLEM_NAMES",
     "LJConfig",
     "Problem",
-    "make_benchmark",
     "make_problem",
 ]

@@ -28,17 +28,9 @@ from .harness import (
     format_stat,
     run_batch,
 )
-from .problems import ENGINEERING_NAMES, make_problem
+from .problems import BENCHMARK_DIMENSIONS, ENGINEERING_NAMES, make_problem
 
 STATS_HEADER = ["problem", "variant", "dim", "runs", "best", "mean", "sd", "mean_nfe"]
-
-BENCH_DIMENSIONS = {
-    "sphere": (30, 60),
-    "griewank": (30, 60),
-    "ackley": (30, 60),
-    "rastrigin": (30, 60),
-    "schaffer": (2, 3),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +134,12 @@ def _execute(problem, args, strategy: str):
     return results, stats
 
 
+def _sweep(problems, strategies, args) -> list[ExperimentStats]:
+    """Stats of every strategy on every problem, problem by problem."""
+    return [_execute(problem, args, strategy)[1]
+            for problem in problems for strategy in strategies]
+
+
 def _emit(out_dir: Path, fmt: str, stats: list[ExperimentStats],
           table: ComparisonTable | None = None) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -187,11 +185,7 @@ def cmd_compare(args) -> int:
         raise ConfigurationError(f"baseline {args.baseline!r} is not among the variants")
     problems = [make_problem(p, dimension=args.dim, n_atoms=args.atoms)
                 for p in _split(args.problems)]
-    all_stats = []
-    for problem in problems:
-        for strategy in variants:
-            _, stats = _execute(problem, args, strategy)
-            all_stats.append(stats)
+    all_stats = _sweep(problems, variants, args)
     table = compare_table(all_stats, args.baseline)
     _emit(Path(args.output_dir), args.format, all_stats, table)
     for v, avg in table.average_ar.items():
@@ -203,21 +197,14 @@ def cmd_bench(args) -> int:
     out_dir = Path(args.output_dir)
     all_stats: list[ExperimentStats] = []
     if args.suite in ("benchmarks", "all"):
-        for name, dims in BENCH_DIMENSIONS.items():
-            for dim in dims:
-                problem = make_problem(name, dimension=dim)
-                for strategy in STRATEGIES:
-                    _, stats = _execute(problem, args, strategy)
-                    all_stats.append(stats)
+        problems = [make_problem(name, dimension=dim)
+                    for name, dims in BENCHMARK_DIMENSIONS.items() for dim in dims]
+        all_stats += _sweep(problems, STRATEGIES, args)
     comparison = None
     if args.suite in ("engineering", "all"):
-        eng_stats = []
-        for name in ENGINEERING_NAMES:
-            problem = make_problem(name, n_atoms=args.atoms)
-            for strategy in STRATEGIES:
-                _, stats = _execute(problem, args, strategy)
-                eng_stats.append(stats)
-        all_stats.extend(eng_stats)
+        problems = [make_problem(name, n_atoms=args.atoms) for name in ENGINEERING_NAMES]
+        eng_stats = _sweep(problems, STRATEGIES, args)
+        all_stats += eng_stats
         comparison = compare_table(
             [s for s in eng_stats if s.variant != "gbest"], "sac2"
         )
@@ -255,6 +242,9 @@ def load_config_file(path: str) -> list[str]:
         key, value = line.split("=", 1)
         key = key.strip().replace("_", "-")
         value = value.strip()
+        if key == "config":
+            raise ValueError(f"line {lineno}: a config file cannot name another "
+                             f"(config = {value})")
         if key not in _SWITCHES:
             tokens.append(f"--{key}={value}")
         elif value.lower() in ("1", "true", "yes", "on"):
@@ -264,7 +254,7 @@ def load_config_file(path: str) -> list[str]:
 
 def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Splice the --config file's tokens in after the subcommand, so later flags win."""
-    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
     if path is None:
@@ -292,32 +282,35 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output-dir", default="beehive_out")
     parser.add_argument("--format", choices=("csv", "json", "both"), default="both")
     parser.add_argument("--config", help="key=value config file; flags win on conflict")
-    parser.add_argument("--dim", type=int, default=None)
     parser.add_argument("--atoms", type=int, default=None,
                         help="atom count for lennard_jones")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="beehive",
+    parser = argparse.ArgumentParser(prog="beehive", allow_abbrev=False,
                                      description="Bee colony optimization experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one problem with one variant")
+    p_run = sub.add_parser("run", help="run one problem with one variant", allow_abbrev=False)
     p_run.add_argument("--problem", required=True)
+    p_run.add_argument("--dim", type=int, default=None)
     p_run.add_argument("--variant", choices=STRATEGIES, default="basic")
     p_run.add_argument("--traces", action="store_true",
                        help="write per-run trace CSVs and the median convergence series")
     _add_common(p_run)
     p_run.set_defaults(func=cmd_run)
 
-    p_cmp = sub.add_parser("compare", help="compare variants over a problem list")
+    p_cmp = sub.add_parser("compare", help="compare variants over a problem list",
+                           allow_abbrev=False)
     p_cmp.add_argument("--problems", required=True, help="comma-separated problem names")
+    p_cmp.add_argument("--dim", type=int, default=None)
     p_cmp.add_argument("--variants", default="basic,sac,sac1,sac2")
     p_cmp.add_argument("--baseline", default="sac2")
     _add_common(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_bench = sub.add_parser("bench", help="run a full suite with standard settings")
+    p_bench = sub.add_parser("bench", help="run a full suite with standard settings",
+                             allow_abbrev=False)
     p_bench.add_argument("suite", choices=("benchmarks", "engineering", "all"))
     _add_common(p_bench)
     p_bench.set_defaults(func=cmd_bench)
@@ -332,10 +325,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse has printed the help or the usage error
         return int(exc.code or 0)
     if "BEEHIVE_SEED" in os.environ:
+        value = os.environ["BEEHIVE_SEED"]
         try:
-            args.seed = int(os.environ["BEEHIVE_SEED"])
+            args.seed = int(value)
         except ValueError:
-            print("error: BEEHIVE_SEED must be an integer", file=sys.stderr)
+            print(f"error: BEEHIVE_SEED must be an integer, not {value!r}", file=sys.stderr)
             return 2
     try:
         return args.func(args)

@@ -37,6 +37,20 @@ class Problem:
     integrality: np.ndarray | None = None  # bool mask, length D
     known_optimum: float | None = None  # minimization sense
 
+    def __post_init__(self):
+        if self.dimension != self.bounds.dimension:
+            raise ConfigurationError(
+                f"{self.name}: dimension {self.dimension} does not match the "
+                f"{self.bounds.dimension}-D bounds")
+        if self.integrality is not None and len(self.integrality) != self.dimension:
+            raise ConfigurationError(
+                f"{self.name}: integrality mask has length {len(self.integrality)}, "
+                f"not the dimension {self.dimension}")
+        if self.direction not in ("minimize", "maximize"):
+            raise ConfigurationError(
+                f"{self.name}: direction must be 'minimize' or 'maximize', "
+                f"not {self.direction!r}")
+
     def evaluate_min(self, x: np.ndarray) -> float:
         """Objective in minimization sense (negated for maximization problems)."""
         f = self.evaluate(x)
@@ -79,30 +93,16 @@ def _schaffer(x):
     return 0.5 + (math.sin(math.sqrt(s)) ** 2 - 0.5) / (1.0 + 0.001 * s) ** 2
 
 
+# Each benchmark: (objective, half-width of its cube box, the dimensions
+# `beehive bench benchmarks` runs, the first being the default). All have
+# their minimum 0 at the origin.
 _BENCHMARKS = {
-    "sphere": (_sphere, 5.12),
-    "griewank": (_griewank, 600.0),
-    "ackley": (_ackley, 32.0),
-    "rastrigin": (_rastrigin, 5.12),
-    "schaffer": (_schaffer, 100.0),
+    "sphere": (_sphere, 5.12, (30, 60)),
+    "griewank": (_griewank, 600.0, (30, 60)),
+    "ackley": (_ackley, 32.0, (30, 60)),
+    "rastrigin": (_rastrigin, 5.12, (30, 60)),
+    "schaffer": (_schaffer, 100.0, (2, 3)),
 }
-
-
-def make_benchmark(name: str, dimension: int = 30) -> Problem:
-    """Benchmark problem on its standard box, minimum 0 at the origin."""
-    try:
-        fn, half_width = _BENCHMARKS[name]
-    except KeyError:
-        raise ConfigurationError(f"unknown benchmark {name!r}") from None
-    if dimension < 1:
-        raise ConfigurationError("dimension must be >= 1")
-    return Problem(
-        name=name,
-        dimension=dimension,
-        bounds=Bounds.cube(-half_width, half_width, dimension),
-        evaluate=fn,
-        known_optimum=0.0,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -122,16 +122,6 @@ def _gas_production(x):
     )
 
 
-def make_gas_production() -> Problem:
-    """Optimal capacity of gas production facilities, 2 variables, minimize."""
-    return Problem(
-        name="gas_production",
-        dimension=2,
-        bounds=Bounds(np.array([17.5, 300.0]), np.array([40.0, 600.0])),
-        evaluate=_gas_production,
-    )
-
-
 def _air_heater(x):
     x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
     fs = 0.079 * x3 ** -0.25
@@ -146,33 +136,11 @@ def _air_heater(x):
     return 2.51 * math.log(e_plus) + 5.5 - 0.1 * r_m - g_h
 
 
-def make_air_heater() -> Problem:
-    """Thermohydraulic performance of a roughened air heater, 3 variables, maximize."""
-    return Problem(
-        name="air_heater",
-        dimension=3,
-        bounds=Bounds(np.array([0.02, 10.0, 3000.0]), np.array([0.8, 40.0, 20000.0])),
-        evaluate=_air_heater,
-        direction="maximize",
-    )
-
-
 def _gear_train(x):
     # teeth counts are integers: round half away from zero before evaluating
     t = np.floor(np.asarray(x, dtype=float) + 0.5)
     ratio = (t[0] * t[1]) / (t[2] * t[3])
     return float((1.0 / 6.931 - ratio) ** 2)
-
-
-def make_gear_train() -> Problem:
-    """Compound gear train ratio matching, 4 integer variables, minimize."""
-    return Problem(
-        name="gear_train",
-        dimension=4,
-        bounds=Bounds.cube(12.0, 60.0, 4),
-        evaluate=_gear_train,
-        integrality=np.ones(4, dtype=bool),
-    )
 
 
 @dataclass(frozen=True)
@@ -237,10 +205,8 @@ class LennardJones:
         return total
 
 
-def make_lennard_jones(config: LJConfig | None = None, n_atoms: int | None = None) -> Problem:
+def make_lennard_jones(config: LJConfig) -> Problem:
     """Lennard-Jones cluster (see `LennardJones`), 3N coordinates, minimize."""
-    if config is None:
-        config = LJConfig(n_atoms if n_atoms is not None else 3)
     n = config.n_atoms
     half = config.half_width
     return Problem(
@@ -261,20 +227,28 @@ def _gas_compressor(x):
     )
 
 
-def make_gas_compressor() -> Problem:
-    """Gas transmission compressor design, 3 variables, minimize."""
-    return Problem(
-        name="gas_compressor",
-        dimension=3,
-        bounds=Bounds(np.array([10.0, 1.1, 10.0]), np.array([55.0, 2.0, 40.0])),
-        evaluate=_gas_compressor,
-    )
+# The fixed-size designs: (objective, lower bounds, upper bounds, direction,
+# integer variables). Lennard-Jones scales with its atom count and is built
+# by `make_lennard_jones`.
+_ENGINEERING = {
+    # optimal capacity of gas production facilities
+    "gas_production": (_gas_production, (17.5, 300.0), (40.0, 600.0), "minimize", False),
+    # thermohydraulic performance of a roughened air heater
+    "air_heater": (_air_heater, (0.02, 10.0, 3000.0), (0.8, 40.0, 20000.0),
+                   "maximize", False),
+    # compound gear train ratio matching; the variables are teeth counts
+    "gear_train": (_gear_train, (12.0,) * 4, (60.0,) * 4, "minimize", True),
+    # gas transmission compressor design
+    "gas_compressor": (_gas_compressor, (10.0, 1.1, 10.0), (55.0, 2.0, 40.0),
+                       "minimize", False),
+}
 
 
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
+BENCHMARK_DIMENSIONS = {name: dims for name, (_, _, dims) in _BENCHMARKS.items()}
 BENCHMARK_NAMES = tuple(_BENCHMARKS)
 ENGINEERING_NAMES = (
     "gas_production",
@@ -289,30 +263,29 @@ PROBLEM_NAMES = BENCHMARK_NAMES + ENGINEERING_NAMES
 def make_problem(name: str, dimension: int | None = None, n_atoms: int | None = None) -> Problem:
     """Build any registered problem by name.
 
-    `dimension` applies to the benchmarks (default 30, schaffer 2) and, for
-    lennard_jones, may stand in for 3*n_atoms when `n_atoms` is not given.
+    `dimension` applies to the benchmarks (default: the first of their
+    `BENCHMARK_DIMENSIONS`) and, for lennard_jones, may stand in for
+    3*n_atoms when `n_atoms` is not given.
     """
     if name in _BENCHMARKS:
+        fn, half_width, dims = _BENCHMARKS[name]
         if dimension is None:
-            dimension = 2 if name == "schaffer" else 30
-        return make_benchmark(name, dimension)
-    if name == "gas_production":
-        return make_gas_production()
-    if name == "air_heater":
-        return make_air_heater()
-    if name == "gear_train":
-        return make_gear_train()
+            dimension = dims[0]
+        if dimension < 1:
+            raise ConfigurationError(f"dimension must be >= 1, not {dimension}")
+        return Problem(name, dimension, Bounds.cube(-half_width, half_width, dimension), fn,
+                       known_optimum=0.0)
+    if name in _ENGINEERING:
+        fn, lower, upper, direction, integer = _ENGINEERING[name]
+        integrality = np.ones(len(lower), dtype=bool) if integer else None
+        return Problem(name, len(lower), Bounds(lower, upper), fn, direction, integrality)
     if name == "lennard_jones":
-        if n_atoms is None:
-            if dimension is not None:
-                if dimension % 3:
-                    raise ConfigurationError("lennard_jones dimension must be 3*n_atoms")
-                n_atoms = dimension // 3
-            else:
-                n_atoms = 3
-        return make_lennard_jones(LJConfig(n_atoms))
-    if name == "gas_compressor":
-        return make_gas_compressor()
+        if n_atoms is None and dimension is not None:
+            if dimension % 3:
+                raise ConfigurationError(
+                    f"lennard_jones dimension must be 3*n_atoms, not {dimension}")
+            n_atoms = dimension // 3
+        return make_lennard_jones(LJConfig(3 if n_atoms is None else n_atoms))
     raise ConfigurationError(
         f"unknown problem {name!r}; choose from {', '.join(PROBLEM_NAMES)}"
     )

@@ -153,6 +153,13 @@ class TestBenchCommand:
         assert ("sphere", "30") in dims and ("sphere", "60") in dims
         assert ("schaffer", "2") in dims and ("schaffer", "3") in dims
 
+    def test_dim_flag_is_not_a_bench_option(self, tmp_path, capsys):
+        code = run_cli("bench", "engineering", "--dim", "5", "--runs", "1",
+                       "--max-nfe", "100", "--output-dir", str(tmp_path))
+        assert code == 2
+        assert "--dim" in capsys.readouterr().err
+        assert not (tmp_path / "stats.json").exists()
+
     def test_engineering_suite_writes_comparison(self, tmp_path):
         code = run_cli("bench", "engineering", "--runs", "1", "--max-nfe", "1500",
                        "--seed", "1", "--output-dir", str(tmp_path))
@@ -189,11 +196,12 @@ class TestErrorsAndConfig:
                 "--max-nfe", "400", "--seed", "1", "--output-dir", str(out_b))
         assert (out_a / "stats.json").read_text() == (out_b / "stats.json").read_text()
 
-    def test_bad_env_seed_exits_2(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("BEEHIVE_SEED", "not-a-number")
+    def test_bad_env_seed_exits_2(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("BEEHIVE_SEED", "abc")
         code = run_cli("run", "--problem", "sphere", "--dim", "2", "--runs", "1",
                        "--max-nfe", "300", "--output-dir", str(tmp_path))
         assert code == 2
+        assert "abc" in capsys.readouterr().err
 
     def test_config_file_sets_defaults_and_flags_win(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -237,6 +245,11 @@ class TestErrorsAndConfig:
         ("runs = 2.7", "2.7"),
         ("maxnfe = 5", "maxnfe"),
         ("max-nfe = 1e3", "1e3"),
+        # a truncated key is not read as the flag it starts
+        ("max = 300", "--max=300"),
+        ("lim = 5", "--lim=5"),
+        # a config file cannot pull in another one
+        ("config = inner.cfg", "config = inner.cfg"),
     ])
     def test_bad_config_file_exits_2_and_names_it(self, tmp_path, capsys, line, named):
         cfg = tmp_path / "bad.cfg"
@@ -245,6 +258,14 @@ class TestErrorsAndConfig:
                        "--config", str(cfg), "--output-dir", str(tmp_path))
         assert code == 2
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "stats.json").exists()
+
+    @pytest.mark.parametrize("flags", ["--max 100", "--lim 5", "--max-n=100", "--c-fact 2"])
+    def test_abbreviated_flag_exits_2_and_names_it(self, tmp_path, capsys, flags):
+        code = run_cli("run", "--problem", "sphere", "--dim", "2", "--runs", "1",
+                       *flags.split(), "--output-dir", str(tmp_path))
+        assert code == 2
+        assert flags.split()[0] in capsys.readouterr().err
         assert not (tmp_path / "stats.json").exists()
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beehive.core import ConfigurationError
+from beehive.core import Bounds, ConfigurationError
 from beehive.problems import (
     BENCHMARK_NAMES,
     ENGINEERING_NAMES,
@@ -16,7 +16,7 @@ from beehive.problems import (
     PROBLEM_NAMES,
     LJConfig,
     LennardJones,
-    make_benchmark,
+    Problem,
     make_lennard_jones,
     make_problem,
 )
@@ -278,13 +278,14 @@ class TestGasCompressor:
 
 class TestRegistry:
     def test_names(self):
-        assert set(BENCHMARK_NAMES) == {
+        assert BENCHMARK_NAMES == (
             "sphere", "griewank", "ackley", "rastrigin", "schaffer"
-        }
-        assert set(ENGINEERING_NAMES) == {
+        )
+        # stats.json, comparison.* and the engineering-batch digest follow this order
+        assert ENGINEERING_NAMES == (
             "gas_production", "air_heater", "gear_train",
             "lennard_jones", "gas_compressor",
-        }
+        )
         assert len(PROBLEM_NAMES) == 10
 
     def test_default_dimensions(self):
@@ -297,7 +298,7 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             make_problem("rosenbrock")
         with pytest.raises(ConfigurationError):
-            make_benchmark("nope")
+            make_problem("nope")
 
     def test_bad_lj_dimension_raises(self):
         with pytest.raises(ConfigurationError):
@@ -305,8 +306,27 @@ class TestRegistry:
 
     def test_bad_benchmark_dimension_raises(self):
         with pytest.raises(ConfigurationError):
-            make_benchmark("sphere", 0)
+            make_problem("sphere", 0)
+
+    def test_problems_share_no_bounds_arrays(self):
+        for name in PROBLEM_NAMES:
+            a, b = make_problem(name).bounds, make_problem(name).bounds
+            assert not np.shares_memory(a.lower, b.lower), name
+            assert not np.shares_memory(a.upper, b.upper), name
 
     def test_engineering_problems_have_no_known_optimum(self):
         for name in ENGINEERING_NAMES:
             assert make_problem(name).known_optimum is None, name
+
+
+class TestProblemValidation:
+    @pytest.mark.parametrize("fields,named", [
+        (dict(dimension=5), "dimension 5"),
+        (dict(integrality=np.ones(2, dtype=bool)), "length 2"),
+        (dict(direction="minimise"), "'minimise'"),
+    ])
+    def test_inconsistent_field_raises_and_names_it(self, fields, named):
+        kwargs = dict(name="cube", dimension=3, bounds=Bounds.cube(-1.0, 1.0, 3),
+                      evaluate=np.sum)
+        with pytest.raises(ConfigurationError, match=named):
+            Problem(**{**kwargs, **fields})
