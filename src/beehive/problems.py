@@ -70,7 +70,7 @@ def _sphere(x):
 
 def _griewank(x):
     s = np.dot(x, x) / 4000.0
-    p = np.prod(np.cos(x / np.sqrt(np.arange(1.0, x.size + 1.0))))
+    p = np.cos(x / np.sqrt(np.arange(1.0, x.size + 1.0))).prod()
     return float(s - p + 1.0)
 
 
@@ -78,14 +78,14 @@ def _ackley(x):
     n = x.size
     return float(
         -20.0 * math.exp(-0.2 * math.sqrt(np.dot(x, x) / n))
-        - math.exp(np.sum(np.cos(2.0 * math.pi * x)) / n)
+        - math.exp(np.cos(2.0 * math.pi * x).sum() / n)
         + 20.0
         + math.e
     )
 
 
 def _rastrigin(x):
-    return float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * math.pi * x)))
+    return float(10.0 * x.size + (x * x - 10.0 * np.cos(2.0 * math.pi * x)).sum())
 
 
 def _schaffer(x):
