@@ -158,7 +158,15 @@ def _emit(out_dir: Path, fmt: str, stats: list[ExperimentStats],
 # ---------------------------------------------------------------------------
 
 def cmd_run(args) -> int:
-    problem = make_problem(args.problem, dimension=args.dim, n_atoms=args.atoms)
+    try:
+        problem = make_problem(args.problem, dimension=args.dim, n_atoms=args.atoms)
+    except ConfigurationError as exc:
+        # echo the flags that chose the problem, so the error names the one at fault
+        flags = [f"--problem {args.problem}"]
+        flags += [f"{flag} {value}"
+                  for flag, value in (("--dim", args.dim), ("--atoms", args.atoms))
+                  if value is not None]
+        raise ConfigurationError(f"{' '.join(flags)}: {exc}") from None
     results, stats = _execute(problem, args, args.variant)
     out_dir = Path(args.output_dir)
     _emit(out_dir, args.format, [stats])
@@ -183,7 +191,9 @@ def cmd_compare(args) -> int:
         raise ConfigurationError("compare needs at least 2 variants")
     if args.baseline not in variants:
         raise ConfigurationError(f"baseline {args.baseline!r} is not among the variants")
-    problems = [make_problem(p, dimension=args.dim, n_atoms=args.atoms)
+    # --dim sizes the benchmarks and --atoms the Lennard-Jones cluster
+    problems = [make_problem(p, dimension=args.dim if p in BENCHMARK_DIMENSIONS else None,
+                             n_atoms=args.atoms if p == "lennard_jones" else None)
                 for p in _split(args.problems)]
     all_stats = _sweep(problems, variants, args)
     table = compare_table(all_stats, args.baseline)
@@ -202,7 +212,8 @@ def cmd_bench(args) -> int:
         all_stats += _sweep(problems, STRATEGIES, args)
     comparison = None
     if args.suite in ("engineering", "all"):
-        problems = [make_problem(name, n_atoms=args.atoms) for name in ENGINEERING_NAMES]
+        problems = [make_problem(name, n_atoms=args.atoms if name == "lennard_jones" else None)
+                    for name in ENGINEERING_NAMES]
         eng_stats = _sweep(problems, STRATEGIES, args)
         all_stats += eng_stats
         comparison = compare_table(

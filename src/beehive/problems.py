@@ -265,8 +265,12 @@ def make_problem(name: str, dimension: int | None = None, n_atoms: int | None = 
 
     `dimension` applies to the benchmarks (default: the first of their
     `BENCHMARK_DIMENSIONS`) and, for lennard_jones, may stand in for
-    3*n_atoms when `n_atoms` is not given.
+    3*n_atoms. `n_atoms` applies to lennard_jones only. An argument given
+    where it does not apply raises a ConfigurationError that names it.
     """
+    if n_atoms is not None and name != "lennard_jones" and name in PROBLEM_NAMES:
+        raise ConfigurationError(
+            f"n_atoms applies only to lennard_jones, not to {name} (got {n_atoms})")
     if name in _BENCHMARKS:
         fn, half_width, dims = _BENCHMARKS[name]
         if dimension is None:
@@ -277,13 +281,18 @@ def make_problem(name: str, dimension: int | None = None, n_atoms: int | None = 
                        known_optimum=0.0)
     if name in _ENGINEERING:
         fn, lower, upper, direction, integer = _ENGINEERING[name]
+        if dimension is not None:
+            raise ConfigurationError(
+                f"dimension does not apply to {name}, a fixed {len(lower)}-D design "
+                f"(got {dimension})")
         integrality = np.ones(len(lower), dtype=bool) if integer else None
         return Problem(name, len(lower), Bounds(lower, upper), fn, direction, integrality)
     if name == "lennard_jones":
-        if n_atoms is None and dimension is not None:
-            if dimension % 3:
+        if dimension is not None:
+            if dimension % 3 or (n_atoms is not None and dimension != 3 * n_atoms):
                 raise ConfigurationError(
-                    f"lennard_jones dimension must be 3*n_atoms, not {dimension}")
+                    f"lennard_jones dimension must be 3*n_atoms, not {dimension}"
+                    + ("" if n_atoms is None else f" with n_atoms {n_atoms}"))
             n_atoms = dimension // 3
         return make_lennard_jones(LJConfig(3 if n_atoms is None else n_atoms))
     raise ConfigurationError(

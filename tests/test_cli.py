@@ -90,6 +90,17 @@ class TestRunCommand:
         assert s.dim == 6
         assert abs(s.best - (-1.0)) < 1e-2
 
+    @pytest.mark.parametrize("problem,flag,value", [
+        ("gas_production", "--dim", "5"),
+        ("sphere", "--atoms", "7"),
+    ])
+    def test_size_flag_that_does_not_apply_exits_2(self, tmp_path, capsys, problem, flag, value):
+        code = run_cli("run", "--problem", problem, flag, value, "--runs", "1",
+                       "--max-nfe", "100", "--output-dir", str(tmp_path))
+        assert code == 2
+        assert f"{flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "stats.json").exists()
+
     def test_format_json_skips_csv(self, tmp_path):
         run_cli("run", "--problem", "sphere", "--dim", "2", "--runs", "1",
                 "--max-nfe", "300", "--format", "json",
@@ -117,6 +128,14 @@ class TestCompareCommand:
             doc = json.load(fh)
         assert doc["baseline"] == "sac2"
         assert set(doc["acceleration_rate"]) == {"basic"}
+
+    def test_size_flags_go_only_to_the_problems_they_size(self, tmp_path):
+        code = run_cli("compare", "--problems", "sphere,gas_production,lennard_jones",
+                       "--dim", "3", "--atoms", "2", "--variants", "basic,sac2",
+                       "--runs", "1", "--max-nfe", "200", "--output-dir", str(tmp_path))
+        assert code == 0
+        dims = {s.problem: s.dim for s in read_stats_json(tmp_path / "stats.json")}
+        assert dims == {"sphere": 3, "gas_production": 2, "lennard_jones": 6}
 
     def test_format_csv_writes_no_json(self, tmp_path):
         code = run_cli("compare", "--problems", "sphere", "--dim", "2",
@@ -159,6 +178,14 @@ class TestBenchCommand:
         assert code == 2
         assert "--dim" in capsys.readouterr().err
         assert not (tmp_path / "stats.json").exists()
+
+    def test_engineering_atoms_size_only_lennard_jones(self, tmp_path):
+        code = run_cli("bench", "engineering", "--atoms", "2", "--runs", "1",
+                       "--max-nfe", "200", "--output-dir", str(tmp_path))
+        assert code == 0
+        dims = {s.problem: s.dim for s in read_stats_json(tmp_path / "stats.json")}
+        assert dims == {"gas_production": 2, "air_heater": 3, "gear_train": 4,
+                        "lennard_jones": 6, "gas_compressor": 3}
 
     def test_engineering_suite_writes_comparison(self, tmp_path):
         code = run_cli("bench", "engineering", "--runs", "1", "--max-nfe", "1500",

@@ -308,6 +308,22 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             make_problem("sphere", 0)
 
+    @pytest.mark.parametrize("name,kwargs,named", [
+        ("gas_production", dict(dimension=5), "dimension"),
+        ("gear_train", dict(dimension=4), "dimension"),
+        ("air_heater", dict(n_atoms=3), "n_atoms"),
+        ("sphere", dict(n_atoms=7), "n_atoms"),
+        ("schaffer", dict(dimension=2, n_atoms=2), "n_atoms"),
+    ])
+    def test_argument_that_does_not_apply_raises_and_names_it(self, name, kwargs, named):
+        with pytest.raises(ConfigurationError, match=rf"{named}.*{name}"):
+            make_problem(name, **kwargs)
+
+    def test_lj_dimension_must_match_atoms(self):
+        assert make_problem("lennard_jones", dimension=12, n_atoms=4).dimension == 12
+        with pytest.raises(ConfigurationError, match="n_atoms 4"):
+            make_problem("lennard_jones", dimension=9, n_atoms=4)
+
     def test_problems_share_no_bounds_arrays(self):
         for name in PROBLEM_NAMES:
             a, b = make_problem(name).bounds, make_problem(name).bounds
