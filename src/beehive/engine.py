@@ -1,13 +1,15 @@
 """The bee colony optimization loop and its candidate strategies.
 
-One cycle runs employed bees, then fitness-proportional onlookers, then at most
-one scout, then (for the adaptive variants) a colony resize driven by the
-per-source size gene. All strategies modify a single randomly chosen coordinate
-of the bee's own position; out-of-box values are clamped to the violated bound.
+One cycle runs employed bees, then fitness-proportional onlookers (an
+inverse-CDF roulette, one draw per placement), then at most one scout, then
+(for the adaptive variants) a colony resize driven by the per-source size
+gene. All strategies modify a single randomly chosen coordinate of the bee's
+own position; out-of-box values are clamped to the violated bound.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,24 +133,24 @@ def _clip(v: float, lo: float, hi: float) -> float:
 def candidate(i, colony, bounds, rng, config):
     """One-coordinate move of source i; returns (position, clamped size gene).
 
-    Draw order: dimension j; partner a != i; for sac1/sac2 only, partner
-    b not in {i, a}; phi in [-1, 1); for gbest only, psi in [0, C). The
-    coordinate becomes
+    Draw order: dimension j; partner a != i; for sac1 only, partner b not in
+    {i, a}; phi in [-1, 1); for gbest only, psi in [0, C). The coordinate
+    becomes
 
     - basic, sac: x_ij + phi * (x_ij - x_aj)
     - sac1:       best_j + phi * (x_aj - x_bj)  (elitist)
     - sac2:       x_ij + phi * (x_ij - x_aj) + C * (best_j - x_ij)
     - gbest:      x_ij + phi * (x_ij - x_aj) + psi * (best_j - x_ij)
 
-    clamped to the violated bound. sac2 draws b and does not use it, so its
-    draw order and three-source minimum hold. The size gene, if the colony
-    carries one, moves by the same phi against b for sac1 and against a
-    otherwise, and is clamped to [sn_min, sn_max].
+    clamped to the violated bound, so sac1 needs three sources and the others
+    two. sac2 is the gbest move with the pull weight fixed at C. The size
+    gene, if the colony carries one, moves by the same phi against b for sac1
+    and against a otherwise, and is clamped to [sn_min, sn_max].
     """
     strategy = config.strategy
     sources = colony.sources
     n = len(sources)
-    two_partners = strategy in ("sac1", "sac2")
+    two_partners = strategy == "sac1"
     needed = 3 if two_partners else 2
     if n < needed:
         raise ValueError(f"{strategy} candidate needs at least {needed} sources")
@@ -222,22 +224,24 @@ def employed_phase(colony, config, problem, rng):
 
 
 def onlooker_phase(colony, config, problem, rng):
-    """Exactly SN fitness-proportional placements via a roving roulette index."""
-    probs = selection_probabilities(colony).tolist()
+    """Exactly SN fitness-proportional placements, one raw draw each.
+
+    The roulette inverts the cumulative `selection_probabilities`, taken once
+    per phase: a placement goes to the first source whose cumulative
+    probability exceeds a draw u = random(), or to the last source where
+    rounding has left the cumulative total at or below u.
+    """
+    cum = selection_probabilities(colony).cumsum().tolist()
+    last = len(cum) - 1
     bounds = problem.bounds
     sources = colony.sources
-    n = len(sources)
-    placed = 0
-    i = 0
     rand = rng.random
-    while placed < n:
-        if rand() < probs[i]:
-            pos, gene = candidate(i, colony, bounds, rng, config)
-            sources[i] = greedy_select(sources[i], pos, colony, problem, gene)
-            placed += 1
-        i += 1
-        if i == n:
-            i = 0
+    for _ in range(len(sources)):
+        i = bisect_right(cum, rand())
+        if i > last:
+            i = last
+        pos, gene = candidate(i, colony, bounds, rng, config)
+        sources[i] = greedy_select(sources[i], pos, colony, problem, gene)
     return colony
 
 

@@ -16,9 +16,13 @@ class ScriptedRng(RngStream):
         super().__init__(0)
         self._reals = list(reals)
         self._ints = list(ints)
-        raws_list = list(raws)
-        if raws_list:
-            self.random = lambda: raws_list.pop(0)
+        self._raws = list(raws)
+        if self._raws:
+            self.random = lambda: self._raws.pop(0)
+
+    def used_up(self) -> bool:
+        """Whether every scripted draw has been handed out."""
+        return not (self._reals or self._ints or self._raws)
 
     def uniform_real(self, a, b):
         return self._reals.pop(0)

@@ -152,11 +152,13 @@ class TestCandidateOperators:
 
     def test_global_local_scripted(self, scripted):
         colony = make_colony([[2, 0], [4, 0], [-2, 0], [0, 0]])
-        rng = scripted(ints=[0, 1, 2], reals=[0.0])
+        # sac2 draws j and one partner a, then phi: no second partner
+        rng = scripted(ints=[0, 1], reals=[0.0])
         pos, _ = candidate(0, colony, Bounds.cube(-10, 10, 2), rng, VariantConfig("sac2"))
         # phi = 0 leaves only the pull from the bee's own coordinate:
         # 2 + 1.5 * (0 - 2) = -1
         assert pos.tolist() == [-1.0, 0.0]
+        assert rng.used_up()
 
     def test_gbest_scripted(self, scripted):
         colony = make_colony([[0, 4], [3, 0], [2, 2]], objectives=[5.0, 7.0, 0.0])
@@ -170,7 +172,7 @@ class TestCandidateOperators:
         colony_b = make_colony([[2, 3], [4, 1], [-2, 0]])
         pos_a, _ = candidate(
             0, colony_a, Bounds.cube(-10, 10, 2),
-            scripted(ints=[1, 1, 2], reals=[0.25]), VariantConfig("sac2", c_factor=0.0),
+            scripted(ints=[1, 1], reals=[0.25]), VariantConfig("sac2", c_factor=0.0),
         )
         pos_b, _ = candidate(
             0, colony_b, Bounds.cube(-10, 10, 2), scripted(ints=[1, 1], reals=[0.25]), BASIC
@@ -208,8 +210,9 @@ class TestCandidateOperators:
             candidate(0, one, bounds, rng, BASIC)
         with pytest.raises(ValueError):
             candidate(0, two, bounds, rng, VariantConfig("sac1"))
-        with pytest.raises(ValueError):
-            candidate(0, two, bounds, rng, VariantConfig("sac2"))
+        # sac2 has one partner, so two sources are enough
+        pos, _ = candidate(0, two, bounds, rng, VariantConfig("sac2"))
+        assert bounds.contains(pos)
 
 
 class TestGreedySelect:
@@ -287,7 +290,29 @@ class TestPhases:
         onlooker_phase(colony, VariantConfig(strategy="basic"), problem, RngStream(9))
         assert colony.nfe == 4
 
-    def test_onlooker_uniform_fitness_visits_evenly(self, monkeypatch):
+    def test_onlooker_one_draw_per_placement_scripted(self, scripted, monkeypatch):
+        placed = []
+
+        def recording(i, colony, bounds, rng, config):
+            placed.append(i)
+            return colony.sources[i].position.copy(), None
+
+        monkeypatch.setattr("beehive.engine.candidate", recording)
+        # fitnesses 1:1:3:1; the cumulative probabilities round to
+        # [1/6, 1/3, 5/6, 0.9999999999999999]
+        colony = make_colony([[1, 0], [0, 1], [-1, 0], [0, -1]],
+                             objectives=[0.0, 0.0, -2.0, 0.0])
+        cum = selection_probabilities(colony).cumsum().tolist()
+        assert cum[-1] == 0.9999999999999999
+        # a draw equal to a cumulative value goes to the next source, and the
+        # largest draw below 1 lies past the rounded total: the clamp path
+        rng = scripted(raws=[0.5, cum[0], 0.0, 0.9999999999999999])
+        onlooker_phase(colony, BASIC, small_problem(), rng)
+        assert placed == [2, 1, 0, 3]
+        assert rng.used_up()
+        assert colony.nfe == 4
+
+    def test_onlooker_counts_follow_fitness(self, monkeypatch):
         counts = [0, 0, 0, 0]
 
         def spy(current, candidate_position, colony, problem, size_gene=None):
@@ -299,14 +324,17 @@ class TestPhases:
         problem = small_problem()
         config = VariantConfig(strategy="basic")
         rng = RngStream(13)
-        colony = make_colony([[1, 0], [0, 1], [-1, 0], [0, -1]])
+        # objectives 0, -1, -2, -3 map to fitnesses 1, 2, 3, 4
+        colony = make_colony([[1, 0], [0, 1], [-1, 0], [0, -1]],
+                             objectives=[0.0, -1.0, -2.0, -3.0])
         for _ in range(10_000):
             onlooker_phase(colony, config, problem, rng)
         total = sum(counts)
         assert total == 40_000
-        # the scan restarts at source 0 each phase, which skews counts slightly
-        for c in counts:
-            assert abs(c / total - 0.25) < 0.04
+        expected = [total * k / 10 for k in (1, 2, 3, 4)]
+        chi2 = sum((c - e) ** 2 / e for c, e in zip(counts, expected))
+        # 16.27 is the 99.9% point of chi-square with 3 degrees of freedom
+        assert chi2 < 16.27, (counts, chi2)
 
     def test_onlooker_prefers_high_fitness(self, monkeypatch):
         counts = [0, 0, 0, 0]

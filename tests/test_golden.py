@@ -38,66 +38,66 @@ PROBLEMS = {
 SCOUTING = dict(limit=5, initial_colony=20, sn_min=10, sn_max=40)
 
 GOLDEN = {
-    "sphere/basic": "a4701bac9ad231cd9b88db7c9c5eee2e4475c05c2ead3ac400450d56bc1976da",
-    "sphere/sac": "aaf47370acfd7399c176b46e8a5a8f18cc4d006fdea7928cf80bf7c36db69b35",
-    "sphere/sac1": "7aeec80e9b88a747540114e8add1b8ef683cb1a8c84594ba4e7fe11df6bf6e22",
-    "sphere/sac2": "5a242c3fa7491809ca4bc02d8df0328a16fe0bbb416703a9308b035f0c1a4193",
-    "sphere/gbest": "669e879b5d037f713ba8c43542d5840697deddcd6ee3a91982df94d7ba777ded",
-    "griewank/basic": "9dc80466e01674b287f28219e1cbcd2266f66f0918916c1c7d98ebecec6703c0",
-    "griewank/sac": "e478e250a085c2a72ab9a789c56f5d6f126185948997025cb2026c3f92ea0d5c",
-    "griewank/sac1": "94c20a4fe910408cc6ef77abc1c9abd4b02dd2600fc7ba58cba3896ee1a4a0fa",
-    "griewank/sac2": "5b2b9260ee599706c029c2023e82908ab33458d352dd4d493ae70379c8ec9e00",
-    "griewank/gbest": "8c44d4e7a11fee4fdb28a1ca1262f935af9577d19904b91ab323d0cace848dfe",
-    "ackley/basic": "a91f91a81f53c065ff4a1bf0e0d85875692698dca56a084d7fea589c39b0baf9",
-    "ackley/sac": "6f7bf19c6f515630d75d8cc3d5185f78e15ee0f09b9025977fb4022d325c9a4d",
-    "ackley/sac1": "2eb50855b6860fce7b833d32c46e4621cdfa7b0ec9768cdb8c871f22df239ff6",
-    "ackley/sac2": "cfee8d8c647b1e1e2065d1d251edb7c97f8f01af07eb7b63a9be5b4082e57788",
-    "ackley/gbest": "ee1809359d8d19aa7b104ef0050030051655767cae68922ce21406191de22e50",
-    "rastrigin/basic": "fefb14a02d5c847ef19a4c7d524af957075aeae98ce721cdc713351658eb5db1",
-    "rastrigin/sac": "3ff3776cf58cb35b7c4f9d6fc4ac8be0fa0db9e8b988b6e3625ec225455f1ee1",
-    "rastrigin/sac1": "232ee95977c6ed8545191e09a9878c006fb860fe2290793768db677121a7348b",
-    "rastrigin/sac2": "de54d09d5a158331d62f752d773ed46e51931b09204f6184acbd755eb75301fb",
-    "rastrigin/gbest": "1965d48c63231d9ca80555f18c4067450ab0e8e472000d33accaf0193c0073fe",
-    "schaffer/basic": "1cc071405edb9b3c0b473d593f008ee26ce3193db1ceeefae473ad447c8e57b1",
-    "schaffer/sac": "56f920886fc72a84f572681d261451ce2e51b4c16c9d0f100bc6731f2fdd5d77",
-    "schaffer/sac1": "4b03af752ef006bcbd1529e30e74ba4a04d082cd3fc0ac319e95bd2ba77a78fc",
-    "schaffer/sac2": "23a78027696b3bf6a904e3bd56d2f39b96eec6ea936a6afe8ffe55c83e87923f",
-    "schaffer/gbest": "e4513565f4d4349b6f280aa71c80a5110eaf17fd965ac9d2af9bce2f12702cdb",
-    "gear_train/basic": "ce59f7f11d59caedaa77287b976e59754fcf55aee8cc976301e0bac881357776",
-    "gear_train/sac": "9b755d9e6451d1e57a650b88aaba2d401b3b8208b32efd722f6d0da06011aa65",
-    "gear_train/sac1": "c217864a666cb412faa91fd979d669a582738d2744b080d22d4bf4bbf3ebb481",
-    "gear_train/sac2": "91fb5abf059a2e1f03619c2ef63cc93df3d8fd52b612de0a0780ea3c4a761082",
-    "gear_train/gbest": "bdefb661e31346bfd0b82d9fbaf788f40f21f223d03040708e7471b1b819da42",
-    "lennard_jones/basic": "7ed299826bf1eeecace85847c7b1ccd20ca119f293db3876c032cf2755171c26",
-    "lennard_jones/sac": "cab145eee84edc77c7f0a97c98136a10646d95f12b42ad09db3464179ec64408",
-    "lennard_jones/sac1": "f72e6e16ed478da65745b3f8ebe35beb764d6c8a64111c3d96605b3f5f2571d5",
-    "lennard_jones/sac2": "f8b9a6973637bcbedb94e6ad2190753fc7c7f7ccf77b49764c8e685e54d379af",
-    "lennard_jones/gbest": "72d1463b280b05cacc1ae0ab6e3daef4ef31e981a87d5f6e8b429c5214e79a72",
-    "lennard_jones13/basic": "38e8dfcb778a22b07ddfa26aaf97d1c2f32a502d24d0642174cdbf1551f53f20",
-    "lennard_jones13/sac": "1bcd4656b0379f14867f055db9139a446ed8ddc19820d06e586ef4ca2ccde6e8",
-    "lennard_jones13/sac1": "0bb29bea391d308d7d68c8c3def0f67ec4eeb8596ad22f4825154042c7cff0c6",
-    "lennard_jones13/sac2": "da3e2323bf1815f31e5a7489a166b49f8eefffb5d727ebc172c65ece04c8013d",
-    "lennard_jones13/gbest": "4ddaed271c0ef9ed799debd8f6402e3b57aba90f5058adac6460ca741566e6da",
-    "air_heater/basic": "d481c54f532ec863cc59cb9f70062b5b916ca9ec39eef44a25b34d47cc84ba09",
-    "air_heater/sac": "a0660004ca9fbbcc34bf8fc3412d982be422358be3db3dc6fb2451a9cfb347b8",
-    "air_heater/sac1": "f587612c6e7d3467c6ed3854cd55ca44cc758d0b142a985c5b7df7d12429e7f0",
-    "air_heater/sac2": "91a2c5a656a4d2fc74d396a9f60cc3062c57cade1372fad0769585c7e492afd3",
-    "air_heater/gbest": "53af03c2a69b934934b6397d3586ee5c0ab58eeab3d820e945834545b02fd775",
-    "gas_production/basic": "d7ea7dc93bd2160a57efa289eaee9a82ced11b0a85b4ecbfc2cf721d6c81f71f",
-    "gas_production/sac": "e5bb15d68eb3ecc4d807bc4f3ceb84405765d2546efe762e08805b31cb5fc566",
-    "gas_production/sac1": "209a020d7b2009ce5608d6835753e6c91277c42085945314c44cbe09f1d7b0a1",
-    "gas_production/sac2": "77166628e93e00bfc25640bf412eb0c7872c060c9f5cfaab3acfc836a60c9949",
-    "gas_production/gbest": "27291bd9f1ec3b7501d3649c121ee483ae436261c425c1532b8a882ea3db3c69",
-    "gas_compressor/basic": "a8420409c8ab964e8a32911b38dfe2c922c1d2a77ae5d880cac0f21b80a2adda",
-    "gas_compressor/sac": "3184724b64f8fe3e6bcf094df30190b4fd16f2febce5bca6988b0a6430917325",
-    "gas_compressor/sac1": "bfaa67f972439984eecb950672a549ff1076fcff30af59e72febddbe43087951",
-    "gas_compressor/sac2": "f5ea1da4f0c7482fa01e827b5315a7028943c2561238666dbd661b946cbf220d",
-    "gas_compressor/gbest": "d5793bf2df4932d4f37a9f245efece446f157fc5f6a3187d6359290ecb803713",
-    "sphere-scouting/basic": "1a6ea37b88bf9b579f2ecaacda6bbc3090782a5a4725ce287e0747797dae2dc7",
-    "sphere-scouting/sac": "f0b81c489580f21914fe0e06337b468ae001f31b1404efd23b0173f7464874b2",
-    "sphere-scouting/sac1": "650efbdd9a11f5872c12e3d3df621e62283978e709d5dd4d2602a587df01b914",
-    "sphere-scouting/sac2": "346a9bd04f9c08bcbefea32b043a8a6401e358620fe71ed2d3e03ae95eea5783",
-    "sphere-scouting/gbest": "7c77dec6bcd80118a3d63765355cc772254566620b18668ac1dc1713eda02731",
+    "sphere/basic": "882c24f9e148c48834224a207a33b157f61e738cf8155582ca4dd51a1f524cb8",
+    "sphere/sac": "46226afbf4446e8905ed7698bc1b9b0578bc41c79abc75db9efd14d8173473dd",
+    "sphere/sac1": "f35340b17af7f6202cdc4183851d251c85589d028698faaa8ce2ceac688c0ca9",
+    "sphere/sac2": "03a9440f74f6a649b1fb00332091f267258775930f7dfb06df8f4c3c32ee5872",
+    "sphere/gbest": "acda4d3a54deb7434bf311ac24ee1832db768bb523d5d3efb7d1909551739506",
+    "griewank/basic": "b57c76d106f60ad4af7f0bb4be82234b8d4214b16a2398714e0619e3aa7472a7",
+    "griewank/sac": "66f11c7421e7a4be8316acf8578a164c7b9f47c4f78cf91856aac8d087dd749c",
+    "griewank/sac1": "cf5c7ce735962c164096e8a2e94a4203ed8c4437ba3506a213dcd55c68e4eb92",
+    "griewank/sac2": "7cbcf217695769133ba44cd5710a78fb2b73e80e6e76a2d985875741ac745d2a",
+    "griewank/gbest": "2af2c7b5cb9919a1ab48b07081e59887bdb7330a8578f54a69f9ab65303e0812",
+    "ackley/basic": "1054bfaea4de1304d9a18de05d024b0bcecc2bbc1a5289d37f8884b283bbe6a1",
+    "ackley/sac": "0502f2fc04e64287cfc146866b884489d86a2394dc41275a20a357bf14d110f6",
+    "ackley/sac1": "c60edb52600c6a9282d84c8e7c6b156d13c4907c05adcd34385d5888277f7cf3",
+    "ackley/sac2": "14eaa0fc0bbc32cd8fe9c31e9bc2530099ab0678f2e88a288de6797b51e1649e",
+    "ackley/gbest": "559fd7911bc7fccf88a655d4d16fd7cb62fd5c7b448c13d43665823e681b0f06",
+    "rastrigin/basic": "ddc6075e10eead982a5d7e2a1ed18ccaf3ed7e30a3681e7523b40d12e6a33a75",
+    "rastrigin/sac": "e22cd5c87a3bb7db1b235e34918a7dcdf2ebcee8b30ceb87b63b6aad73400100",
+    "rastrigin/sac1": "9fe80501dd9022ef69ff3464797ff1b6a83b30eaac73e969ee698866b7d9fe26",
+    "rastrigin/sac2": "01c85d3b63713b48618639fde9a8a524ac05a8b71d983918924c8c6fa4a221f2",
+    "rastrigin/gbest": "12584bab7b59e35163e3aef44061d188bab4d628aa44a7b45115d0653e6215ff",
+    "schaffer/basic": "816c73e1c41fb04e4011b20ab375b9059ee13237d53bbd3a9df3366ccd7417fd",
+    "schaffer/sac": "14e656acc86e20c508aa3c4b1d1ff1b1eb83f5d099f293344c1e907f0b44acb3",
+    "schaffer/sac1": "ec05970f799f38f08d783db3f3d0e6704f16378e364e521369fdfd0ccbacc42c",
+    "schaffer/sac2": "03d0bc5746780cc4d5546e7f0476b1dc25765bcd3ef5c97881724f6bb99f537f",
+    "schaffer/gbest": "68c8ac80def0ceada2f258f24fe09c1bfb68a53910528a4bccc8c939005490cf",
+    "gear_train/basic": "aa251361a526eff067558cf241ccae0daf0784906b0202bb06db19bfa63c56e4",
+    "gear_train/sac": "e5fbfbabb7c6482835ef7b498ce1ea0ac3e4e5a4f43941be20c46312b8efd0c7",
+    "gear_train/sac1": "df353aba6e6746ee571d3a045f271cf7f2ce283903ced7a3055e73b42e04b027",
+    "gear_train/sac2": "4c9154c9abff1eb5c38878368e9d8c58f1b689c72c7e15d4758a3b38894c5072",
+    "gear_train/gbest": "90cd4f495ab60440e6b0b97206a0c82a83dd3174e1e87562bbe76c67f2c842b2",
+    "lennard_jones/basic": "ff7343bca7f192026b7f7e809999968e49943d1c1404d0cf0b277a3ccc0ef21d",
+    "lennard_jones/sac": "3f08b81d04dd4a028fe818b71d6742f6c26f1bb245d4c0281a7525c82d5672cb",
+    "lennard_jones/sac1": "595a5ae6a0c8df684b209539dd1646784dfe729076a1e0ca481edf300e7c1c34",
+    "lennard_jones/sac2": "9e39dab6f115119e88a01736d8092c5736a008d90abd0063df5545db79edf8f9",
+    "lennard_jones/gbest": "ab493a566d7277a34886db9e3465cc6fe58d80c02f30dcf2ef948d24a7480902",
+    "lennard_jones13/basic": "bd443ff4eb7921792b7d2382af9246b53c5e46702ab8fb58a0536467a3cc6058",
+    "lennard_jones13/sac": "d90707ec94075b905de9e5f6689a0e52397d89ab86cc10d2adf93ec59fc97aa0",
+    "lennard_jones13/sac1": "40dfb09f8f3f022541c8ee76897355408bbd1e0ec277d37cdf2151d64b7c2447",
+    "lennard_jones13/sac2": "dd5e42ba627da8d0cec1f9bbfb76a0f1b848155a1782177f0dd0410737b4145e",
+    "lennard_jones13/gbest": "426a79082a51a98ba835e0020e25445cfad20692e55c5c10029b677e6eee9462",
+    "air_heater/basic": "925ef271dfa29af801833a366726237615829f8ab20c4d3a418eb8e80f451619",
+    "air_heater/sac": "60fc477282c5d17227908f7790caf641a66670ca9ae60b7a0e9579b36258a566",
+    "air_heater/sac1": "c0f5439ba9cba52d8cf8186b97c743251f3eeb325faea3595a2490167ff658ac",
+    "air_heater/sac2": "20cca8c6655d6f2fbcd777bd2022165227a9cb7e659167d749b8e62048fcf924",
+    "air_heater/gbest": "6ffbd0f3f9633367bb820cd0b2a9533ded02185ed003ad4909e86797e6d4d4de",
+    "gas_production/basic": "74b37d2114b445ecccb86a07c4977e8e6502eb535ef94520c877b4847d01d624",
+    "gas_production/sac": "31a6d919096b4307edbcb9de1de79464696bc71544f464574b820fb555432e73",
+    "gas_production/sac1": "314e1424e7c1980b43c4e2e963d817a53e6a5dc963f0a5f74c7caab6bcd455b2",
+    "gas_production/sac2": "ee235e1216e21259d15aec60a76ce8dfd0dc1c7277022d31d582e38d10415780",
+    "gas_production/gbest": "e80e427b7b5c58b247a02bd56dfc1beaa2e2482a98d0d996d3cd747c6970716d",
+    "gas_compressor/basic": "9ca45f1031460278db3022ace937af09edfce106d478cc7a6b4461a803a11803",
+    "gas_compressor/sac": "94b82e628df4885850c9fd06964d432238d2c075ba784d50a97c4d4375e6a3d0",
+    "gas_compressor/sac1": "70ac47d5050c0e070772528b8571e6688d172e5a05879c082e9330ed2697a17d",
+    "gas_compressor/sac2": "5f435007c6592c9a3348e09ba963df5495759ad167b350a00d20fa15d2fd65ff",
+    "gas_compressor/gbest": "97276c48e56e95a0089b169d97506a79f2a2c523dc591c7eb04c5fceedf12c8d",
+    "sphere-scouting/basic": "c522c6ad02f7fe5e49e0a8cddd6ef0e82ddf4342542890d2281ee551f9a56a2f",
+    "sphere-scouting/sac": "37109fd3dcadf3078812e816c43cad7b43c77bee1745cf16faa1715f5284631d",
+    "sphere-scouting/sac1": "15339d93ea6b6abff87440fc24f5e3a33fe774285b36a1f02ca4d60482bcf496",
+    "sphere-scouting/sac2": "e766bb9f0ae0d8316ea24a034516172f2dbc3c6d795db31822378630ee295286",
+    "sphere-scouting/gbest": "b218892fbeb37eefa72e0ce6ff86ff277373914c3d001d7697c069ace56c4f47",
 }
 
 
