@@ -28,7 +28,7 @@ from .harness import (
     format_stat,
     run_batch,
 )
-from .problems import BENCHMARK_DIMENSIONS, ENGINEERING_NAMES, make_problem
+from .problems import BENCHMARK_DIMENSIONS, BENCHMARK_NAMES, ENGINEERING_NAMES, make_problem
 
 STATS_HEADER = ["problem", "variant", "dim", "runs", "best", "mean", "sd", "mean_nfe"]
 
@@ -192,7 +192,7 @@ def cmd_compare(args) -> int:
     if args.baseline not in variants:
         raise ConfigurationError(f"baseline {args.baseline!r} is not among the variants")
     # --dim sizes the benchmarks and --atoms the Lennard-Jones cluster
-    problems = [make_problem(p, dimension=args.dim if p in BENCHMARK_DIMENSIONS else None,
+    problems = [make_problem(p, dimension=args.dim if p in BENCHMARK_NAMES else None,
                              n_atoms=args.atoms if p == "lennard_jones" else None)
                 for p in _split(args.problems)]
     all_stats = _sweep(problems, variants, args)

@@ -321,7 +321,7 @@ class TestRegistry:
 
     def test_lj_dimension_must_match_atoms(self):
         assert make_problem("lennard_jones", dimension=12, n_atoms=4).dimension == 12
-        with pytest.raises(ConfigurationError, match="n_atoms 4"):
+        with pytest.raises(ConfigurationError, match="dimension 9 .* n_atoms 4"):
             make_problem("lennard_jones", dimension=9, n_atoms=4)
 
     def test_problems_share_no_bounds_arrays(self):
