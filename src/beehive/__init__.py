@@ -1,6 +1,6 @@
 """Bee colony optimization library with adaptive colony sizing and an experiment harness."""
 
-from .core import Bounds, Colony, ConfigurationError, FoodSource, RngStream
+from .core import Bounds, ConfigurationError, RngStream
 from .engine import (
     STRATEGIES,
     RunResult,
@@ -27,9 +27,7 @@ from .problems import (
 
 __all__ = [
     "Bounds",
-    "Colony",
     "ConfigurationError",
-    "FoodSource",
     "RngStream",
     "STRATEGIES",
     "RunResult",

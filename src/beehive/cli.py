@@ -140,6 +140,17 @@ def _sweep(problems, strategies, args) -> list[ExperimentStats]:
             for problem in problems for strategy in strategies]
 
 
+def _check_size_flags(args, names) -> None:
+    """A size flag must size at least one listed problem: --dim a benchmark,
+    --atoms the Lennard-Jones cluster."""
+    for flag, value, sized in (("--dim", getattr(args, "dim", None), BENCHMARK_NAMES),
+                               ("--atoms", args.atoms, ("lennard_jones",))):
+        if value is not None and not any(name in sized for name in names):
+            raise ConfigurationError(
+                f"{flag} {value} sizes none of the problems {', '.join(names)}; "
+                f"it applies to {', '.join(sized)}")
+
+
 def _emit(out_dir: Path, fmt: str, stats: list[ExperimentStats],
           table: ComparisonTable | None = None) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -191,10 +202,12 @@ def cmd_compare(args) -> int:
         raise ConfigurationError("compare needs at least 2 variants")
     if args.baseline not in variants:
         raise ConfigurationError(f"baseline {args.baseline!r} is not among the variants")
+    names = _split(args.problems)
     # --dim sizes the benchmarks and --atoms the Lennard-Jones cluster
     problems = [make_problem(p, dimension=args.dim if p in BENCHMARK_NAMES else None,
                              n_atoms=args.atoms if p == "lennard_jones" else None)
-                for p in _split(args.problems)]
+                for p in names]
+    _check_size_flags(args, names)
     all_stats = _sweep(problems, variants, args)
     table = compare_table(all_stats, args.baseline)
     _emit(Path(args.output_dir), args.format, all_stats, table)
@@ -205,6 +218,12 @@ def cmd_compare(args) -> int:
 
 def cmd_bench(args) -> int:
     out_dir = Path(args.output_dir)
+    names = []
+    if args.suite in ("benchmarks", "all"):
+        names += BENCHMARK_NAMES
+    if args.suite in ("engineering", "all"):
+        names += ENGINEERING_NAMES
+    _check_size_flags(args, names)
     all_stats: list[ExperimentStats] = []
     if args.suite in ("benchmarks", "all"):
         problems = [make_problem(name, dimension=dim)

@@ -1,4 +1,4 @@
-"""Shared value types: box bounds, food sources, colony state, seeded RNG."""
+"""Shared value types: box bounds and the seeded RNG stream."""
 from __future__ import annotations
 
 import random
@@ -58,43 +58,9 @@ class RngStream:
         # bound method cached: `random` is the raw [0, 1) draw
         self.random = random.Random(self.seed).random
 
-    def uniform_real(self, a: float, b: float) -> float:
-        """Uniform draw in [a, b)."""
-        return a + (b - a) * self.random()
-
-    def uniform_int(self, n: int) -> int:
-        """Uniform draw in {0, ..., n-1}."""
-        k = int(self.random() * n)
-        return k if k < n else n - 1  # guard the 1-ulp rounding edge
-
-
-@dataclass(slots=True, eq=False)
-class FoodSource:
-    """One candidate solution plus its bookkeeping counters."""
-
-    position: np.ndarray
-    objective: float  # raw objective, minimization sense
-    fitness: float    # mapped fitness, always > 0
-    trials: int = 0   # consecutive failed improvement attempts; null moves count as failures
-    size_gene: float | None = None  # proposed food-source count, adaptive variants only
-
-
-@dataclass(slots=True, eq=False)
-class Colony:
-    """The evolving population plus best-so-far memory and evaluation counter."""
-
-    sources: list[FoodSource]
-    best_position: np.ndarray
-    best_objective: float
-    cycle: int = 0
-    nfe: int = 0
-
 
 def random_position(bounds: Bounds, rng: RngStream) -> np.ndarray:
     """Uniform sample of the box, one independent draw per coordinate."""
+    rand = rng.random
     lower = bounds.lower
-    upper = bounds.upper
-    out = np.empty(lower.size)
-    for j in range(lower.size):
-        out[j] = lower[j] + rng.uniform_real(0.0, 1.0) * (upper[j] - lower[j])
-    return out
+    return lower + np.array([rand() for _ in range(lower.size)]) * (bounds.upper - lower)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Colony, ConfigurationError, FoodSource, RngStream, random_position
+from .core import ConfigurationError, RngStream, random_position
 from .problems import Problem
 
 STRATEGIES = ("basic", "sac", "sac1", "sac2", "gbest")
@@ -92,50 +92,63 @@ def fitness_map(objective: float) -> float:
     return 1.0 + abs(objective)
 
 
+class Colony:
+    """The food sources as parallel lists, plus best-so-far memory and the NFE count.
+
+    `sources[i]` is source i's position: a 1-d array that a winning candidate
+    replaces and that is never written in place, so the best memory may share
+    it. `objective[i]` (minimization sense), `fitness[i]`, `trials[i]` (failed
+    attempts in a row; null moves count) and `gene[i]` (proposed source count,
+    None unless adaptive) hold the rest. The box limits are Python floats.
+    """
+
+    __slots__ = ("lower", "upper", "sources", "objective", "fitness", "trials", "gene",
+                 "best_position", "best_objective", "cycle", "nfe")
+
+    def __init__(self, bounds):
+        self.lower = bounds.lower.tolist()
+        self.upper = bounds.upper.tolist()
+        self.sources, self.objective, self.fitness, self.trials, self.gene = [], [], [], [], []
+        self.best_position = np.zeros(bounds.dimension)
+        self.best_objective = math.inf
+        self.cycle = 0
+        self.nfe = 0
+
+    def columns(self):
+        """The per-source lists, in the order `put` takes a source's state."""
+        return self.sources, self.objective, self.fitness, self.trials, self.gene
+
+    def put(self, i, position, objective, gene):
+        """Store a fresh source with no trials as source i; i == len(sources) appends."""
+        state = (position, objective, fitness_map(objective), 0, gene)
+        for column, value in zip(self.columns(), state):
+            column[i:i + 1] = [value]  # replaces item i, or appends at the end
+
+
 def selection_probabilities(colony: Colony) -> np.ndarray:
     """Fitness-proportional onlooker probabilities; sums to 1."""
     if not colony.sources:
         raise ValueError("colony is empty")
-    fits = np.array([s.fitness for s in colony.sources])
+    fits = np.array(colony.fitness)
     return fits / fits.sum()
 
 
-def _evaluate(colony: Colony, problem: Problem, position: np.ndarray) -> float:
-    """Single counted evaluation; keeps best-so-far memory current.
-
-    A non-finite objective (nan or an infinity) stops the run with a
-    ValueError that names the problem, the value, the evaluation and the point.
-    """
-    f = problem.evaluate_min(position)
-    colony.nfe += 1
-    if not math.isfinite(f):
-        raise ValueError(
-            f"problem {problem.name!r} returned a non-finite objective "
-            f"{problem.to_user_sense(f)!r} at evaluation {colony.nfe} "
-            f"(position {position.tolist()})")
-    if f < colony.best_objective:
-        colony.best_objective = f
-        colony.best_position = position.copy()
-    return f
+def _non_finite(problem: Problem, f: float, nfe: int, position: np.ndarray) -> ValueError:
+    """The error that stops a run at a non-finite objective (nan or an infinity)."""
+    return ValueError(
+        f"problem {problem.name!r} returned a non-finite objective "
+        f"{problem.to_user_sense(f)!r} at evaluation {nfe} "
+        f"(position {position.tolist()})")
 
 
-def _pick_other(n: int, rng: RngStream, *taken: int) -> int:
-    k = rng.uniform_int(n)
-    while k in taken:
-        k = rng.uniform_int(n)
-    return k
-
-
-def _clip(v: float, lo: float, hi: float) -> float:
-    return lo if v < lo else hi if v > hi else v
-
-
-def candidate(i, colony, bounds, rng, config):
-    """One-coordinate move of source i; returns (position, clamped size gene).
+def candidate(i, colony, rng, config):
+    """One-coordinate move of source i; returns (j, new x_ij, clamped size gene).
 
     Draw order: dimension j; partner a != i; for sac1 only, partner b not in
-    {i, a}; phi in [-1, 1); for gbest only, psi in [0, C). The coordinate
-    becomes
+    {i, a}; phi in [-1, 1); for gbest only, psi in [0, C). Each draw is one
+    u = random(): an index in {0, ..., n-1} is int(u * n), which is below n
+    for every u < 1 and n <= 2**53, and a real in [lo, hi) is lo + (hi - lo) * u.
+    The coordinate becomes
 
     - basic, sac: x_ij + phi * (x_ij - x_aj)
     - sac1:       best_j + phi * (x_aj - x_bj)  (elitist)
@@ -147,6 +160,7 @@ def candidate(i, colony, bounds, rng, config):
     gene, if the colony carries one, moves by the same phi against b for sac1
     and against a otherwise, and is clamped to [sn_min, sn_max].
     """
+    rand = rng.random
     strategy = config.strategy
     sources = colony.sources
     n = len(sources)
@@ -154,33 +168,71 @@ def candidate(i, colony, bounds, rng, config):
     needed = 3 if two_partners else 2
     if n < needed:
         raise ValueError(f"{strategy} candidate needs at least {needed} sources")
-    j = rng.uniform_int(bounds.dimension)
-    a = _pick_other(n, rng, i)
-    b = _pick_other(n, rng, i, a) if two_partners else a
-    phi = rng.uniform_real(-1.0, 1.0)
-    xi = sources[i].position
-    if strategy == "sac1":
-        v = colony.best_position[j] + phi * (sources[a].position[j] - sources[b].position[j])
-        partner = sources[b]
+    j = int(rand() * len(colony.lower))
+    a = i
+    while a == i:
+        a = int(rand() * n)
+    b = a  # the partner the gene moves against
+    if two_partners:
+        while b == i or b == a:
+            b = int(rand() * n)
+    phi = -1.0 + 2.0 * rand()
+    if two_partners:
+        v = colony.best_position.item(j) + phi * (sources[a].item(j) - sources[b].item(j))
     else:
+        x = sources[i].item(j)
         # the pull is added only where it exists: + 0.0 would turn -0.0 into +0.0
-        v = xi[j] + phi * (xi[j] - sources[a].position[j])
+        v = x + phi * (x - sources[a].item(j))
         if strategy == "sac2":
-            v += config.c_factor * (colony.best_position[j] - xi[j])
+            v += config.c_factor * (colony.best_position.item(j) - x)
         elif strategy == "gbest":
-            v += rng.uniform_real(0.0, config.c_factor) * (colony.best_position[j] - xi[j])
-        partner = sources[a]
-    pos = xi.copy()
-    pos[j] = _clip(v, bounds.lower[j], bounds.upper[j])
-    gene = sources[i].size_gene
+            # psi = 0.0 + (C - 0.0) * u, and C - 0.0 is C
+            v += (0.0 + config.c_factor * rand()) * (colony.best_position.item(j) - x)
+    lo, hi = colony.lower[j], colony.upper[j]
+    v = lo if v < lo else hi if v > hi else v
+    gene = colony.gene[i]
     if gene is not None:
-        gene = _clip(gene + phi * (gene - partner.size_gene),
-                     float(config.sn_min), float(config.sn_max))
-    return pos, gene
+        gene += phi * (gene - colony.gene[b])
+        lo, hi = float(config.sn_min), float(config.sn_max)
+        gene = lo if gene < lo else hi if gene > hi else gene
+    return j, v, gene
 
 
-def _new_source(colony, config, problem, rng):
-    """A uniform random source, evaluated and counted.
+def _step(colony, problem, i, j, value, gene):
+    """Evaluate source i with x_ij set to `value`, counted; keep the result iff
+    it moves and its fitness ties or beats the incumbent's.
+
+    A null move, `value` equal to the incumbent's own x_ij (a step clamped back
+    onto its bound, an elitist move in a colony collapsed onto the best), is
+    counted but fails: the incumbent gains a trial, so it can still be scouted.
+    A non-finite objective stops the run with a ValueError that names the
+    problem, the value, the evaluation and the point.
+    """
+    row = colony.sources[i]
+    x = row.copy()
+    x[j] = value
+    f = problem.evaluate(x)
+    if problem.direction != "minimize":
+        f = -f
+    colony.nfe += 1
+    if not math.isfinite(f):
+        raise _non_finite(problem, f, colony.nfe, x)
+    if f < colony.best_objective:
+        colony.best_objective = f
+        colony.best_position = x
+    fit = 1.0 / (1.0 + f) if f >= 0.0 else 1.0 + abs(f)  # fitness_map
+    if fit >= colony.fitness[i] and value != row.item(j):
+        colony.sources[i] = x
+        colony.objective[i] = f
+        colony.fitness[i] = fit
+        colony.trials[i] = 0
+        colony.gene[i] = gene
+    else:
+        colony.trials[i] += 1
+
+
+def _new_source(colony, config, problem, rng, i):
+    """A uniform random source, evaluated and counted, stored by `put` as source i.
 
     Draws the position, then (adaptive variants only) a size gene uniform over
     the integers in [sn_min, sn_max].
@@ -188,38 +240,22 @@ def _new_source(colony, config, problem, rng):
     pos = random_position(problem.bounds, rng)
     gene = None
     if config.adaptive_sizing:
-        gene = float(config.sn_min + rng.uniform_int(config.sn_max - config.sn_min + 1))
-    f = _evaluate(colony, problem, pos)
-    return FoodSource(pos, f, fitness_map(f), 0, gene)
-
-
-def greedy_select(current, candidate_position, colony, problem, size_gene=None):
-    """Evaluate the candidate once; keep it iff it moves and its fitness ties or
-    beats the incumbent.
-
-    A candidate at the incumbent's own position (a null move, e.g. a step
-    clipped back onto the bound it started from, or an elitist move in a
-    colony collapsed onto the best) is counted but is no improvement: the
-    incumbent stays and gains a trial, so it can still reach `limit` and be
-    scouted.
-    """
-    f = _evaluate(colony, problem, candidate_position)
-    fit = fitness_map(f)
-    # list == compares coordinates with == as np.array_equal does, at a third
-    # of its cost on a 30-vector
-    if fit >= current.fitness and candidate_position.tolist() != current.position.tolist():
-        return FoodSource(candidate_position, f, fit, 0, size_gene)
-    current.trials += 1
-    return current
+        gene = float(config.sn_min + int(rng.random() * (config.sn_max - config.sn_min + 1)))
+    f = problem.evaluate_min(pos)
+    colony.nfe += 1
+    if not math.isfinite(f):
+        raise _non_finite(problem, f, colony.nfe, pos)
+    if f < colony.best_objective:
+        colony.best_objective = f
+        colony.best_position = pos
+    colony.put(i, pos, f, gene)
 
 
 def employed_phase(colony, config, problem, rng):
     """One candidate per source, in order; NFE grows by the source count."""
-    bounds = problem.bounds
-    sources = colony.sources
-    for i in range(len(sources)):
-        pos, gene = candidate(i, colony, bounds, rng, config)
-        sources[i] = greedy_select(sources[i], pos, colony, problem, gene)
+    for i in range(len(colony.sources)):
+        j, v, gene = candidate(i, colony, rng, config)
+        _step(colony, problem, i, j, v, gene)
     return colony
 
 
@@ -233,24 +269,22 @@ def onlooker_phase(colony, config, problem, rng):
     """
     cum = selection_probabilities(colony).cumsum().tolist()
     last = len(cum) - 1
-    bounds = problem.bounds
-    sources = colony.sources
     rand = rng.random
-    for _ in range(len(sources)):
+    for _ in range(len(cum)):
         i = bisect_right(cum, rand())
         if i > last:
             i = last
-        pos, gene = candidate(i, colony, bounds, rng, config)
-        sources[i] = greedy_select(sources[i], pos, colony, problem, gene)
+        j, v, gene = candidate(i, colony, rng, config)
+        _step(colony, problem, i, j, v, gene)
     return colony
 
 
 def scout_phase(colony, config, problem, rng):
     """Replace at most one exhausted source with a fresh random one."""
-    sources = colony.sources
-    worst = max(range(len(sources)), key=lambda i: sources[i].trials)  # first on ties
-    if sources[worst].trials > config.limit:
-        sources[worst] = _new_source(colony, config, problem, rng)
+    trials = colony.trials
+    most = max(trials)
+    if most > config.limit:
+        _new_source(colony, config, problem, rng, trials.index(most))  # first on ties
     return colony
 
 
@@ -259,21 +293,22 @@ def adapt_colony_size(colony, config, rng, problem):
 
     Growth appends new random sources; shrinkage drops the lowest-fitness ones.
     """
-    sources = colony.sources
-    mean_gene = sum(s.size_gene for s in sources) / len(sources)
+    mean_gene = sum(colony.gene) / len(colony.gene)
     sn = math.floor(mean_gene + 0.5)
     if sn % 2:
         sn += 1
     sn = min(max(sn, config.sn_min), config.sn_max)
-    current = len(sources)
+    current = len(colony.sources)
     if sn > current:
-        for _ in range(sn - current):
-            sources.append(_new_source(colony, config, problem, rng))
+        for i in range(current, sn):
+            _new_source(colony, config, problem, rng, i)
     elif sn < current:
+        fitness = colony.fitness
         doomed = set(
-            sorted(range(current), key=lambda i: (sources[i].fitness, -i))[: current - sn]
+            sorted(range(current), key=lambda i: (fitness[i], -i))[: current - sn]
         )
-        colony.sources = [s for i, s in enumerate(sources) if i not in doomed]
+        for column in colony.columns():
+            column[:] = [v for k, v in enumerate(column) if k not in doomed]
     return colony
 
 
@@ -281,10 +316,9 @@ def run(problem: Problem, config: VariantConfig, termination: TerminationRule,
         seed: int) -> RunResult:
     """Full optimization run; deterministic for a fixed (problem, config, seed)."""
     rng = RngStream(seed)
-    colony = Colony(sources=[], best_position=np.zeros(problem.dimension),
-                    best_objective=math.inf)
-    for _ in range(config.initial_colony // 2):
-        colony.sources.append(_new_source(colony, config, problem, rng))
+    colony = Colony(problem.bounds)
+    for i in range(config.initial_colony // 2):
+        _new_source(colony, config, problem, rng, i)
 
     trace = [(colony.nfe, colony.best_objective)]
     while not termination.reached(colony.best_objective) and colony.nfe < termination.max_nfe:

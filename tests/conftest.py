@@ -1,34 +1,34 @@
-import numpy as np
 import pytest
 
 from beehive.core import RngStream
 
 
 class ScriptedRng(RngStream):
-    """Deterministic stand-in: hands out preset draws in call order.
+    """Deterministic stand-in: hands out preset raw `random()` draws in call order.
 
-    `reals` feed uniform_real (the values are returned as-is, so script the
-    final draw you want, e.g. phi itself); `ints` feed uniform_int; `raws`
-    feed the bare random() used by the onlooker roulette.
+    The engine turns each raw draw u into an index int(n * u) or a real
+    lo + (hi - lo) * u; `index_draw` and `real_draw` give the u for a wanted
+    index or real.
     """
 
-    def __init__(self, reals=(), ints=(), raws=()):
+    def __init__(self, raws=()):
         super().__init__(0)
-        self._reals = list(reals)
-        self._ints = list(ints)
         self._raws = list(raws)
-        if self._raws:
-            self.random = lambda: self._raws.pop(0)
+        self.random = lambda: self._raws.pop(0)
 
     def used_up(self) -> bool:
         """Whether every scripted draw has been handed out."""
-        return not (self._reals or self._ints or self._raws)
+        return not self._raws
 
-    def uniform_real(self, a, b):
-        return self._reals.pop(0)
 
-    def uniform_int(self, n):
-        return self._ints.pop(0)
+def index_draw(k: int, n: int) -> float:
+    """The raw draw that int(n * u) maps to index k of n."""
+    return (k + 0.5) / n
+
+
+def real_draw(value: float, lo: float, hi: float) -> float:
+    """The raw draw that lo + (hi - lo) * u maps to `value` (up to rounding)."""
+    return (value - lo) / (hi - lo)
 
 
 @pytest.fixture

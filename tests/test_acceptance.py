@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from beehive.core import Bounds, RngStream
+from beehive.core import RngStream
 from beehive.engine import (
     STRATEGIES,
     TerminationRule,
@@ -224,19 +224,15 @@ def test_criterion_09_property_suite():
                    abs(selection_probabilities(colony).sum() - 1.0) < 1e-12))
 
     # strategy reductions: zero weight / zero pull collapse to the basic move
-    from conftest import ScriptedRng
-    box = Bounds.cube(-10, 10, 2)
-    pos_a, _ = candidate(
-        0, make_colony([[2, 3], [4, 1], [-2, 0]]), box,
-        ScriptedRng(ints=[1, 1, 2], reals=[0.3]), VariantConfig("sac2", c_factor=0.0))
-    pos_b, _ = candidate(
-        0, make_colony([[2, 3], [4, 1], [-2, 0]]), box,
-        ScriptedRng(ints=[1, 1], reals=[0.3, 0.0]), VariantConfig("gbest"))
-    pos_c, _ = candidate(
-        0, make_colony([[2, 3], [4, 1], [-2, 0]]), box,
-        ScriptedRng(ints=[1, 1], reals=[0.3]), VariantConfig("basic"))
-    checks.append(("reductions",
-                   pos_a.tolist() == pos_c.tolist() == pos_b.tolist()))
+    from conftest import ScriptedRng, index_draw, real_draw
+    draws = [index_draw(1, 2), index_draw(1, 3), real_draw(0.3, -1, 1)]
+    move_a = candidate(0, make_colony([[2, 3], [4, 1], [-2, 0]]),
+                       ScriptedRng(draws), VariantConfig("sac2", c_factor=0.0))
+    move_b = candidate(0, make_colony([[2, 3], [4, 1], [-2, 0]]),
+                       ScriptedRng(draws + [0.0]), VariantConfig("gbest"))
+    move_c = candidate(0, make_colony([[2, 3], [4, 1], [-2, 0]]),
+                       ScriptedRng(draws), VariantConfig("basic"))
+    checks.append(("reductions", move_a == move_c == move_b))
 
     # benchmark symmetry and origin optimum
     rng = np.random.default_rng(1)
@@ -255,15 +251,14 @@ def test_criterion_09_property_suite():
     # spot-check by running an adaptive strategy and replaying its sizes
     sizes_ok = True
     from beehive.engine import (
-        _new_source, adapt_colony_size, employed_phase, onlooker_phase, scout_phase,
+        Colony, _new_source, adapt_colony_size, employed_phase, onlooker_phase, scout_phase,
     )
-    from beehive.core import Colony
     p = make_problem("griewank", dimension=3)
     cfg = VariantConfig(strategy="sac", initial_colony=20, sn_min=10, sn_max=20)
     stream = RngStream(3)
-    col = Colony([], np.zeros(3), math.inf)
-    for _ in range(10):
-        col.sources.append(_new_source(col, cfg, p, stream))
+    col = Colony(p.bounds)
+    for i in range(10):
+        _new_source(col, cfg, p, stream, i)
     for _ in range(40):
         employed_phase(col, cfg, p, stream)
         onlooker_phase(col, cfg, p, stream)

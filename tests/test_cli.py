@@ -137,6 +137,20 @@ class TestCompareCommand:
         dims = {s.problem: s.dim for s in read_stats_json(tmp_path / "stats.json")}
         assert dims == {"sphere": 3, "gas_production": 2, "lennard_jones": 6}
 
+    @pytest.mark.parametrize("problems,flag,value", [
+        ("gas_production,air_heater", "--dim", "5"),
+        ("lennard_jones", "--dim", "5"),
+        ("sphere,gas_production", "--atoms", "7"),
+    ])
+    def test_size_flag_that_sizes_no_listed_problem_exits_2(
+            self, tmp_path, capsys, problems, flag, value):
+        code = run_cli("compare", "--problems", problems, flag, value,
+                       "--variants", "basic,sac2", "--runs", "1", "--max-nfe", "100",
+                       "--output-dir", str(tmp_path))
+        assert code == 2
+        assert f"{flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "stats.json").exists()
+
     def test_format_csv_writes_no_json(self, tmp_path):
         code = run_cli("compare", "--problems", "sphere", "--dim", "2",
                        "--variants", "basic,sac2", "--runs", "1", "--max-nfe", "300",
@@ -186,6 +200,13 @@ class TestBenchCommand:
         dims = {s.problem: s.dim for s in read_stats_json(tmp_path / "stats.json")}
         assert dims == {"gas_production": 2, "air_heater": 3, "gear_train": 4,
                         "lennard_jones": 6, "gas_compressor": 3}
+
+    def test_atoms_flag_without_lennard_jones_exits_2(self, tmp_path, capsys):
+        code = run_cli("bench", "benchmarks", "--atoms", "7", "--runs", "1",
+                       "--max-nfe", "100", "--output-dir", str(tmp_path))
+        assert code == 2
+        assert "--atoms 7" in capsys.readouterr().err
+        assert not (tmp_path / "stats.json").exists()
 
     def test_engineering_suite_writes_comparison(self, tmp_path):
         code = run_cli("bench", "engineering", "--runs", "1", "--max-nfe", "1500",

@@ -1,6 +1,7 @@
 """Bounds, random positions, and the seeded RNG stream."""
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from beehive.core import Bounds, RngStream, random_position
 
@@ -37,9 +38,24 @@ class TestRandomPosition:
 
     def test_scripted_edges(self, scripted):
         b = Bounds(np.array([-3.0, 100.0]), np.array([-1.0, 101.0]))
-        rng = scripted(reals=[0.0, 1.0, 0.5, 0.5])
+        rng = scripted(raws=[0.0, 1.0, 0.5, 0.5])
         assert random_position(b, rng).tolist() == [-3.0, 101.0]
         assert random_position(b, rng).tolist() == [-2.0, 100.5]
+
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(1e-3, 1e6)),
+                    min_size=1, max_size=60))
+    def test_matches_the_coordinate_loop_bytewise(self, seed, box):
+        """The one-expression fill equals, byte for byte, the loop it replaced:
+        one numpy element per coordinate, u drawn as uniform_real(0.0, 1.0)."""
+        lower = np.array([lo for lo, _ in box])
+        b = Bounds(lower, lower + np.array([width for _, width in box]))
+        rng = RngStream(seed)
+        out = np.empty(b.dimension)
+        for j in range(b.dimension):
+            u = 0.0 + (1.0 - 0.0) * rng.random()
+            out[j] = b.lower[j] + u * (b.upper[j] - b.lower[j])
+        assert random_position(b, RngStream(seed)).tobytes() == out.tobytes()
 
 
 class TestRngStream:
@@ -52,18 +68,3 @@ class TestRngStream:
         a = RngStream(1)
         b = RngStream(2)
         assert [a.random() for _ in range(10)] != [b.random() for _ in range(10)]
-
-    def test_uniform_real_range(self):
-        rng = RngStream(7)
-        draws = [rng.uniform_real(-1.0, 1.0) for _ in range(10_000)]
-        assert all(-1.0 <= v < 1.0 for v in draws)
-        assert min(draws) < -0.9 and max(draws) > 0.9
-
-    def test_uniform_int_range_and_coverage(self):
-        rng = RngStream(7)
-        draws = [rng.uniform_int(5) for _ in range(10_000)]
-        assert set(draws) == {0, 1, 2, 3, 4}
-
-    def test_uniform_int_single_value(self):
-        rng = RngStream(0)
-        assert all(rng.uniform_int(1) == 0 for _ in range(100))

@@ -6,49 +6,50 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from beehive.core import (
-    Bounds,
-    Colony,
-    ConfigurationError,
-    FoodSource,
-    RngStream,
-)
+from beehive.core import Bounds, ConfigurationError, RngStream
 from beehive.engine import (
     STRATEGIES,
+    Colony,
     TerminationRule,
     VariantConfig,
     _new_source,
-    _pick_other,
+    _step,
     adapt_colony_size,
     candidate,
     employed_phase,
     fitness_map,
-    greedy_select,
     onlooker_phase,
     run,
     scout_phase,
     selection_probabilities,
 )
 from beehive.problems import Problem, make_problem
+from conftest import index_draw, real_draw
 
 
 def make_colony(positions, objectives=None, genes=None):
-    """Hand-built colony; best memory points at the lowest objective."""
+    """Hand-built colony in the box [-10, 10]^D; best memory points at the
+    lowest objective."""
     positions = [np.array(p, dtype=float) for p in positions]
     if objectives is None:
         objectives = [float(np.dot(p, p)) for p in positions]
     if genes is None:
         genes = [None] * len(positions)
-    sources = [
-        FoodSource(p, f, fitness_map(f), 0, g)
-        for p, f, g in zip(positions, objectives, genes)
-    ]
-    best = min(range(len(sources)), key=lambda i: sources[i].objective)
-    return Colony(
-        sources=sources,
-        best_position=sources[best].position.copy(),
-        best_objective=sources[best].objective,
-    )
+    colony = Colony(Bounds.cube(-10, 10, positions[0].size))
+    for i, (p, f, g) in enumerate(zip(positions, objectives, genes)):
+        colony.put(i, p, f, g)
+    best = min(range(len(positions)), key=objectives.__getitem__)
+    colony.best_position = positions[best].copy()
+    colony.best_objective = objectives[best]
+    return colony
+
+
+def moved(i, colony, rng, config):
+    """Source i's candidate position and size gene, as `candidate` proposes them."""
+    j, value, gene = candidate(i, colony, rng, config)
+    position = colony.sources[i].copy()
+    position[j] = value
+    return position, gene
 
 
 BASIC = VariantConfig()
@@ -108,53 +109,63 @@ class TestSelectionProbabilities:
 
     def test_empty_colony_raises(self):
         with pytest.raises(ValueError):
-            selection_probabilities(Colony([], np.zeros(1), math.inf))
+            selection_probabilities(Colony(Bounds.cube(-1, 1, 1)))
 
 
 class TestPickOther:
+    """Partner picks: a draw that names a source already taken is drawn again."""
+
     def test_retries_until_free(self, scripted):
-        rng = scripted(ints=[2, 2, 0])
-        assert _pick_other(5, rng, 2) == 0
+        colony = make_colony([[0], [1], [2], [3], [4]])
+        rng = scripted(raws=[0.0, index_draw(2, 5), index_draw(2, 5), index_draw(0, 5),
+                             real_draw(0.5, -1, 1)])
+        # partner 0 after two redraws of the bee itself: 2 + 0.5 * (2 - 0)
+        assert candidate(2, colony, rng, BASIC) == (0, 3.0, None)
+        assert rng.used_up()
 
     def test_excludes_multiple(self, scripted):
-        rng = scripted(ints=[1, 3, 4])
-        assert _pick_other(5, rng, 1, 3) == 4
+        # sac1 draws b until it is neither the bee (1) nor its partner a (3)
+        colony = make_colony([[0], [1], [2], [3], [4]])
+        rng = scripted(raws=[0.0, index_draw(3, 5), index_draw(1, 5), index_draw(3, 5),
+                             index_draw(4, 5), real_draw(0.5, -1, 1)])
+        # best_0 + 0.5 * (x_a - x_b) with a = 3, b = 4 and the best at 0
+        assert candidate(1, colony, rng, VariantConfig("sac1")) == (0, -0.5, None)
+        assert rng.used_up()
 
 
 class TestCandidateOperators:
     def test_basic_scripted(self, scripted):
         colony = make_colony([[1, 2], [1, 4]])
-        bounds = Bounds.cube(-10, 10, 2)
-        rng = scripted(ints=[1, 1], reals=[0.5])
-        pos, gene = candidate(0, colony, bounds, rng, BASIC)
+        rng = scripted(raws=[index_draw(1, 2), index_draw(1, 2), real_draw(0.5, -1, 1)])
+        pos, gene = moved(0, colony, rng, BASIC)
         assert pos.tolist() == [1.0, 1.0]
         assert gene is None
 
     def test_basic_clamps(self, scripted):
         colony = make_colony([[9, 0], [-9, 0]])
-        bounds = Bounds.cube(-10, 10, 2)
-        rng = scripted(ints=[0, 1], reals=[0.9])
-        pos, _ = candidate(0, colony, bounds, rng, BASIC)
+        rng = scripted(raws=[index_draw(0, 2), index_draw(1, 2), real_draw(0.9, -1, 1)])
+        pos, _ = moved(0, colony, rng, BASIC)
         assert pos.tolist() == [10.0, 0.0]
 
     def test_basic_propagates_size_gene(self, scripted):
         colony = make_colony([[1, 2], [1, 4]], genes=[20.0, 30.0])
-        rng = scripted(ints=[1, 1], reals=[0.5])
-        _, gene = candidate(0, colony, Bounds.cube(-10, 10, 2), rng, BASIC)
+        rng = scripted(raws=[index_draw(1, 2), index_draw(1, 2), real_draw(0.5, -1, 1)])
+        _, gene = moved(0, colony, rng, BASIC)
         assert gene == 20.0 + 0.5 * (20.0 - 30.0)
 
     def test_elitist_scripted(self, scripted):
         # best is the origin; the move builds coordinate 0 from it
         colony = make_colony([[5, 5], [3, 0], [1, 0], [0, 0]])
-        rng = scripted(ints=[0, 1, 2], reals=[0.5])
-        pos, _ = candidate(0, colony, Bounds.cube(-10, 10, 2), rng, VariantConfig("sac1"))
+        rng = scripted(raws=[index_draw(0, 2), index_draw(1, 4), index_draw(2, 4),
+                             real_draw(0.5, -1, 1)])
+        pos, _ = moved(0, colony, rng, VariantConfig("sac1"))
         assert pos.tolist() == [0.0 + 0.5 * (3.0 - 1.0), 5.0]
 
     def test_global_local_scripted(self, scripted):
         colony = make_colony([[2, 0], [4, 0], [-2, 0], [0, 0]])
         # sac2 draws j and one partner a, then phi: no second partner
-        rng = scripted(ints=[0, 1], reals=[0.0])
-        pos, _ = candidate(0, colony, Bounds.cube(-10, 10, 2), rng, VariantConfig("sac2"))
+        rng = scripted(raws=[index_draw(0, 2), index_draw(1, 4), real_draw(0.0, -1, 1)])
+        pos, _ = moved(0, colony, rng, VariantConfig("sac2"))
         # phi = 0 leaves only the pull from the bee's own coordinate:
         # 2 + 1.5 * (0 - 2) = -1
         assert pos.tolist() == [-1.0, 0.0]
@@ -162,104 +173,140 @@ class TestCandidateOperators:
 
     def test_gbest_scripted(self, scripted):
         colony = make_colony([[0, 4], [3, 0], [2, 2]], objectives=[5.0, 7.0, 0.0])
-        rng = scripted(ints=[0, 1], reals=[0.0, 1.5])
-        pos, _ = candidate(0, colony, Bounds.cube(-10, 10, 2), rng, VariantConfig("gbest"))
+        rng = scripted(raws=[index_draw(0, 2), index_draw(1, 3), real_draw(0.0, -1, 1),
+                             real_draw(1.5, 0, 1.5)])
+        pos, _ = moved(0, colony, rng, VariantConfig("gbest"))
         # phi = 0, psi = 1.5: 0 + 1.5 * (2 - 0) = 3
         assert pos.tolist() == [3.0, 4.0]
 
     def test_global_local_with_zero_weight_matches_basic(self, scripted):
         colony_a = make_colony([[2, 3], [4, 1], [-2, 0]])
         colony_b = make_colony([[2, 3], [4, 1], [-2, 0]])
-        pos_a, _ = candidate(
-            0, colony_a, Bounds.cube(-10, 10, 2),
-            scripted(ints=[1, 1], reals=[0.25]), VariantConfig("sac2", c_factor=0.0),
-        )
-        pos_b, _ = candidate(
-            0, colony_b, Bounds.cube(-10, 10, 2), scripted(ints=[1, 1], reals=[0.25]), BASIC
-        )
+        draws = [index_draw(1, 2), index_draw(1, 3), real_draw(0.25, -1, 1)]
+        pos_a, _ = moved(0, colony_a, scripted(raws=draws), VariantConfig("sac2", c_factor=0.0))
+        pos_b, _ = moved(0, colony_b, scripted(raws=draws), BASIC)
         assert pos_a.tolist() == pos_b.tolist()
 
     def test_gbest_with_zero_pull_matches_basic(self, scripted):
         colony_a = make_colony([[2, 3], [4, 1], [-2, 0]])
         colony_b = make_colony([[2, 3], [4, 1], [-2, 0]])
-        pos_a, _ = candidate(
-            0, colony_a, Bounds.cube(-10, 10, 2), scripted(ints=[1, 1], reals=[0.25, 0.0]),
-            VariantConfig("gbest"),
-        )
-        pos_b, _ = candidate(
-            0, colony_b, Bounds.cube(-10, 10, 2), scripted(ints=[1, 1], reals=[0.25]), BASIC
-        )
+        draws = [index_draw(1, 2), index_draw(1, 3), real_draw(0.25, -1, 1)]
+        pos_a, _ = moved(0, colony_a, scripted(raws=draws + [0.0]), VariantConfig("gbest"))
+        pos_b, _ = moved(0, colony_b, scripted(raws=draws), BASIC)
         assert pos_a.tolist() == pos_b.tolist()
 
     def test_single_coordinate_changes(self):
         colony = make_colony([[1, 2, 3, 4], [4, 3, 2, 1], [0, 0, 0, 0]])
-        bounds = Bounds.cube(-10, 10, 4)
         rng = RngStream(3)
         for strategy in ("basic", "sac1", "sac2", "gbest"):
             for _ in range(50):
-                pos, _ = candidate(0, colony, bounds, rng, VariantConfig(strategy))
-                diff = pos != colony.sources[0].position
+                pos, _ = moved(0, colony, rng, VariantConfig(strategy))
+                diff = pos != colony.sources[0]
                 assert diff.sum() <= 1
+                assert Bounds.cube(-10, 10, 4).contains(pos)
+
+    def test_every_coordinate_is_drawn(self):
+        colony = make_colony([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]])
+        rng = RngStream(7)
+        drawn = {candidate(0, colony, rng, BASIC)[0] for _ in range(10_000)}
+        assert drawn == {0, 1, 2, 3, 4}
+
+    def test_one_coordinate_box_always_draws_it(self):
+        colony = make_colony([[1], [0]])
+        rng = RngStream(0)
+        assert all(candidate(0, colony, rng, BASIC)[0] == 0 for _ in range(100))
+
+    def test_index_draw_stays_below_n(self):
+        # int(u * n) < n for the largest u below 1, so no draw needs clamping
+        u = math.nextafter(1.0, 0.0)
+        sizes = list(range(1, 100_000)) + [2**k + d for k in range(17, 54) for d in (-1, 0, 1)]
+        assert all(int(u * n) < n for n in sizes if n <= 2**53)
+
+    def test_phi_spans_minus_one_to_one(self):
+        # x_i - x_a = 1, so the basic move puts x_i + phi in [0, 2)
+        colony = make_colony([[1], [0]])
+        rng = RngStream(7)
+        values = [candidate(0, colony, rng, BASIC)[1] for _ in range(10_000)]
+        assert all(0.0 <= v < 2.0 for v in values)
+        assert min(values) < 0.1 and max(values) > 1.9
 
     def test_too_few_sources_raise(self):
         one = make_colony([[1, 1]])
         two = make_colony([[1, 1], [2, 2]])
-        bounds = Bounds.cube(-10, 10, 2)
         rng = RngStream(0)
         with pytest.raises(ValueError):
-            candidate(0, one, bounds, rng, BASIC)
+            candidate(0, one, rng, BASIC)
         with pytest.raises(ValueError):
-            candidate(0, two, bounds, rng, VariantConfig("sac1"))
+            candidate(0, two, rng, VariantConfig("sac1"))
         # sac2 has one partner, so two sources are enough
-        pos, _ = candidate(0, two, bounds, rng, VariantConfig("sac2"))
-        assert bounds.contains(pos)
+        pos, _ = moved(0, two, rng, VariantConfig("sac2"))
+        assert Bounds.cube(-10, 10, 2).contains(pos)
 
 
 class TestGreedySelect:
+    """The step: set coordinate j, evaluate once, keep the result iff it moves
+    and its fitness ties or beats the incumbent's."""
+
     def test_better_candidate_replaces(self):
-        problem = small_problem()
         colony = make_colony([[3, 0], [0, 2]])
         current = colony.sources[0]
-        picked = greedy_select(current, np.array([1.0, 0.0]), colony, problem)
-        assert picked is not current
-        assert picked.objective == 1.0
-        assert picked.trials == 0
+        _step(colony, small_problem(), 0, 0, 1.0, None)
+        assert colony.sources[0] is not current
+        assert colony.sources[0].tolist() == [1.0, 0.0]
+        assert colony.objective[0] == 1.0
+        assert colony.trials[0] == 0
 
     def test_worse_candidate_rejected_and_counted(self):
-        problem = small_problem()
         colony = make_colony([[1, 0], [0, 2]])
         current = colony.sources[0]
-        picked = greedy_select(current, np.array([3.0, 0.0]), colony, problem)
-        assert picked is current
-        assert picked.trials == 1
+        _step(colony, small_problem(), 0, 0, 3.0, None)
+        assert colony.sources[0] is current
+        assert colony.trials[0] == 1
 
     def test_tie_replaces_and_resets_trials(self):
-        problem = small_problem()
         colony = make_colony([[1, 0], [0, 2]])
         current = colony.sources[0]
-        current.trials = 7
-        picked = greedy_select(current, np.array([0.0, 1.0]), colony, problem)
-        assert picked is not current
-        assert picked.trials == 0
+        colony.trials[0] = 7
+        _step(colony, small_problem(), 0, 0, -1.0, None)
+        assert colony.sources[0] is not current
+        assert colony.trials[0] == 0
 
     def test_null_move_keeps_incumbent_and_counts_a_trial(self):
-        problem = small_problem()
         colony = make_colony([[1, 0], [0, 2]])
         current = colony.sources[0]
-        current.trials = 7
-        picked = greedy_select(current, np.array([1.0, 0.0]), colony, problem)
-        assert picked is current
-        assert picked.trials == 8
+        colony.trials[0] = 7
+        _step(colony, small_problem(), 0, 0, 1.0, None)
+        assert colony.sources[0] is current
+        assert colony.trials[0] == 8
         assert colony.nfe == 1
 
     def test_counts_one_evaluation_and_updates_best(self):
-        problem = small_problem()
         colony = make_colony([[3, 0], [0, 2]])
         nfe = colony.nfe
-        greedy_select(colony.sources[0], np.array([0.5, 0.0]), colony, problem)
+        _step(colony, small_problem(), 0, 0, 0.5, None)
         assert colony.nfe == nfe + 1
         assert colony.best_objective == 0.25
         assert colony.best_position.tolist() == [0.5, 0.0]
+
+    def test_step_clamped_back_onto_own_bound_is_a_failed_trial(self, scripted):
+        # x_i0 sits on the upper bound; 10 + 0.5 * (10 + 9) = 19.5 clamps back
+        # to 10: the same position and fitness, which must not count as a win
+        colony = make_colony([[10, 0], [-9, 0]])
+        current = colony.sources[0]
+        rng = scripted(raws=[index_draw(0, 2), index_draw(1, 2), real_draw(0.5, -1, 1)])
+        j, value, gene = candidate(0, colony, rng, BASIC)
+        assert (j, value) == (0, 10.0)
+        _step(colony, small_problem(), 0, j, value, gene)
+        assert colony.nfe == 1
+        assert colony.trials[0] == 1
+        assert colony.sources[0] is current
+
+    def test_gene_moves_with_the_winner_only(self):
+        colony = make_colony([[3, 0], [0, 2]], genes=[20.0, 30.0])
+        _step(colony, small_problem(), 0, 0, 4.0, 25.0)
+        assert colony.gene[0] == 20.0
+        _step(colony, small_problem(), 0, 0, 1.0, 25.0)
+        assert colony.gene[0] == 25.0
 
 
 class TestPhases:
@@ -280,9 +327,8 @@ class TestPhases:
         )
         colony = make_colony(initial, objectives=[0.0] * 4)
         employed_phase(colony, VariantConfig(strategy="basic"), problem, RngStream(4))
-        for i, s in enumerate(colony.sources):
-            assert s.trials == 1
-            assert s.position.tolist() == initial[i]
+        assert colony.trials == [1, 1, 1, 1]
+        assert [p.tolist() for p in colony.sources] == initial
 
     def test_onlooker_costs_one_evaluation_per_source(self):
         problem = small_problem()
@@ -293,9 +339,9 @@ class TestPhases:
     def test_onlooker_one_draw_per_placement_scripted(self, scripted, monkeypatch):
         placed = []
 
-        def recording(i, colony, bounds, rng, config):
+        def recording(i, colony, rng, config):
             placed.append(i)
-            return colony.sources[i].position.copy(), None
+            return 0, colony.sources[i].item(0), None
 
         monkeypatch.setattr("beehive.engine.candidate", recording)
         # fitnesses 1:1:3:1; the cumulative probabilities round to
@@ -315,12 +361,10 @@ class TestPhases:
     def test_onlooker_counts_follow_fitness(self, monkeypatch):
         counts = [0, 0, 0, 0]
 
-        def spy(current, candidate_position, colony, problem, size_gene=None):
-            idx = next(i for i, s in enumerate(colony.sources) if s is current)
-            counts[idx] += 1
-            return current
+        def spy(colony, problem, i, j, value, gene):
+            counts[i] += 1
 
-        monkeypatch.setattr("beehive.engine.greedy_select", spy)
+        monkeypatch.setattr("beehive.engine._step", spy)
         problem = small_problem()
         config = VariantConfig(strategy="basic")
         rng = RngStream(13)
@@ -339,12 +383,10 @@ class TestPhases:
     def test_onlooker_prefers_high_fitness(self, monkeypatch):
         counts = [0, 0, 0, 0]
 
-        def spy(current, candidate_position, colony, problem, size_gene=None):
-            idx = next(i for i, s in enumerate(colony.sources) if s is current)
-            counts[idx] += 1
-            return current
+        def spy(colony, problem, i, j, value, gene):
+            counts[i] += 1
 
-        monkeypatch.setattr("beehive.engine.greedy_select", spy)
+        monkeypatch.setattr("beehive.engine._step", spy)
         problem = small_problem()
         # objective 0 maps to fitness 1; objective 99 maps to fitness 0.01
         colony = make_colony([[0, 0]] + [[1, 1]] * 3, objectives=[0.0, 99.0, 99.0, 99.0])
@@ -357,17 +399,17 @@ class TestPhases:
         problem = small_problem()
         config = VariantConfig(strategy="basic", limit=5)
         colony = make_colony([[1, 1], [2, 2], [3, 3]])
-        colony.sources[1].trials = 5
+        colony.trials[1] = 5
         scout_phase(colony, config, problem, RngStream(2))
-        assert colony.nfe == 0 and colony.sources[1].trials == 5
+        assert colony.nfe == 0 and colony.trials[1] == 5
 
-        colony.sources[1].trials = 6
+        colony.trials[1] = 6
         old = colony.sources[1]
         scout_phase(colony, config, problem, RngStream(2))
         assert colony.nfe == 1
         fresh = colony.sources[1]
-        assert fresh is not old and fresh.trials == 0
-        assert problem.bounds.contains(fresh.position)
+        assert fresh is not old and colony.trials[1] == 0
+        assert problem.bounds.contains(fresh)
 
     def test_collapsed_elitist_colony_is_scouted_past_the_limit(self):
         # every elitist candidate lands on the shared best: only null moves
@@ -376,31 +418,30 @@ class TestPhases:
         colony = make_colony([[1, 1]] * 4)
         rng = RngStream(5)
         employed_phase(colony, config, problem, rng)
-        assert [s.trials for s in colony.sources] == [1, 1, 1, 1]
+        assert colony.trials == [1, 1, 1, 1]
         scout_phase(colony, config, problem, rng)
         assert colony.nfe == 4
         employed_phase(colony, config, problem, rng)
         scout_phase(colony, config, problem, rng)
         assert colony.nfe == 9
-        assert colony.sources[0].trials == 0
-        assert colony.sources[0].position.tolist() != [1.0, 1.0]
-        assert [s.trials for s in colony.sources[1:]] == [2, 2, 2]
+        assert colony.trials[0] == 0
+        assert colony.sources[0].tolist() != [1.0, 1.0]
+        assert colony.trials[1:] == [2, 2, 2]
 
     def test_scout_replaces_at_most_one(self):
         problem = small_problem()
         config = VariantConfig(strategy="basic", limit=5)
         colony = make_colony([[1, 1], [2, 2], [3, 3]])
-        for s in colony.sources:
-            s.trials = 50
+        colony.trials[:] = [50, 50, 50]
         scout_phase(colony, config, problem, RngStream(8))
         assert colony.nfe == 1
-        assert sum(1 for s in colony.sources if s.trials == 0) == 1
+        assert colony.trials.count(0) == 1
 
     def test_scout_keeps_best_memory(self):
         problem = small_problem()
         config = VariantConfig(strategy="basic", limit=1)
         colony = make_colony([[0.1, 0], [2, 2], [3, 3]])
-        colony.sources[0].trials = 99
+        colony.trials[0] = 99
         best_before = colony.best_objective
         scout_phase(colony, config, problem, RngStream(6))
         assert colony.best_objective <= best_before
@@ -422,9 +463,9 @@ class TestAdaptColonySize:
         # mean 57.4 rounds to 57, then bumps to the next even count
         assert len(colony.sources) == 58
         assert colony.nfe == 54
-        for s in colony.sources:
-            assert problem.bounds.contains(s.position)
-            assert config.sn_min <= s.size_gene <= config.sn_max
+        for p, gene in zip(colony.sources, colony.gene):
+            assert problem.bounds.contains(p)
+            assert config.sn_min <= gene <= config.sn_max
 
     def test_growth_half_rounds_up(self):
         problem = small_problem()
@@ -626,9 +667,9 @@ class TestColonyInvariantsOverManyCycles:
             config = VariantConfig(strategy=strategy, initial_colony=20,
                                    sn_min=10, sn_max=20, limit=15)
             rng = RngStream(31)
-            colony = Colony([], np.zeros(3), math.inf)
-            for _ in range(config.initial_colony // 2):
-                colony.sources.append(_new_source(colony, config, problem, rng))
+            colony = Colony(problem.bounds)
+            for i in range(config.initial_colony // 2):
+                _new_source(colony, config, problem, rng, i)
             for _ in range(60):
                 employed_phase(colony, config, problem, rng)
                 onlooker_phase(colony, config, problem, rng)
@@ -637,10 +678,10 @@ class TestColonyInvariantsOverManyCycles:
                     adapt_colony_size(colony, config, rng, problem)
                     assert config.sn_min <= len(colony.sources) <= config.sn_max
                 assert len(colony.sources) % 2 == 0
-                for s in colony.sources:
-                    assert problem.bounds.contains(s.position)
+                for p, gene in zip(colony.sources, colony.gene):
+                    assert problem.bounds.contains(p)
                     if config.adaptive_sizing:
-                        assert config.sn_min <= s.size_gene <= config.sn_max
+                        assert config.sn_min <= gene <= config.sn_max
                     else:
-                        assert s.size_gene is None
+                        assert gene is None
             assert problem.bounds.contains(colony.best_position)
