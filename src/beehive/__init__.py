@@ -15,6 +15,7 @@ from .harness import (
     compare_table,
     convergence_export,
     run_batch,
+    run_batches,
 )
 from .problems import (
     BENCHMARK_NAMES,
@@ -40,6 +41,7 @@ __all__ = [
     "compare_table",
     "convergence_export",
     "run_batch",
+    "run_batches",
     "BENCHMARK_NAMES",
     "ENGINEERING_NAMES",
     "PROBLEM_NAMES",

@@ -27,6 +27,7 @@ from .harness import (
     convergence_export,
     format_stat,
     run_batch,
+    run_batches,
 )
 from .problems import BENCHMARK_DIMENSIONS, BENCHMARK_NAMES, ENGINEERING_NAMES, make_problem
 
@@ -126,18 +127,16 @@ def _build_termination(args, problem) -> TerminationRule:
     )
 
 
-def _execute(problem, args, strategy: str):
-    config = _build_variant(args, strategy)
-    termination = _build_termination(args, problem)
-    results = run_batch(problem, config, termination, args.runs, args.seed, args.jobs)
-    stats = aggregate(problem, strategy, results, sample_sd=args.sample_sd)
-    return results, stats
-
-
 def _sweep(problems, strategies, args) -> list[ExperimentStats]:
-    """Stats of every strategy on every problem, problem by problem."""
-    return [_execute(problem, args, strategy)[1]
-            for problem in problems for strategy in strategies]
+    """Stats of every strategy on every problem, problem by problem; all the
+    runs share one `run_batches` call, so one process pool."""
+    pairs = [(problem, strategy) for problem in problems for strategy in strategies]
+    batches = run_batches(
+        [(problem, _build_variant(args, strategy), _build_termination(args, problem))
+         for problem, strategy in pairs],
+        args.runs, args.seed, args.jobs)
+    return [aggregate(problem, strategy, results, sample_sd=args.sample_sd)
+            for (problem, strategy), results in zip(pairs, batches)]
 
 
 def _check_size_flags(args, names) -> None:
@@ -178,7 +177,9 @@ def cmd_run(args) -> int:
                   for flag, value in (("--dim", args.dim), ("--atoms", args.atoms))
                   if value is not None]
         raise ConfigurationError(f"{' '.join(flags)}: {exc}") from None
-    results, stats = _execute(problem, args, args.variant)
+    results = run_batch(problem, _build_variant(args, args.variant),
+                        _build_termination(args, problem), args.runs, args.seed, args.jobs)
+    stats = aggregate(problem, args.variant, results, sample_sd=args.sample_sd)
     out_dir = Path(args.output_dir)
     _emit(out_dir, args.format, [stats])
     if args.traces:
@@ -224,19 +225,19 @@ def cmd_bench(args) -> int:
     if args.suite in ("engineering", "all"):
         names += ENGINEERING_NAMES
     _check_size_flags(args, names)
-    all_stats: list[ExperimentStats] = []
+    problems = []
     if args.suite in ("benchmarks", "all"):
-        problems = [make_problem(name, dimension=dim)
-                    for name, dims in BENCHMARK_DIMENSIONS.items() for dim in dims]
-        all_stats += _sweep(problems, STRATEGIES, args)
+        problems += [make_problem(name, dimension=dim)
+                     for name, dims in BENCHMARK_DIMENSIONS.items() for dim in dims]
+    if args.suite in ("engineering", "all"):
+        problems += [make_problem(name, n_atoms=args.atoms if name == "lennard_jones" else None)
+                     for name in ENGINEERING_NAMES]
+    all_stats = _sweep(problems, STRATEGIES, args)
     comparison = None
     if args.suite in ("engineering", "all"):
-        problems = [make_problem(name, n_atoms=args.atoms if name == "lennard_jones" else None)
-                    for name in ENGINEERING_NAMES]
-        eng_stats = _sweep(problems, STRATEGIES, args)
-        all_stats += eng_stats
         comparison = compare_table(
-            [s for s in eng_stats if s.variant != "gbest"], "sac2"
+            [s for s in all_stats if s.problem in ENGINEERING_NAMES and s.variant != "gbest"],
+            "sac2"
         )
     _emit(out_dir, args.format, all_stats, comparison)
     print(f"wrote {len(all_stats)} stats records to {out_dir}")

@@ -29,23 +29,47 @@ class ExperimentStats:
     mean_nfe: float
 
 
-def run_batch(problem: Problem, config: VariantConfig, termination: TerminationRule,
-              runs: int, base_seed: int, jobs: int = 1) -> list[RunResult]:
-    """Independent seeded runs, seed = base_seed + index; order follows the seeds.
+Cell = tuple[Problem, VariantConfig, TerminationRule]
 
-    With jobs > 1 the problem itself is sent to worker processes, so its
-    `evaluate` must pickle: a module-level function or a callable instance.
+
+def run_batches(cells: list[Cell], runs: int, base_seed: int,
+                jobs: int = 1) -> list[list[RunResult]]:
+    """`runs` independent seeded runs of every (problem, config, termination) cell.
+
+    Returns one result list per cell, in cell order; run i of every cell
+    uses seed base_seed + i. With jobs > 1 every run of every cell goes to
+    one process pool of min(jobs, total runs) workers, and the results are
+    collected in submission order, so they equal the serial ones bit for
+    bit. The problems are sent to the workers, so each `evaluate` must
+    pickle: a module-level function or a callable instance. The first run
+    to raise cancels the runs still queued, and its error propagates once
+    the running ones have ended.
     """
     if runs < 1:
         raise ConfigurationError("runs must be >= 1")
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs!r}")
-    seeds = [base_seed + i for i in range(runs)]
-    if jobs == 1 or runs == 1:
-        return [run(problem, config, termination, s) for s in seeds]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(run, problem, config, termination, s) for s in seeds]
-        return [f.result() for f in futures]
+    tasks = [(cell, base_seed + i) for cell in cells for i in range(runs)]
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        results = [run(*cell, seed) for cell, seed in tasks]
+    else:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
+            futures = [pool.submit(run, *cell, seed) for cell, seed in tasks]
+            results = [f.result() for f in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return [results[k:k + runs] for k in range(0, len(results), runs)]
+
+
+def run_batch(problem: Problem, config: VariantConfig, termination: TerminationRule,
+              runs: int, base_seed: int, jobs: int = 1) -> list[RunResult]:
+    """Independent seeded runs, seed = base_seed + index; order follows the seeds.
+
+    One cell of `run_batches`, with the same pool and pickling rules.
+    """
+    return run_batches([(problem, config, termination)], runs, base_seed, jobs)[0]
 
 
 def aggregate(problem: Problem, variant: str, results: list[RunResult],

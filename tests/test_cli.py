@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from beehive import harness
 from beehive.cli import main
 from beehive.engine import STRATEGIES
 from beehive.harness import ExperimentStats
@@ -218,6 +219,35 @@ class TestBenchCommand:
         assert cmp_rows[0][0] == "problem"
         assert "nfe_gbest" not in cmp_rows[0]
         assert len(cmp_rows) == 7  # header + 5 problems + footer
+
+
+class TestSweepPool:
+    def test_parallel_bench_writes_the_serial_bytes(self, tmp_path):
+        for jobs in ("1", "2"):
+            code = run_cli("bench", "engineering", "--runs", "1", "--max-nfe", "300",
+                           "--jobs", jobs, "--output-dir", str(tmp_path / jobs))
+            assert code == 0
+        for name in ("stats.json", "comparison.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ("bench", "all", "--runs", "1"),
+        ("compare", "--problems", "sphere,gear_train", "--variants", "basic,sac2",
+         "--runs", "2"),
+    ], ids=["bench-all", "compare"])
+    def test_a_sweep_starts_one_pool(self, tmp_path, monkeypatch, argv):
+        pools = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        code = run_cli(*argv, "--max-nfe", "300", "--jobs", "2",
+                       "--output-dir", str(tmp_path))
+        assert code == 0
+        assert pools == [2]
 
 
 class TestErrorsAndConfig:

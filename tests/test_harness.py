@@ -1,11 +1,14 @@
 """Batch statistics, acceleration rates, comparison tables, convergence export."""
 import math
+import multiprocessing
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from beehive.core import Bounds, ConfigurationError
-from beehive.engine import RunResult, TerminationRule, VariantConfig
+from beehive import harness
+from beehive.engine import RunResult, TerminationRule, VariantConfig, run
 from beehive.harness import (
     ExperimentStats,
     acceleration_rate,
@@ -14,6 +17,7 @@ from beehive.harness import (
     convergence_export,
     format_stat,
     run_batch,
+    run_batches,
 )
 from beehive.problems import LJConfig, Problem, make_lennard_jones, make_problem
 
@@ -22,6 +26,39 @@ def shifted_sphere(x):
     """A user objective at module level, so a Problem using it pickles."""
     d = np.asarray(x, dtype=float) - 1.0
     return float(np.dot(d, d))
+
+
+def nan_objective(x):
+    return float("nan")
+
+
+def same_result(a, b):
+    """Bit-identical seeded outputs."""
+    return (a.seed == b.seed and a.best_objective == b.best_objective
+            and a.best_position.tobytes() == b.best_position.tobytes()
+            and a.nfe == b.nfe and a.trace == b.trace)
+
+
+USER_PROBLEM = Problem(name="shifted_sphere", dimension=4, bounds=Bounds.cube(-5.0, 5.0, 4),
+                       evaluate=shifted_sphere)
+
+
+class RecordingExecutor:
+    """In-process stand-in for the process pool: records its arguments and
+    runs each submitted call at once, so no process starts."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
 
 
 def stub_result(best, nfe=100, seed=0, trace=None):
@@ -49,31 +86,83 @@ class TestRunBatch:
         term = TerminationRule(max_nfe=2000)
         seq = run_batch(problem, config, term, runs=4, base_seed=7, jobs=1)
         par = run_batch(problem, config, term, runs=4, base_seed=7, jobs=2)
-        for a, b in zip(seq, par):
-            assert a.best_objective == b.best_objective
-            assert a.nfe == b.nfe
-            assert a.trace == b.trace
+        assert len(par) == 4
+        assert all(same_result(a, b) for a, b in zip(seq, par))
 
     @pytest.mark.parametrize("problem", [
         make_lennard_jones(LJConfig(3, box_half_width=0.4)),
-        Problem(name="shifted_sphere", dimension=4, bounds=Bounds.cube(-5.0, 5.0, 4),
-                evaluate=shifted_sphere),
+        USER_PROBLEM,
     ], ids=["lj3-box0.4", "user-problem"])
     def test_parallel_matches_serial_for_problems_without_a_registry_name(self, problem):
         config = VariantConfig()
         term = TerminationRule(max_nfe=2000)
         seq = run_batch(problem, config, term, runs=2, base_seed=1, jobs=1)
         par = run_batch(problem, config, term, runs=2, base_seed=1, jobs=2)
-        for a, b in zip(seq, par):
-            assert a.best_objective == b.best_objective
-            assert a.best_position.tobytes() == b.best_position.tobytes()
-            assert a.nfe == b.nfe
-            assert a.trace == b.trace
+        assert len(par) == 2
+        assert all(same_result(a, b) for a, b in zip(seq, par))
 
     def test_zero_runs_rejected(self):
         problem = make_problem("sphere", dimension=2)
         with pytest.raises(ConfigurationError):
             run_batch(problem, VariantConfig(), TerminationRule(), runs=0, base_seed=0)
+
+
+def mixed_cells():
+    """Cells of different problems, strategies and budgets, one user-defined."""
+    return [
+        (make_problem("sphere", dimension=2), VariantConfig("basic"), TerminationRule(max_nfe=600)),
+        (USER_PROBLEM, VariantConfig("sac1"), TerminationRule(max_nfe=900)),
+        (make_problem("gear_train"), VariantConfig("sac"), TerminationRule(max_nfe=700)),
+        (make_lennard_jones(LJConfig(3, box_half_width=0.4)), VariantConfig("sac2"),
+         TerminationRule(max_nfe=500)),
+    ]
+
+
+class TestRunBatches:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_mixed_cells_equal_serial_runs(self, jobs):
+        cells = mixed_cells()
+        batches = run_batches(cells, runs=2, base_seed=5, jobs=jobs)
+        assert len(batches) == len(cells)
+        for (problem, config, term), results in zip(cells, batches):
+            expected = [run(problem, config, term, seed) for seed in (5, 6)]
+            assert len(results) == 2
+            assert all(same_result(a, b) for a, b in zip(expected, results))
+
+    @pytest.mark.parametrize("n_cells, runs, jobs, workers", [
+        (1, 2, 8, [2]),
+        (3, 1, 8, [3]),
+        (3, 2, 2, [2]),
+        (1, 1, 8, []),
+        (3, 2, 1, []),
+    ])
+    def test_workers_capped_at_the_run_count(self, monkeypatch, n_cells, runs, jobs, workers):
+        monkeypatch.setattr(RecordingExecutor, "created", [])
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingExecutor)
+        cells = mixed_cells()[:n_cells]
+        batches = run_batches(cells, runs=runs, base_seed=1, jobs=jobs)
+        assert RecordingExecutor.created == workers
+        assert [[r.seed for r in rs] for rs in batches] == [list(range(1, runs + 1))] * n_cells
+
+    def test_first_failure_cancels_the_queue_and_leaves_no_worker(self, monkeypatch):
+        submitted = []
+
+        class SpyPool(harness.ProcessPoolExecutor):
+            def submit(self, *args):
+                submitted.append(super().submit(*args))
+                return submitted[-1]
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SpyPool)
+        nan_problem = Problem(name="nan_problem", dimension=2,
+                              bounds=Bounds.cube(-1.0, 1.0, 2), evaluate=nan_objective)
+        cells = [(nan_problem, VariantConfig(), TerminationRule(max_nfe=1000))]
+        cells += [(make_problem("rastrigin", dimension=10), VariantConfig(),
+                   TerminationRule(max_nfe=20_000))] * 5
+        with pytest.raises(ValueError, match="nan_problem"):
+            run_batches(cells, runs=2, base_seed=1, jobs=2)
+        assert multiprocessing.active_children() == []
+        assert len(submitted) == 12
+        assert any(f.cancelled() for f in submitted)
 
 
 class TestAggregate:
