@@ -126,8 +126,8 @@ def _air_heater(x):
     x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
     fs = 0.079 * x3 ** -0.25
     # The friction-factor chain is implemented exactly as typeset: f_r's power
-    # term uses x3, while R_M uses x2 (likely a typo for x2 in the original
-    # reference).
+    # term uses x3 where R_M's uses x2. That x3 is likely a typo for x2 in the
+    # original reference.
     fr = 2.0 / (0.95 * x3 ** 0.53 + 2.5 * math.log(1.0 / (2.0 * x1)) ** 2 - 3.75) ** 2
     f_bar = 0.5 * (fs + fr)
     e_plus = x1 * x3 * math.sqrt(f_bar / 2.0)
@@ -174,6 +174,46 @@ def _lj_pairs(n):
     return first, second, tuple(map(slice, starts, starts[1:]))
 
 
+def _pairwise_sum(values):
+    """Sum a list of floats exactly as numpy's `np.add.reduce` does for a contiguous
+    float64 array: the same grouping, so the same bits.
+
+    Fewer than 8 terms are folded left from 0.0. Up to 128 terms go into 8
+    accumulators, one per position in each block of 8, which are combined
+    pairwise before the leftover terms are added one by one. Longer lists are
+    split at half their length rounded down to a multiple of 8 and each half
+    is summed the same way. (The builtin `sum` would not do: from Python 3.12
+    it compensates its rounding.)
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        end = n - n % 8
+        for i in range(8, end, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        # numpy adds the grouped sum to the reduction's initial 0.0, which
+        # turns a -0.0 total into 0.0
+        total = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+        for v in values[end:]:
+            total += v
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
 @dataclass(frozen=True)
 class LennardJones:
     """Cluster potential energy of `n_atoms` atoms from their 3N coordinates.
@@ -192,16 +232,22 @@ class LennardJones:
         pts = np.asarray(x, dtype=float).reshape(n, 3)
         d = pts.take(second, axis=0) - pts.take(first, axis=0)
         r2 = np.einsum("ij,ij->i", d, d)
-        tiny = r2 < LJ_R2_FLOOR
-        r2 = np.where(tiny, 1.0, r2)
+        tiny = None
+        if not r2.min() >= LJ_R2_FLOOR:  # also true for a NaN distance
+            tiny = r2 < LJ_R2_FLOOR
+            r2[tiny] = 1.0
         inv6 = 1.0 / (r2 * r2 * r2)
-        pair = np.where(tiny, LJ_PENALTY, inv6 * inv6 - 2.0 * inv6)
-        # Sum atom by atom: each atom's row with numpy's own reduction, then
-        # the rows one after another into a float. Any other grouping (one
-        # np.sum over all pairs, np.add.reduceat) changes the last bits.
+        pair = inv6 * inv6 - 2.0 * inv6
+        if tiny is not None:
+            pair[tiny] = LJ_PENALTY
+        # Sum atom by atom: each atom's row in numpy's own pairwise grouping
+        # (`_pairwise_sum`, in Python floats), then the rows one after another
+        # into a float. Any other grouping (one np.sum over all pairs, a left
+        # fold of a row of 8 or more pairs) changes the last bits.
+        values = pair.tolist()
         total = 0.0
         for row in rows:
-            total += float(np.add.reduce(pair[row]))
+            total += _pairwise_sum(values[row])
         return total
 
 

@@ -1,6 +1,7 @@
 """Objective function values, symmetries, and the problem registry."""
 import math
 import pickle
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from beehive.problems import (
     LJConfig,
     LennardJones,
     Problem,
+    _pairwise_sum,
     make_lennard_jones,
     make_problem,
 )
@@ -217,7 +219,23 @@ def lj_reference(n, x):
     return total
 
 
-LJ_ATOMS = (2, 3, 4, 5, 9, 13, 38)
+# 130 atoms: the first row has 129 pairs, more than numpy sums without a split
+LJ_ATOMS = (2, 3, 4, 5, 9, 13, 38, 130)
+
+
+def _atoms_at_squared_distance(n, r2):
+    """Coordinates of n atoms, far apart except atoms 0 and 1, whose squared
+    distance as `np.einsum` computes it is exactly `r2`."""
+    pts = np.array([[4.0 * i, 0.0, 0.0] for i in range(n)])
+    a = b = math.sqrt(r2 / 2.0)
+    for _ in range(100):
+        d = np.array([[a, b, 0.0]])
+        got = np.einsum("ij,ij->i", d, d)[0]
+        if got == r2:
+            pts[1] = pts[0] + d[0]
+            return pts.ravel()
+        b = np.nextafter(b, math.inf if got < r2 else 0.0)
+    raise AssertionError(f"no pair found at squared distance {r2!r}")
 
 
 class TestLennardJonesKernelMatchesLoop:
@@ -237,13 +255,30 @@ class TestLennardJonesKernelMatchesLoop:
         f = LennardJones(n)
         half = LJConfig(n).half_width
         rng = np.random.default_rng(100 + n)
-        for _ in range(100):
-            pts = rng.uniform(-half, half, (n, 3))
-            a, b = rng.choice(n, 2, replace=False)
-            pts[b] = pts[a]
-            assert f(pts.ravel()) == lj_reference(n, pts)
-            assert f(pts.ravel()) >= LJ_PENALTY
-        assert f(np.zeros(3 * n)) == lj_reference(n, np.zeros(3 * n))
+        with warnings.catch_warnings():
+            # no division by zero, nor any other floating-point warning
+            warnings.simplefilter("error")
+            for _ in range(100):
+                pts = rng.uniform(-half, half, (n, 3))
+                a, b = rng.choice(n, 2, replace=False)
+                pts[b] = pts[a]
+                assert f(pts.ravel()) == lj_reference(n, pts)
+                assert f(pts.ravel()) >= LJ_PENALTY
+            assert f(np.zeros(3 * n)) == lj_reference(n, np.zeros(3 * n))
+
+    @pytest.mark.parametrize("n", (2, 13))
+    def test_pair_at_the_squared_distance_floor(self, n):
+        f = LennardJones(n)
+        below = np.nextafter(LJ_R2_FLOOR, 0.0)
+        above = np.nextafter(LJ_R2_FLOOR, 1.0)
+        for r2 in (below, LJ_R2_FLOOR, above):
+            x = _atoms_at_squared_distance(n, r2)
+            assert f(x) == lj_reference(n, x)
+        if n == 2:
+            assert f(_atoms_at_squared_distance(n, below)) == LJ_PENALTY
+            inv6 = 1.0 / (LJ_R2_FLOOR * LJ_R2_FLOOR * LJ_R2_FLOOR)
+            at_floor = f(_atoms_at_squared_distance(n, LJ_R2_FLOOR))
+            assert at_floor == inv6 * inv6 - 2.0 * inv6
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(LJ_ATOMS).flatmap(lambda n: st.lists(
@@ -259,6 +294,39 @@ class TestLennardJonesKernelMatchesLoop:
         x = np.random.default_rng(5).uniform(-4.0, 4.0, 39)
         assert g == f
         assert g(x) == f(x)
+
+
+# Finite floats of either sign, both zeros included, small enough in magnitude
+# that a sum of 300 of them stays finite.
+_SUMMANDS = st.floats(-1e300, 1e300)
+
+
+class TestPairwiseSum:
+    """`_pairwise_sum` must give numpy's bits: seeded Lennard-Jones runs depend on them."""
+
+    @staticmethod
+    def _bits(x):
+        return x, math.copysign(1.0, x)  # `==` alone takes -0.0 for 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 300).flatmap(
+        lambda n: st.lists(_SUMMANDS, min_size=n, max_size=n)))
+    def test_matches_numpy_reduce(self, values):
+        expected = float(np.add.reduce(np.array(values, dtype=float)))
+        assert self._bits(_pairwise_sum(values)) == self._bits(expected)
+
+    # every branch and each edge between them: the fold below 8 terms, the
+    # 8-accumulator blocks up to 128, and the split above, once and twice
+    @pytest.mark.parametrize("n", (0, 1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 300, 1000))
+    def test_matches_numpy_reduce_at_every_branch(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            values = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+            values[rng.random(n) < 0.1] = -0.0
+            expected = float(np.add.reduce(values))
+            assert self._bits(_pairwise_sum(values.tolist())) == self._bits(expected)
+        # numpy's reduction starts from 0.0, so all negative zeros sum to 0.0
+        assert self._bits(_pairwise_sum([-0.0] * n)) == (0.0, 1.0)
 
 
 class TestGasCompressor:
