@@ -296,12 +296,27 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
         parser.error(f"config file {path}: {exc}")
 
 
+def _count(minimum: int, even: bool = False):
+    """argparse type: an integer >= minimum, and even if asked. argparse reports a
+    bad value with the flag, so the error names both (exit 2)."""
+    kind = "an even integer" if even else "an integer"
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum or (even and value % 2):
+            raise argparse.ArgumentTypeError(f"{value} is not {kind} >= {minimum}")
+        return value
+
+    parse.__name__ = "int"  # a non-integer reads "invalid int value"
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--runs", type=int, default=30)
+    parser.add_argument("--runs", type=_count(1), default=30)
     parser.add_argument("--seed", type=int, default=1, help="base seed; run i uses seed+i")
-    parser.add_argument("--colony", type=int, default=100,
+    parser.add_argument("--colony", type=_count(8, even=True), default=100,
                         help="colony size (bees); food sources are half of this")
-    parser.add_argument("--limit", type=int, default=100, help="abandonment limit")
+    parser.add_argument("--limit", type=_count(1), default=100, help="abandonment limit")
     parser.add_argument("--c-factor", type=float, default=1.5)
     parser.add_argument("--max-nfe", type=int, default=1_000_000)
     parser.add_argument("--accuracy", type=float, default=1e-20)

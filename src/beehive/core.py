@@ -36,12 +36,6 @@ class Bounds:
     def cube(cls, low: float, high: float, dimension: int) -> "Bounds":
         return cls(np.full(dimension, float(low)), np.full(dimension, float(high)))
 
-    def contains(self, position: np.ndarray) -> bool:
-        x = np.asarray(position, dtype=float)
-        return x.shape == self.lower.shape and bool(
-            np.all(x >= self.lower) and np.all(x <= self.upper)
-        )
-
 
 class RngStream:
     """Single-owner deterministic random stream.

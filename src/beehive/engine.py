@@ -39,11 +39,12 @@ class VariantConfig:
         if self.strategy not in STRATEGIES:
             raise ConfigurationError(f"unknown strategy {self.strategy!r}")
         if self.limit < 1:
-            raise ConfigurationError("limit must be positive")
+            raise ConfigurationError(f"limit must be positive, got {self.limit!r}")
         if not math.isfinite(self.c_factor):
             raise ConfigurationError(f"c_factor must be finite, got {self.c_factor!r}")
         if self.initial_colony < 8 or self.initial_colony % 2:
-            raise ConfigurationError("initial_colony must be even and >= 8")
+            raise ConfigurationError(
+                f"initial_colony must be even and >= 8, got {self.initial_colony!r}")
         if not (4 <= self.sn_min <= self.sn_max) or self.sn_min % 2 or self.sn_max % 2:
             raise ConfigurationError("sn_min/sn_max must be even with 4 <= sn_min <= sn_max")
         if self.adaptive_sizing is None:
@@ -98,17 +99,29 @@ class Colony:
     `sources[i]` is source i's position: a 1-d array that a winning candidate
     replaces and that is never written in place, so the best memory may share
     it. `objective[i]` (minimization sense), `fitness[i]`, `trials[i]` (failed
-    attempts in a row; null moves count) and `gene[i]` (proposed source count,
-    None unless adaptive) hold the rest. The box limits are Python floats.
+    attempts in a row; null moves count), `gene[i]` (proposed source count,
+    None unless adaptive) and `memo[i]` (what the objective's `start`/`move`
+    hooks keep about the position, None without them) hold the rest. The box
+    limits are Python floats.
+
+    The hooks are taken from `evaluate` once: an objective with both a
+    `start(x) -> (f, memo)` and a `move(memo, x, j) -> (f, memo)` method, which
+    evaluate a fresh point and a point that differs from the memo's point in
+    x[j] only, is evaluated through them; any other takes the full path.
     """
 
     __slots__ = ("lower", "upper", "sources", "objective", "fitness", "trials", "gene",
-                 "best_position", "best_objective", "cycle", "nfe")
+                 "memo", "start", "move", "best_position", "best_objective", "cycle", "nfe")
 
-    def __init__(self, bounds):
+    def __init__(self, bounds, evaluate=None):
         self.lower = bounds.lower.tolist()
         self.upper = bounds.upper.tolist()
         self.sources, self.objective, self.fitness, self.trials, self.gene = [], [], [], [], []
+        self.memo = []
+        self.start = getattr(evaluate, "start", None)
+        self.move = getattr(evaluate, "move", None)
+        if self.start is None or self.move is None:
+            self.start = self.move = None
         self.best_position = np.zeros(bounds.dimension)
         self.best_objective = math.inf
         self.cycle = 0
@@ -116,11 +129,11 @@ class Colony:
 
     def columns(self):
         """The per-source lists, in the order `put` takes a source's state."""
-        return self.sources, self.objective, self.fitness, self.trials, self.gene
+        return self.sources, self.objective, self.fitness, self.trials, self.gene, self.memo
 
-    def put(self, i, position, objective, gene):
+    def put(self, i, position, objective, gene, memo=None):
         """Store a fresh source with no trials as source i; i == len(sources) appends."""
-        state = (position, objective, fitness_map(objective), 0, gene)
+        state = (position, objective, fitness_map(objective), 0, gene, memo)
         for column, value in zip(self.columns(), state):
             column[i:i + 1] = [value]  # replaces item i, or appends at the end
 
@@ -211,7 +224,11 @@ def _step(colony, problem, i, j, value, gene):
     row = colony.sources[i]
     x = row.copy()
     x[j] = value
-    f = problem.evaluate(x)
+    move = colony.move
+    if move is None:
+        f, memo = problem.evaluate(x), None
+    else:
+        f, memo = move(colony.memo[i], x, j)
     if problem.direction != "minimize":
         f = -f
     colony.nfe += 1
@@ -227,6 +244,7 @@ def _step(colony, problem, i, j, value, gene):
         colony.fitness[i] = fit
         colony.trials[i] = 0
         colony.gene[i] = gene
+        colony.memo[i] = memo
     else:
         colony.trials[i] += 1
 
@@ -241,14 +259,19 @@ def _new_source(colony, config, problem, rng, i):
     gene = None
     if config.adaptive_sizing:
         gene = float(config.sn_min + int(rng.random() * (config.sn_max - config.sn_min + 1)))
-    f = problem.evaluate_min(pos)
+    if colony.start is None:
+        f, memo = problem.evaluate_min(pos), None
+    else:
+        f, memo = colony.start(pos)
+        if problem.direction != "minimize":
+            f = -f
     colony.nfe += 1
     if not math.isfinite(f):
         raise _non_finite(problem, f, colony.nfe, pos)
     if f < colony.best_objective:
         colony.best_objective = f
         colony.best_position = pos
-    colony.put(i, pos, f, gene)
+    colony.put(i, pos, f, gene, memo)
 
 
 def employed_phase(colony, config, problem, rng):
@@ -316,7 +339,7 @@ def run(problem: Problem, config: VariantConfig, termination: TerminationRule,
         seed: int) -> RunResult:
     """Full optimization run; deterministic for a fixed (problem, config, seed)."""
     rng = RngStream(seed)
-    colony = Colony(problem.bounds)
+    colony = Colony(problem.bounds, problem.evaluate)
     for i in range(config.initial_colony // 2):
         _new_source(colony, config, problem, rng, i)
 

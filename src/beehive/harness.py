@@ -46,7 +46,7 @@ def run_batches(cells: list[Cell], runs: int, base_seed: int,
     the running ones have ended.
     """
     if runs < 1:
-        raise ConfigurationError("runs must be >= 1")
+        raise ConfigurationError(f"runs must be >= 1, got {runs!r}")
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs!r}")
     tasks = [(cell, base_seed + i) for cell in cells for i in range(runs)]
@@ -90,11 +90,17 @@ def aggregate(problem: Problem, variant: str, results: list[RunResult],
     )
 
 
-def acceleration_rate(nfe_baseline: float, nfe_other: float) -> float:
-    """Percent NFE reduction of `other` relative to `baseline`; positive = faster."""
-    if nfe_baseline <= 0:
-        raise ValueError("baseline NFE must be positive")
-    return 100.0 * (nfe_baseline - nfe_other) / nfe_baseline
+def acceleration_rate(nfe_compared: float, nfe_baseline: float) -> float:
+    """Percent of the compared variant's NFE that the baseline saves:
+    100 * (compared - baseline) / compared; positive when the baseline is faster.
+
+    `compare_table` passes each variant as `compared` and its baseline (the
+    CLI's `--baseline`, the promoted method) as `baseline`, so AR(306, 197) =
+    35.62 reads "the baseline needs 35.62% fewer evaluations".
+    """
+    if nfe_compared <= 0:
+        raise ValueError("compared NFE must be positive")
+    return 100.0 * (nfe_compared - nfe_baseline) / nfe_compared
 
 
 @dataclass(frozen=True)

@@ -68,9 +68,17 @@ def _sphere(x):
     return float(np.dot(x, x))
 
 
+@functools.lru_cache(maxsize=None)
+def _griewank_divisor(n):
+    """sqrt(1), ..., sqrt(n), shared read-only."""
+    divisor = np.sqrt(np.arange(1, n + 1))
+    divisor.flags.writeable = False
+    return divisor
+
+
 def _griewank(x):
     s = np.dot(x, x) / 4000.0
-    p = np.cos(x / np.sqrt(np.arange(1.0, x.size + 1.0))).prod()
+    p = np.multiply.reduce(np.cos(x / _griewank_divisor(x.size)))
     return float(s - p + 1.0)
 
 
@@ -84,8 +92,37 @@ def _ackley(x):
     )
 
 
-def _rastrigin(x):
-    return float(10.0 * x.size + (x * x - 10.0 * np.cos(2.0 * math.pi * x)).sum())
+@dataclass(frozen=True)
+class Rastrigin:
+    """Rastrigin's function, 10*D + sum(x_i^2 - 10*cos(2*pi*x_i)).
+
+    Besides the numpy `__call__`, it evaluates one-coordinate moves
+    incrementally: `start(x)` returns the value and a memo, the list of
+    per-coordinate terms, and `move(memo, x, j)` returns the value and memo
+    of `x` when only `x[j]` differs from the point the memo belongs to. It
+    recomputes term j with `math.cos`, which gives numpy's float64 `cos` bits
+    (both call the C library's cosine), and sums the terms with
+    `_pairwise_sum`, so both return `__call__`'s value bit for bit at every
+    finite point. A module-level callable, so a `Problem` that uses it
+    pickles into worker processes.
+    """
+
+    @staticmethod
+    def _terms(x):
+        return x * x - 10.0 * np.cos(2.0 * math.pi * x)
+
+    def __call__(self, x):
+        return float(10.0 * x.size + self._terms(x).sum())
+
+    def start(self, x):
+        terms = self._terms(x)
+        return float(10.0 * x.size + terms.sum()), terms.tolist()
+
+    def move(self, memo, x, j):
+        v = x.item(j)
+        terms = memo.copy()
+        terms[j] = v * v - 10.0 * math.cos(2.0 * math.pi * v)
+        return 10.0 * len(terms) + _pairwise_sum(terms), terms
 
 
 def _schaffer(x):
@@ -100,7 +137,7 @@ _BENCHMARKS = {
     "sphere": (_sphere, 5.12, (30, 60)),
     "griewank": (_griewank, 600.0, (30, 60)),
     "ackley": (_ackley, 32.0, (30, 60)),
-    "rastrigin": (_rastrigin, 5.12, (30, 60)),
+    "rastrigin": (Rastrigin(), 5.12, (30, 60)),
     "schaffer": (_schaffer, 100.0, (2, 3)),
 }
 

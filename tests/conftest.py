@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from beehive.core import RngStream
@@ -29,6 +30,14 @@ def index_draw(k: int, n: int) -> float:
 def real_draw(value: float, lo: float, hi: float) -> float:
     """The raw draw that lo + (hi - lo) * u maps to `value` (up to rounding)."""
     return (value - lo) / (hi - lo)
+
+
+def in_box(bounds, position) -> bool:
+    """Whether `position` has the box's shape and every coordinate lies within
+    [lower, upper], both ends included."""
+    x = np.asarray(position, dtype=float)
+    return x.shape == bounds.lower.shape and bool(
+        np.all(x >= bounds.lower) and np.all(x <= bounds.upper))
 
 
 @pytest.fixture

@@ -22,6 +22,7 @@ from beehive.engine import (
 )
 from beehive.harness import acceleration_rate, compare_table, ExperimentStats, run_batch
 from beehive.problems import make_problem
+from conftest import in_box
 
 
 def _report(num: int, ok: bool, detail: str) -> bool:
@@ -196,7 +197,7 @@ def test_criterion_09_property_suite():
         config = VariantConfig(strategy=strategy, initial_colony=20,
                                sn_min=10, sn_max=20)
         r = run(counted, config, TerminationRule(max_nfe=3000), seed=9)
-        checks.append(("bounds:" + strategy, base.bounds.contains(r.best_position)))
+        checks.append(("bounds:" + strategy, in_box(base.bounds, r.best_position)))
         bests = [f for _, f in r.trace]
         checks.append(("monotone:" + strategy,
                        all(b <= a for a, b in zip(bests, bests[1:]))))

@@ -251,6 +251,19 @@ class TestSweepPool:
 
 
 class TestErrorsAndConfig:
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--colony", "7", "argument --colony: 7 is not an even integer >= 8"),
+        ("--limit", "0", "argument --limit: 0 is not an integer >= 1"),
+        ("--runs", "0", "argument --runs: 0 is not an integer >= 1"),
+    ])
+    def test_bad_count_exits_2_naming_flag_and_value(self, tmp_path, capsys, flag, value,
+                                                     named):
+        code = run_cli("run", "--problem", "sphere", "--dim", "2", "--max-nfe", "100",
+                       flag, value, "--output-dir", str(tmp_path))
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "stats.json").exists()
+
     def test_unknown_problem_exits_2(self, tmp_path, capsys):
         code = run_cli("run", "--problem", "rosenbrock",
                        "--output-dir", str(tmp_path))

@@ -10,6 +10,7 @@ from beehive.core import Bounds, ConfigurationError, RngStream
 from beehive.engine import (
     STRATEGIES,
     Colony,
+    RunResult,
     TerminationRule,
     VariantConfig,
     _new_source,
@@ -24,7 +25,8 @@ from beehive.engine import (
     selection_probabilities,
 )
 from beehive.problems import Problem, make_problem
-from conftest import index_draw, real_draw
+from conftest import in_box, index_draw, real_draw
+from test_golden import SCOUTING
 
 
 def make_colony(positions, objectives=None, genes=None):
@@ -203,7 +205,7 @@ class TestCandidateOperators:
                 pos, _ = moved(0, colony, rng, VariantConfig(strategy))
                 diff = pos != colony.sources[0]
                 assert diff.sum() <= 1
-                assert Bounds.cube(-10, 10, 4).contains(pos)
+                assert in_box(Bounds.cube(-10, 10, 4), pos)
 
     def test_every_coordinate_is_drawn(self):
         colony = make_colony([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]])
@@ -240,7 +242,7 @@ class TestCandidateOperators:
             candidate(0, two, rng, VariantConfig("sac1"))
         # sac2 has one partner, so two sources are enough
         pos, _ = moved(0, two, rng, VariantConfig("sac2"))
-        assert Bounds.cube(-10, 10, 2).contains(pos)
+        assert in_box(Bounds.cube(-10, 10, 2), pos)
 
 
 class TestGreedySelect:
@@ -409,7 +411,7 @@ class TestPhases:
         assert colony.nfe == 1
         fresh = colony.sources[1]
         assert fresh is not old and colony.trials[1] == 0
-        assert problem.bounds.contains(fresh)
+        assert in_box(problem.bounds, fresh)
 
     def test_collapsed_elitist_colony_is_scouted_past_the_limit(self):
         # every elitist candidate lands on the shared best: only null moves
@@ -464,7 +466,7 @@ class TestAdaptColonySize:
         assert len(colony.sources) == 58
         assert colony.nfe == 54
         for p, gene in zip(colony.sources, colony.gene):
-            assert problem.bounds.contains(p)
+            assert in_box(problem.bounds, p)
             assert config.sn_min <= gene <= config.sn_max
 
     def test_growth_half_rounds_up(self):
@@ -624,7 +626,7 @@ class TestRun:
                 config = VariantConfig(strategy=strategy, initial_colony=20,
                                        sn_min=10, sn_max=20)
                 result = run(problem, config, TerminationRule(max_nfe=2000), seed=7)
-                assert problem.bounds.contains(result.best_position), (name, strategy)
+                assert in_box(problem.bounds, result.best_position), (name, strategy)
 
     def test_accuracy_stop_beats_budget(self):
         problem = make_problem("sphere", dimension=2)
@@ -648,7 +650,7 @@ class TestRun:
         result = run(problem, VariantConfig(strategy="sac2"),
                      TerminationRule(max_nfe=3000), seed=1)
         assert np.array_equal(result.best_position, np.floor(result.best_position))
-        assert problem.bounds.contains(result.best_position)
+        assert in_box(problem.bounds, result.best_position)
 
     def test_maximization_reported_in_user_sense(self):
         problem = make_problem("air_heater")
@@ -679,9 +681,51 @@ class TestColonyInvariantsOverManyCycles:
                     assert config.sn_min <= len(colony.sources) <= config.sn_max
                 assert len(colony.sources) % 2 == 0
                 for p, gene in zip(colony.sources, colony.gene):
-                    assert problem.bounds.contains(p)
+                    assert in_box(problem.bounds, p)
                     if config.adaptive_sizing:
                         assert config.sn_min <= gene <= config.sn_max
                     else:
                         assert gene is None
-            assert problem.bounds.contains(colony.best_position)
+            assert in_box(problem.bounds, colony.best_position)
+
+
+class TestIncrementalEvaluation:
+    """Rastrigin's `start`/`move` hooks give the run that the full path gives;
+    a plain function around `evaluate` hides the hooks, so it takes that path."""
+
+    @pytest.mark.parametrize("dim", (3, 10, 30, 130))
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_run_equals_the_full_path(self, strategy, dim):
+        problem = make_problem("rastrigin", dim)
+        full = dataclasses.replace(problem, evaluate=lambda x: problem.evaluate(x))
+        assert Colony(problem.bounds, problem.evaluate).move is not None
+        assert Colony(full.bounds, full.evaluate).move is None
+        # scouts fire, and the adaptive strategies grow and shrink the colony
+        config = VariantConfig(strategy=strategy, **SCOUTING)
+        termination = TerminationRule(max_nfe=3000)
+        hooked = run(problem, config, termination, seed=dim)
+        plain = run(full, config, termination, seed=dim)
+        for field in dataclasses.fields(RunResult):
+            a, b = getattr(hooked, field.name), getattr(plain, field.name)
+            if isinstance(a, np.ndarray):
+                assert a.tobytes() == b.tobytes()
+            else:
+                assert a == b, field.name
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_memo_column_follows_its_source(self, strategy):
+        problem = make_problem("rastrigin", 10)
+        config = VariantConfig(strategy=strategy, **SCOUTING)
+        rng = RngStream(5)
+        colony = Colony(problem.bounds, problem.evaluate)
+        for i in range(config.initial_colony // 2):
+            _new_source(colony, config, problem, rng, i)
+        for _ in range(40):
+            employed_phase(colony, config, problem, rng)
+            onlooker_phase(colony, config, problem, rng)
+            scout_phase(colony, config, problem, rng)
+            if config.adaptive_sizing:
+                adapt_colony_size(colony, config, rng, problem)
+            assert len(colony.memo) == len(colony.sources)
+            for x, memo in zip(colony.sources, colony.memo):
+                assert memo == problem.evaluate.start(x)[1]

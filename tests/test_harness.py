@@ -219,7 +219,7 @@ class TestAccelerationRate:
         assert acceleration_rate(150, 150) == 0.0
         assert acceleration_rate(100, 150) == -50.0
 
-    def test_zero_baseline_rejected(self):
+    def test_zero_compared_nfe_rejected(self):
         with pytest.raises(ValueError):
             acceleration_rate(0, 100)
 

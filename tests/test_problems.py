@@ -18,6 +18,8 @@ from beehive.problems import (
     LJConfig,
     LennardJones,
     Problem,
+    Rastrigin,
+    _griewank,
     _pairwise_sum,
     make_lennard_jones,
     make_problem,
@@ -327,6 +329,66 @@ class TestPairwiseSum:
             assert self._bits(_pairwise_sum(values.tolist())) == self._bits(expected)
         # numpy's reduction starts from 0.0, so all negative zeros sum to 0.0
         assert self._bits(_pairwise_sum([-0.0] * n)) == (0.0, 1.0)
+
+
+# Rastrigin coordinates: anywhere in the box, plus the bounds, integers,
+# half-integers and both zeros, where the cosine term is exact or extreme.
+_RASTRIGIN_COORDS = st.one_of(
+    st.floats(-5.12, 5.12),
+    st.sampled_from([-5.12, 5.12, -0.0, 0.0]),
+    st.integers(-5, 5).map(float),
+    st.integers(-10, 10).map(lambda k: k / 2.0),
+)
+
+
+class TestRastriginMoves:
+    """`Rastrigin.start`/`move` must give `__call__`'s bits: seeded Rastrigin
+    runs evaluate every candidate through `move`."""
+
+    @staticmethod
+    def check_moves(x, moves):
+        f = Rastrigin()
+        value, memo = f.start(x)
+        assert value == f(x)
+        for j, v in moves:
+            x = x.copy()
+            x[j] = v
+            kept = list(memo)
+            value, new_memo = f.move(memo, x, j)
+            assert value == f(x)
+            assert memo == kept  # a losing step keeps the old memo
+            memo = new_memo
+
+    # D from 1 to 200: the fold below 8 terms, the 8-accumulator blocks up to
+    # 128 and the split above; up to five moves in a row from one start
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 200).flatmap(lambda n: st.tuples(
+        st.lists(_RASTRIGIN_COORDS, min_size=n, max_size=n),
+        st.lists(st.tuples(st.integers(0, n - 1), _RASTRIGIN_COORDS),
+                 min_size=1, max_size=5))))
+    def test_moves_match_the_full_evaluation(self, case):
+        coords, moves = case
+        self.check_moves(np.array(coords), moves)
+
+    @pytest.mark.parametrize("n", (1, 7, 8, 9, 16, 17, 128, 129, 136, 200))
+    def test_every_coordinate_at_every_branch(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.uniform(-5.12, 5.12, n)
+        self.check_moves(x, [(j, rng.uniform(-5.12, 5.12)) for j in range(n)])
+
+    def test_registered_and_pickles(self):
+        f = make_problem("rastrigin", 5).evaluate
+        assert f == Rastrigin()
+        assert pickle.loads(pickle.dumps(f)) == f
+
+
+def test_griewank_matches_the_uncached_divisor():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 10, 30, 60):
+        for _ in range(200):
+            x = rng.uniform(-600.0, 600.0, n)
+            p = np.cos(x / np.sqrt(np.arange(1.0, n + 1.0))).prod()
+            assert _griewank(x) == float(np.dot(x, x) / 4000.0 - p + 1.0)
 
 
 class TestGasCompressor:
