@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -311,20 +312,35 @@ def _count(minimum: int, even: bool = False):
     return parse
 
 
+def _finite(minimum: float | None = None):
+    """argparse type: a finite float, and >= minimum if given; the error names
+    the flag and the value as `_count`'s does."""
+    kind = "a finite number" + ("" if minimum is None else f" >= {minimum:g}")
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value) or (minimum is not None and value < minimum):
+            raise argparse.ArgumentTypeError(f"{text} is not {kind}")
+        return value
+
+    parse.__name__ = "float"  # a non-number reads "invalid float value"
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--runs", type=_count(1), default=30)
     parser.add_argument("--seed", type=int, default=1, help="base seed; run i uses seed+i")
     parser.add_argument("--colony", type=_count(8, even=True), default=100,
                         help="colony size (bees); food sources are half of this")
     parser.add_argument("--limit", type=_count(1), default=100, help="abandonment limit")
-    parser.add_argument("--c-factor", type=float, default=1.5)
-    parser.add_argument("--max-nfe", type=int, default=1_000_000)
-    parser.add_argument("--accuracy", type=float, default=1e-20)
+    parser.add_argument("--c-factor", type=_finite(), default=1.5)
+    parser.add_argument("--max-nfe", type=_count(1), default=1_000_000)
+    parser.add_argument("--accuracy", type=_finite(0.0), default=1e-20)
     parser.add_argument("--no-adaptive", action="store_true",
                         help="disable adaptive colony sizing for the sac variants")
     parser.add_argument("--sample-sd", action="store_true",
                         help="use the n-1 standard deviation instead of population")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=_count(1), default=1)
     parser.add_argument("--output-dir", default="beehive_out")
     parser.add_argument("--format", choices=("csv", "json", "both"), default="both")
     parser.add_argument("--config", help="key=value config file; flags win on conflict")

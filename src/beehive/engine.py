@@ -51,6 +51,11 @@ class VariantConfig:
             object.__setattr__(
                 self, "adaptive_sizing", self.strategy in _ADAPTIVE_BY_DEFAULT
             )
+        # the first resize would drop the sources above sn_max, evaluated for nothing
+        if self.adaptive_sizing and self.initial_colony // 2 > self.sn_max:
+            raise ConfigurationError(
+                f"initial_colony {self.initial_colony} gives {self.initial_colony // 2} "
+                f"sources, more than sn_max {self.sn_max}, for adaptive {self.strategy}")
 
 
 @dataclass(frozen=True)

@@ -211,6 +211,26 @@ def _lj_pairs(n):
     return first, second, tuple(map(slice, starts, starts[1:]))
 
 
+@functools.lru_cache(maxsize=None)
+def _lj_partners(n):
+    """For each atom k of n, the pairs it is in: ((3*i, index of pair (i, k)), ...)
+    over every other atom i in order, where 3*i is i's first coordinate; as
+    tuples, shared read-only."""
+    _, _, rows = _lj_pairs(n)
+    return tuple(
+        tuple((3 * i, rows[i].start + k - i - 1) for i in range(k))
+        + tuple((3 * i, rows[k].start + i - k - 1) for i in range(k + 1, n))
+        for k in range(n))
+
+
+def _lj_total(sums):
+    """The row sums added one after another into a float from 0.0."""
+    total = 0.0
+    for s in sums:
+        total += s
+    return total
+
+
 def _pairwise_sum(values):
     """Sum a list of floats exactly as numpy's `np.add.reduce` does for a contiguous
     float64 array: the same grouping, so the same bits.
@@ -259,16 +279,30 @@ class LennardJones:
     with energy -1 (i.e. 1/r^12 - 2/r^6); a cluster of N atoms at mutual unit
     distances therefore scores -1 per pair. A module-level callable, so a
     `Problem` that uses it pickles into worker processes.
+
+    Besides `__call__`, it evaluates one-coordinate moves incrementally:
+    `start(x)` returns the value and a memo, the pair energies in
+    `np.triu_indices` order and the per-atom row sums as lists, and
+    `move(memo, x, j)` returns the value and memo of `x` when only `x[j]`
+    differs from the point the memo belongs to. A move shifts atom j // 3, so
+    it recomputes that atom's n - 1 pairs in Python floats with the kernel's
+    arithmetic and re-sums only the rows that hold them; both return
+    `__call__`'s value bit for bit.
     """
 
     n_atoms: int
 
     def __call__(self, x):
+        return self.start(x)[0]
+
+    def start(self, x):
         n = self.n_atoms
         first, second, rows = _lj_pairs(n)
         pts = np.asarray(x, dtype=float).reshape(n, 3)
         d = pts.take(second, axis=0) - pts.take(first, axis=0)
-        r2 = np.einsum("ij,ij->i", d, d)
+        sq = d * d
+        # the grouping np.einsum("ij,ij->i", d, d) gives, stated; `move` uses it too
+        r2 = (sq[:, 0] + sq[:, 2]) + sq[:, 1]
         tiny = None
         if not r2.min() >= LJ_R2_FLOOR:  # also true for a NaN distance
             tiny = r2 < LJ_R2_FLOOR
@@ -282,10 +316,32 @@ class LennardJones:
         # into a float. Any other grouping (one np.sum over all pairs, a left
         # fold of a row of 8 or more pairs) changes the last bits.
         values = pair.tolist()
-        total = 0.0
-        for row in rows:
-            total += _pairwise_sum(values[row])
-        return total
+        sums = [_pairwise_sum(values[row]) for row in rows]
+        return _lj_total(sums), (values, sums)
+
+    def move(self, memo, x, j):
+        n = self.n_atoms
+        k = j // 3
+        c = x.tolist()
+        xk, yk, zk = c[3 * k:3 * k + 3]
+        values = memo[0].copy()
+        for a, p in _lj_partners(n)[k]:
+            # exactly the kernel's difference or its negation: the same square
+            dx = c[a] - xk
+            dy = c[a + 1] - yk
+            dz = c[a + 2] - zk
+            r2 = (dx * dx + dz * dz) + dy * dy
+            if r2 < LJ_R2_FLOOR:
+                values[p] = LJ_PENALTY
+            else:  # a NaN distance gives a NaN energy, as in `start`
+                inv6 = 1.0 / (r2 * r2 * r2)
+                values[p] = inv6 * inv6 - 2.0 * inv6
+        # rows 0..k hold atom k's pairs; atom n-1 has no row of its own
+        rows = _lj_pairs(n)[2]
+        sums = memo[1].copy()
+        for i in range(min(k + 1, n - 1)):
+            sums[i] = _pairwise_sum(values[rows[i]])
+        return _lj_total(sums), (values, sums)
 
 
 def make_lennard_jones(config: LJConfig) -> Problem:

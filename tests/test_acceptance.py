@@ -5,6 +5,7 @@ arithmetic and property suites. Budgets and tolerances are stated inline.
 """
 import dataclasses
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,9 @@ from beehive.engine import (
     run,
     selection_probabilities,
 )
-from beehive.harness import acceleration_rate, compare_table, ExperimentStats, run_batch
+from beehive.harness import (
+    ExperimentStats, acceleration_rate, compare_table, run_batch, run_batches,
+)
 from beehive.problems import make_problem
 from conftest import in_box
 
@@ -30,11 +33,16 @@ def _report(num: int, ok: bool, detail: str) -> bool:
     return ok
 
 
-def batch(problem, strategy, runs, base_seed, max_nfe, target=None,
-          accuracy=1e-20, jobs=1, **cfg):
-    config = VariantConfig(strategy=strategy, **cfg)
+# Parallel runs give the serial results bit for bit (criterion 09 checks it).
+JOBS = min(2, os.cpu_count() or 1)
+
+
+def batches(cells, runs, base_seed, max_nfe, target=None, accuracy=1e-20):
+    """The runs of every (problem, strategy) cell on one process pool of JOBS
+    workers, one result list per cell; run i of each cell uses seed base_seed + i."""
     term = TerminationRule(max_nfe=max_nfe, accuracy=accuracy, target=target)
-    return run_batch(problem, config, term, runs, base_seed, jobs=jobs)
+    return run_batches([(problem, VariantConfig(strategy=strategy), term)
+                        for problem, strategy in cells], runs, base_seed, jobs=JOBS)
 
 
 def test_criterion_01_schaffer_d2_all_variants_reach_zero():
@@ -43,9 +51,9 @@ def test_criterion_01_schaffer_d2_all_variants_reach_zero():
     problem = make_problem("schaffer", dimension=2)
     worst = {}
     above = {}
-    for strategy in STRATEGIES:
-        results = batch(problem, strategy, runs=30, base_seed=100,
-                        max_nfe=1_000_000, target=0.0, accuracy=1e-20)
+    blocks = batches([(problem, strategy) for strategy in STRATEGIES], runs=30,
+                     base_seed=100, max_nfe=1_000_000, target=0.0, accuracy=1e-20)
+    for strategy, results in zip(STRATEGIES, blocks):
         worst[strategy] = max(abs(r.best_objective) for r in results)
         above[strategy] = [r.seed for r in results if abs(r.best_objective) > 1e-16]
     failing = {s: f"{v:.3e}" for s, v in worst.items() if v > 1e-16}
@@ -62,10 +70,8 @@ def test_criterion_02_sphere_d30_elitist_faster():
     """Basic strategy median best <= 1e-8 within 2e5 NFE on Sphere D=30
     (15 seeds); the elitist strategy reaches 1e-8 with a smaller median NFE."""
     problem = make_problem("sphere", dimension=30)
-    basic = batch(problem, "basic", runs=15, base_seed=200,
-                  max_nfe=200_000, target=0.0, accuracy=1e-8)
-    elitist = batch(problem, "sac1", runs=15, base_seed=200,
-                    max_nfe=200_000, target=0.0, accuracy=1e-8)
+    basic, elitist = batches([(problem, "basic"), (problem, "sac1")], runs=15,
+                             base_seed=200, max_nfe=200_000, target=0.0, accuracy=1e-8)
     basic_best = float(np.median([r.best_objective for r in basic]))
     basic_nfe = float(np.median([r.nfe for r in basic]))
     elitist_nfe = float(np.median([r.nfe for r in elitist]))
@@ -82,12 +88,12 @@ def test_criterion_03_elitism_speedup_on_griewank_and_rastrigin():
     one on Griewank and Rastrigin D=30 (15 seeds each)."""
     details = []
     ok = True
-    for name in ("griewank", "rastrigin"):
-        problem = make_problem(name, dimension=30)
-        basic = batch(problem, "basic", runs=15, base_seed=300,
-                      max_nfe=300_000, target=0.0, accuracy=1e-8)
-        elitist = batch(problem, "sac1", runs=15, base_seed=300,
-                        max_nfe=300_000, target=0.0, accuracy=1e-8)
+    names = ("griewank", "rastrigin")
+    cells = [(make_problem(name, dimension=30), strategy)
+             for name in names for strategy in ("basic", "sac1")]
+    blocks = batches(cells, runs=15, base_seed=300, max_nfe=300_000,
+                     target=0.0, accuracy=1e-8)
+    for name, basic, elitist in zip(names, blocks[::2], blocks[1::2]):
         mean_basic = float(np.mean([r.nfe for r in basic]))
         mean_elitist = float(np.mean([r.nfe for r in elitist]))
         ok = ok and mean_elitist < mean_basic
@@ -103,8 +109,8 @@ def test_criterion_04_gear_train_hits_1e8():
     problem = make_problem("gear_train")
     point = problem.evaluate(np.array([19.0, 16.0, 43.0, 49.0]))
     point_ok = abs(point - exact) < 1e-20 and abs(point - 2.7e-12) < 1e-13
-    results = batch(problem, "sac2", runs=30, base_seed=500,
-                    max_nfe=240_000, target=0.0, accuracy=1e-8)
+    (results,) = batches([(problem, "sac2")], runs=30, base_seed=500,
+                         max_nfe=240_000, target=0.0, accuracy=1e-8)
     hits = sum(1 for r in results if r.best_objective <= 1e-8)
     ok = point_ok and hits >= 24
     assert _report(
@@ -118,10 +124,10 @@ def test_criterion_05_gas_production_mean():
     """Every strategy lands the 30-run mean within 169.84 +/- 0.05 on the
     gas production problem."""
     problem = make_problem("gas_production")
-    means = {}
-    for strategy in STRATEGIES:
-        results = batch(problem, strategy, runs=30, base_seed=600, max_nfe=12_000)
-        means[strategy] = float(np.mean([r.best_objective for r in results]))
+    blocks = batches([(problem, strategy) for strategy in STRATEGIES], runs=30,
+                     base_seed=600, max_nfe=12_000)
+    means = {strategy: float(np.mean([r.best_objective for r in results]))
+             for strategy, results in zip(STRATEGIES, blocks)}
     ok = all(abs(m - 169.84) <= 0.05 for m in means.values())
     assert _report(5, ok, f"means: { {s: f'{m:.5f}' for s, m in means.items()} }")
 
@@ -130,7 +136,7 @@ def test_criterion_06_gas_compressor_best():
     """30-run best on the compressor design problem falls in
     [2.7e6, 3.1e6]."""
     problem = make_problem("gas_compressor")
-    results = batch(problem, "sac2", runs=30, base_seed=700, max_nfe=15_000)
+    (results,) = batches([(problem, "sac2")], runs=30, base_seed=700, max_nfe=15_000)
     best = min(r.best_objective for r in results)
     ok = 2.7e6 <= best <= 3.1e6
     assert _report(6, ok, f"best over 30 runs: {best:.6e}")
@@ -165,12 +171,13 @@ def test_criterion_08_lennard_jones_small_clusters():
     """Optimized 2-atom energy within 1e-6 of -1; 3-atom energy within
     1e-3 of -3."""
     p2 = make_problem("lennard_jones", n_atoms=2)
-    r2 = batch(p2, "sac2", runs=5, base_seed=800, max_nfe=50_000,
-               target=-1.0, accuracy=1e-6)
+    # the two cells differ in seeds and targets, so they take a call each
+    (r2,) = batches([(p2, "sac2")], runs=5, base_seed=800, max_nfe=50_000,
+                    target=-1.0, accuracy=1e-6)
     best2 = min(r.best_objective for r in r2)
     p3 = make_problem("lennard_jones", n_atoms=3)
-    r3 = batch(p3, "sac2", runs=5, base_seed=810, max_nfe=150_000,
-               target=-3.0, accuracy=1e-3)
+    (r3,) = batches([(p3, "sac2")], runs=5, base_seed=810, max_nfe=150_000,
+                    target=-3.0, accuracy=1e-3)
     best3 = min(r.best_objective for r in r3)
     ok = abs(best2 - (-1.0)) <= 1e-6 and abs(best3 - (-3.0)) <= 1e-3
     assert _report(8, ok, f"2-atom best {best2:.9f}; 3-atom best {best3:.6f}")
@@ -292,8 +299,8 @@ def test_criterion_10_ackley_property_based():
     convergence, and elitist median best <= 1e-6 by 5e5 NFE (5 seeds)."""
     problem = make_problem("ackley", dimension=30)
     origin_ok = abs(problem.evaluate(np.zeros(30))) < 1e-12
-    results = batch(problem, "sac1", runs=5, base_seed=900,
-                    max_nfe=500_000, target=0.0, accuracy=1e-6)
+    (results,) = batches([(problem, "sac1")], runs=5, base_seed=900,
+                         max_nfe=500_000, target=0.0, accuracy=1e-6)
     monotone = all(
         all(b <= a for a, b in zip([f for _, f in r.trace],
                                    [f for _, f in r.trace][1:]))

@@ -255,6 +255,8 @@ class TestErrorsAndConfig:
         ("--colony", "7", "argument --colony: 7 is not an even integer >= 8"),
         ("--limit", "0", "argument --limit: 0 is not an integer >= 1"),
         ("--runs", "0", "argument --runs: 0 is not an integer >= 1"),
+        ("--jobs", "0", "argument --jobs: 0 is not an integer >= 1"),
+        ("--max-nfe", "0", "argument --max-nfe: 0 is not an integer >= 1"),
     ])
     def test_bad_count_exits_2_naming_flag_and_value(self, tmp_path, capsys, flag, value,
                                                      named):
@@ -263,6 +265,19 @@ class TestErrorsAndConfig:
         assert code == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "stats.json").exists()
+
+    def test_adaptive_colony_above_sn_max_exits_2(self, tmp_path, capsys):
+        code = run_cli("run", "--problem", "sphere", "--dim", "2", "--runs", "1",
+                       "--max-nfe", "100", "--colony", "300", "--variant", "sac",
+                       "--output-dir", str(tmp_path))
+        assert code == 2
+        assert "initial_colony 300 gives 150 sources, more than sn_max 100" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "stats.json").exists()
+        # without adaptive sizing, sn_max does not apply
+        assert run_cli("run", "--problem", "sphere", "--dim", "2", "--runs", "1",
+                       "--max-nfe", "200", "--colony", "300", "--variant", "sac",
+                       "--no-adaptive", "--output-dir", str(tmp_path)) == 0
 
     def test_unknown_problem_exits_2(self, tmp_path, capsys):
         code = run_cli("run", "--problem", "rosenbrock",
@@ -375,17 +390,18 @@ class TestErrorsAndConfig:
 
     @pytest.mark.parametrize("flag,value", [
         ("--c-factor", "nan"),
+        ("--c-factor", "-inf"),
         ("--max-nfe", "0"),
         ("--accuracy", "-1e-08"),
         ("--accuracy", "inf"),
+        ("--accuracy", "nan"),
         ("--jobs", "-1"),
     ])
     def test_bad_value_exits_2_and_names_it(self, tmp_path, capsys, flag, value):
         code = run_cli("run", "--problem", "sphere", "--dim", "2", "--runs", "2",
                        "--max-nfe", "300", f"{flag}={value}", "--output-dir", str(tmp_path))
         assert code == 2
-        err = capsys.readouterr().err
-        assert flag[2:].replace("-", "_") in err and value in err
+        assert f"argument {flag}: {value} is not" in capsys.readouterr().err
         assert not (tmp_path / "stats.json").exists()
 
     def test_usage_error_exits_nonzero(self, capsys):

@@ -491,7 +491,7 @@ class TestAdaptColonySize:
 
     def test_clamps_to_configured_range(self):
         problem = small_problem()
-        config = VariantConfig(strategy="sac", sn_min=4, sn_max=10)
+        config = VariantConfig(strategy="sac", initial_colony=20, sn_min=4, sn_max=10)
         colony = make_colony([[i, 0] for i in range(8)], genes=[4.0] * 8)
         adapt_colony_size(colony, config, RngStream(1), problem)
         assert len(colony.sources) == 4
@@ -524,6 +524,18 @@ class TestVariantConfig:
             VariantConfig(sn_min=40, sn_max=20)
         with pytest.raises(ConfigurationError):
             VariantConfig(sn_min=11)
+
+    @pytest.mark.parametrize("strategy", ("sac", "sac1", "sac2"))
+    def test_adaptive_colony_must_start_within_sn_max(self, strategy):
+        # 150 sources would be evaluated, then 50 dropped at the first resize
+        with pytest.raises(ConfigurationError,
+                           match="initial_colony 300 gives 150 sources, more than sn_max 100"):
+            VariantConfig(strategy=strategy, initial_colony=300)
+        assert VariantConfig(strategy=strategy, initial_colony=200).initial_colony == 200
+        assert not VariantConfig(strategy=strategy, initial_colony=300,
+                                 adaptive_sizing=False).adaptive_sizing
+        for fixed in ("basic", "gbest"):
+            assert VariantConfig(strategy=fixed, initial_colony=300).initial_colony == 300
 
     def test_strategy_tuple(self):
         assert STRATEGIES == ("basic", "sac", "sac1", "sac2", "gbest")
@@ -690,21 +702,20 @@ class TestColonyInvariantsOverManyCycles:
 
 
 class TestIncrementalEvaluation:
-    """Rastrigin's `start`/`move` hooks give the run that the full path gives;
-    a plain function around `evaluate` hides the hooks, so it takes that path."""
+    """The `start`/`move` hooks of Rastrigin and Lennard-Jones give the run that
+    the full path gives; a plain function around `evaluate` hides the hooks,
+    so it takes that path."""
 
-    @pytest.mark.parametrize("dim", (3, 10, 30, 130))
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_run_equals_the_full_path(self, strategy, dim):
-        problem = make_problem("rastrigin", dim)
+    @staticmethod
+    def check_run_equals_the_full_path(problem, strategy, seed):
         full = dataclasses.replace(problem, evaluate=lambda x: problem.evaluate(x))
         assert Colony(problem.bounds, problem.evaluate).move is not None
         assert Colony(full.bounds, full.evaluate).move is None
         # scouts fire, and the adaptive strategies grow and shrink the colony
         config = VariantConfig(strategy=strategy, **SCOUTING)
         termination = TerminationRule(max_nfe=3000)
-        hooked = run(problem, config, termination, seed=dim)
-        plain = run(full, config, termination, seed=dim)
+        hooked = run(problem, config, termination, seed=seed)
+        plain = run(full, config, termination, seed=seed)
         for field in dataclasses.fields(RunResult):
             a, b = getattr(hooked, field.name), getattr(plain, field.name)
             if isinstance(a, np.ndarray):
@@ -712,9 +723,8 @@ class TestIncrementalEvaluation:
             else:
                 assert a == b, field.name
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_memo_column_follows_its_source(self, strategy):
-        problem = make_problem("rastrigin", 10)
+    @staticmethod
+    def check_memo_column_follows_its_source(problem, strategy):
         config = VariantConfig(strategy=strategy, **SCOUTING)
         rng = RngStream(5)
         colony = Colony(problem.bounds, problem.evaluate)
@@ -729,3 +739,23 @@ class TestIncrementalEvaluation:
             assert len(colony.memo) == len(colony.sources)
             for x, memo in zip(colony.sources, colony.memo):
                 assert memo == problem.evaluate.start(x)[1]
+
+    @pytest.mark.parametrize("dim", (3, 10, 30, 130))
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_run_equals_the_full_path(self, strategy, dim):
+        self.check_run_equals_the_full_path(make_problem("rastrigin", dim), strategy, dim)
+
+    @pytest.mark.parametrize("atoms", (3, 4, 13))
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_lennard_jones_run_equals_the_full_path(self, strategy, atoms):
+        problem = make_problem("lennard_jones", n_atoms=atoms)
+        self.check_run_equals_the_full_path(problem, strategy, atoms)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_memo_column_follows_its_source(self, strategy):
+        self.check_memo_column_follows_its_source(make_problem("rastrigin", 10), strategy)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_lennard_jones_memo_column_follows_its_source(self, strategy):
+        problem = make_problem("lennard_jones", n_atoms=13)
+        self.check_memo_column_follows_its_source(problem, strategy)

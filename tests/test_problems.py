@@ -298,6 +298,102 @@ class TestLennardJonesKernelMatchesLoop:
         assert g(x) == f(x)
 
 
+# Lennard-Jones coordinates: anywhere in a box wide enough for 130 atoms,
+# plus a few values that often put two atoms on top of each other.
+_LJ_COORDS = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([-1.0, -0.0, 0.0, 1.0]))
+
+
+class TestLennardJonesMoves:
+    """`LennardJones.start`/`move` must give `__call__`'s bits: seeded
+    Lennard-Jones runs evaluate every candidate through `move`."""
+
+    @staticmethod
+    def check_moves(x, moves):
+        f = LennardJones(x.size // 3)
+        value, memo = f.start(x)
+        assert value == f(x)
+        for j, v in moves:
+            x = x.copy()
+            x[j] = v
+            kept = (list(memo[0]), list(memo[1]))
+            value, new_memo = f.move(memo, x, j)
+            assert value == f(x)
+            assert memo == kept  # a losing step keeps the old memo
+            assert new_memo == f.start(x)[1]
+            memo = new_memo
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(LJ_ATOMS + (13,) * 4).flatmap(lambda n: st.tuples(
+        st.lists(_LJ_COORDS, min_size=3 * n, max_size=3 * n),
+        st.lists(st.tuples(st.integers(0, 3 * n - 1), _LJ_COORDS),
+                 min_size=1, max_size=5))))
+    def test_moves_match_the_full_evaluation(self, case):
+        coords, moves = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.check_moves(np.array(coords), moves)
+
+    @pytest.mark.parametrize("n", LJ_ATOMS)
+    def test_every_coordinate_of_every_atom(self, n):
+        # the last atom, k = n - 1, is in every row and has none of its own
+        rng = np.random.default_rng(n)
+        half = LJConfig(n).half_width
+        x = rng.uniform(-half, half, 3 * n)
+        self.check_moves(x, [(j, rng.uniform(-half, half)) for j in range(3 * n)])
+
+    @pytest.mark.parametrize("n", (2, 3, 13))
+    def test_moves_onto_and_off_a_coincident_atom(self, n):
+        rng = np.random.default_rng(200 + n)
+        half = LJConfig(n).half_width
+        pts = rng.uniform(-half, half, (n, 3))
+        pts[n - 1, :2] = pts[0, :2]  # the last atom differs from atom 0 in z only
+        x = pts.ravel()
+        z0, last = x[2], 3 * n - 1
+        # the last atom onto atom 0 and off, then atom 0 onto it and off
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.check_moves(x, [(last, z0), (last, z0 + 1.0), (2, z0 + 1.0), (2, z0)])
+        f = LennardJones(n)
+        onto = x.copy()
+        onto[last] = z0
+        assert f.move(f.start(x)[1], onto, last)[0] >= LJ_PENALTY
+
+    @pytest.mark.parametrize("n", (2, 13))
+    def test_move_to_the_squared_distance_floor(self, n):
+        below = np.nextafter(LJ_R2_FLOOR, 0.0)
+        above = np.nextafter(LJ_R2_FLOOR, 1.0)
+        for r2 in (below, LJ_R2_FLOOR, above):
+            x = _atoms_at_squared_distance(n, r2)
+            for j in (0, 1, 3, 4):  # move either atom of the pair into place
+                start = x.copy()
+                start[j] += 1.0
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    self.check_moves(start, [(j, x[j])])
+
+    def test_a_nan_coordinate_stays_nan(self):
+        f = LennardJones(3)
+        x = np.arange(9.0)
+        memo = f.start(x)[1]
+        x[4] = math.nan
+        assert math.isnan(f(x))
+        assert math.isnan(f.move(memo, x, 4)[0])
+
+    @pytest.mark.parametrize("n", LJ_ATOMS)
+    def test_stated_r2_grouping_equals_einsum(self, n):
+        # the kernel's `(dx*dx + dz*dz) + dy*dy` is the grouping np.einsum
+        # gives on this numpy; the pair energies and the goldens rest on it
+        first, second = np.triu_indices(n, 1)
+        rng = np.random.default_rng(300 + n)
+        for scale in (1e-3, 1.0, 2.0 * n ** (1.0 / 3.0)):
+            for _ in range(50):
+                pts = rng.uniform(-scale, scale, (n, 3))
+                d = pts.take(second, axis=0) - pts.take(first, axis=0)
+                sq = d * d
+                stated = (sq[:, 0] + sq[:, 2]) + sq[:, 1]
+                assert stated.tobytes() == np.einsum("ij,ij->i", d, d).tobytes()
+
+
 # Finite floats of either sign, both zeros included, small enough in magnitude
 # that a sum of 300 of them stays finite.
 _SUMMANDS = st.floats(-1e300, 1e300)
