@@ -109,12 +109,11 @@ def write_convergence_csv(path: Path, grid, median) -> None:
 # ---------------------------------------------------------------------------
 
 def _build_variant(args, strategy: str) -> VariantConfig:
-    adaptive = False if getattr(args, "no_adaptive", False) else None
     return VariantConfig(
         strategy=strategy,
         limit=args.limit,
         c_factor=args.c_factor,
-        adaptive_sizing=adaptive,
+        adaptive_sizing=False if args.no_adaptive else None,
         initial_colony=args.colony,
     )
 
@@ -140,15 +139,26 @@ def _sweep(problems, strategies, args) -> list[ExperimentStats]:
             for (problem, strategy), results in zip(pairs, batches)]
 
 
-def _check_size_flags(args, names) -> None:
-    """A size flag must size at least one listed problem: --dim a benchmark,
-    --atoms the Lennard-Jones cluster."""
-    for flag, value, sized in (("--dim", getattr(args, "dim", None), BENCHMARK_NAMES),
+def _problems(args, names, dims=None) -> list:
+    """The named problems, in order, sized by the flags: --dim (for bench, each
+    benchmark's own `dims`) sizes the benchmarks and --atoms the Lennard-Jones
+    cluster. A size flag that sizes none of the named problems is an error."""
+    dim = getattr(args, "dim", None)  # bench has no --dim
+    problems = []
+    for name in names:
+        if name in BENCHMARK_NAMES:
+            problems += [make_problem(name, dimension=d)
+                         for d in (dims[name] if dims else (dim,))]
+        else:
+            problems.append(
+                make_problem(name, n_atoms=args.atoms if name == "lennard_jones" else None))
+    for flag, value, sized in (("--dim", dim, BENCHMARK_NAMES),
                                ("--atoms", args.atoms, ("lennard_jones",))):
         if value is not None and not any(name in sized for name in names):
             raise ConfigurationError(
                 f"{flag} {value} sizes none of the problems {', '.join(names)}; "
                 f"it applies to {', '.join(sized)}")
+    return problems
 
 
 def _emit(out_dir: Path, fmt: str, stats: list[ExperimentStats],
@@ -169,15 +179,7 @@ def _emit(out_dir: Path, fmt: str, stats: list[ExperimentStats],
 # ---------------------------------------------------------------------------
 
 def cmd_run(args) -> int:
-    try:
-        problem = make_problem(args.problem, dimension=args.dim, n_atoms=args.atoms)
-    except ConfigurationError as exc:
-        # echo the flags that chose the problem, so the error names the one at fault
-        flags = [f"--problem {args.problem}"]
-        flags += [f"{flag} {value}"
-                  for flag, value in (("--dim", args.dim), ("--atoms", args.atoms))
-                  if value is not None]
-        raise ConfigurationError(f"{' '.join(flags)}: {exc}") from None
+    [problem] = _problems(args, [args.problem])
     results = run_batch(problem, _build_variant(args, args.variant),
                         _build_termination(args, problem), args.runs, args.seed, args.jobs)
     stats = aggregate(problem, args.variant, results, sample_sd=args.sample_sd)
@@ -204,13 +206,7 @@ def cmd_compare(args) -> int:
         raise ConfigurationError("compare needs at least 2 variants")
     if args.baseline not in variants:
         raise ConfigurationError(f"baseline {args.baseline!r} is not among the variants")
-    names = _split(args.problems)
-    # --dim sizes the benchmarks and --atoms the Lennard-Jones cluster
-    problems = [make_problem(p, dimension=args.dim if p in BENCHMARK_NAMES else None,
-                             n_atoms=args.atoms if p == "lennard_jones" else None)
-                for p in names]
-    _check_size_flags(args, names)
-    all_stats = _sweep(problems, variants, args)
+    all_stats = _sweep(_problems(args, _split(args.problems)), variants, args)
     table = compare_table(all_stats, args.baseline)
     _emit(Path(args.output_dir), args.format, all_stats, table)
     for v, avg in table.average_ar.items():
@@ -225,15 +221,7 @@ def cmd_bench(args) -> int:
         names += BENCHMARK_NAMES
     if args.suite in ("engineering", "all"):
         names += ENGINEERING_NAMES
-    _check_size_flags(args, names)
-    problems = []
-    if args.suite in ("benchmarks", "all"):
-        problems += [make_problem(name, dimension=dim)
-                     for name, dims in BENCHMARK_DIMENSIONS.items() for dim in dims]
-    if args.suite in ("engineering", "all"):
-        problems += [make_problem(name, n_atoms=args.atoms if name == "lennard_jones" else None)
-                     for name in ENGINEERING_NAMES]
-    all_stats = _sweep(problems, STRATEGIES, args)
+    all_stats = _sweep(_problems(args, names, BENCHMARK_DIMENSIONS), STRATEGIES, args)
     comparison = None
     if args.suite in ("engineering", "all"):
         comparison = compare_table(
@@ -344,7 +332,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output-dir", default="beehive_out")
     parser.add_argument("--format", choices=("csv", "json", "both"), default="both")
     parser.add_argument("--config", help="key=value config file; flags win on conflict")
-    parser.add_argument("--atoms", type=int, default=None,
+    parser.add_argument("--atoms", type=_count(2), default=None,
                         help="atom count for lennard_jones")
 
 
@@ -355,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one problem with one variant", allow_abbrev=False)
     p_run.add_argument("--problem", required=True)
-    p_run.add_argument("--dim", type=int, default=None)
+    p_run.add_argument("--dim", type=_count(1), help="benchmark dimension")
     p_run.add_argument("--variant", choices=STRATEGIES, default="basic")
     p_run.add_argument("--traces", action="store_true",
                        help="write per-run trace CSVs and the median convergence series")
@@ -365,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="compare variants over a problem list",
                            allow_abbrev=False)
     p_cmp.add_argument("--problems", required=True, help="comma-separated problem names")
-    p_cmp.add_argument("--dim", type=int, default=None)
+    p_cmp.add_argument("--dim", type=_count(1), help="benchmark dimension")
     p_cmp.add_argument("--variants", default="basic,sac,sac1,sac2")
     p_cmp.add_argument("--baseline", default="sac2")
     _add_common(p_cmp)

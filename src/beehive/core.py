@@ -45,12 +45,11 @@ class RngStream:
     One stream per run; never share a stream across concurrent runs.
     """
 
-    __slots__ = ("seed", "random")
+    __slots__ = ("random",)
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
         # bound method cached: `random` is the raw [0, 1) draw
-        self.random = random.Random(self.seed).random
+        self.random = random.Random(int(seed)).random
 
 
 def random_position(bounds: Bounds, rng: RngStream) -> np.ndarray:

@@ -103,11 +103,11 @@ class Colony:
 
     `sources[i]` is source i's position: a 1-d array that a winning candidate
     replaces and that is never written in place, so the best memory may share
-    it. `objective[i]` (minimization sense), `fitness[i]`, `trials[i]` (failed
-    attempts in a row; null moves count), `gene[i]` (proposed source count,
-    None unless adaptive) and `memo[i]` (what the objective's `start`/`move`
-    hooks keep about the position, None without them) hold the rest. The box
-    limits are Python floats.
+    it. `fitness[i]`, `trials[i]` (failed attempts in a row; null moves
+    count), `gene[i]` (proposed source count, None unless adaptive) and
+    `memo[i]` (what the objective's `start`/`move` hooks keep about the
+    position, None without them) hold the rest. The best objective is in
+    minimization sense. The box limits are Python floats.
 
     The hooks are taken from `evaluate` once: an objective with both a
     `start(x) -> (f, memo)` and a `move(memo, x, j) -> (f, memo)` method, which
@@ -115,30 +115,28 @@ class Colony:
     x[j] only, is evaluated through them; any other takes the full path.
     """
 
-    __slots__ = ("lower", "upper", "sources", "objective", "fitness", "trials", "gene",
-                 "memo", "start", "move", "best_position", "best_objective", "cycle", "nfe")
+    __slots__ = ("lower", "upper", "sources", "fitness", "trials", "gene", "memo",
+                 "start", "move", "best_position", "best_objective", "nfe")
 
     def __init__(self, bounds, evaluate=None):
         self.lower = bounds.lower.tolist()
         self.upper = bounds.upper.tolist()
-        self.sources, self.objective, self.fitness, self.trials, self.gene = [], [], [], [], []
-        self.memo = []
+        self.sources, self.fitness, self.trials, self.gene, self.memo = [], [], [], [], []
         self.start = getattr(evaluate, "start", None)
         self.move = getattr(evaluate, "move", None)
         if self.start is None or self.move is None:
             self.start = self.move = None
         self.best_position = np.zeros(bounds.dimension)
         self.best_objective = math.inf
-        self.cycle = 0
         self.nfe = 0
 
     def columns(self):
         """The per-source lists, in the order `put` takes a source's state."""
-        return self.sources, self.objective, self.fitness, self.trials, self.gene, self.memo
+        return self.sources, self.fitness, self.trials, self.gene, self.memo
 
     def put(self, i, position, objective, gene, memo=None):
         """Store a fresh source with no trials as source i; i == len(sources) appends."""
-        state = (position, objective, fitness_map(objective), 0, gene, memo)
+        state = (position, fitness_map(objective), 0, gene, memo)
         for column, value in zip(self.columns(), state):
             column[i:i + 1] = [value]  # replaces item i, or appends at the end
 
@@ -245,7 +243,6 @@ def _step(colony, problem, i, j, value, gene):
     fit = 1.0 / (1.0 + f) if f >= 0.0 else 1.0 + abs(f)  # fitness_map
     if fit >= colony.fitness[i] and value != row.item(j):
         colony.sources[i] = x
-        colony.objective[i] = f
         colony.fitness[i] = fit
         colony.trials[i] = 0
         colony.gene[i] = gene
@@ -284,7 +281,6 @@ def employed_phase(colony, config, problem, rng):
     for i in range(len(colony.sources)):
         j, v, gene = candidate(i, colony, rng, config)
         _step(colony, problem, i, j, v, gene)
-    return colony
 
 
 def onlooker_phase(colony, config, problem, rng):
@@ -304,7 +300,6 @@ def onlooker_phase(colony, config, problem, rng):
             i = last
         j, v, gene = candidate(i, colony, rng, config)
         _step(colony, problem, i, j, v, gene)
-    return colony
 
 
 def scout_phase(colony, config, problem, rng):
@@ -313,10 +308,9 @@ def scout_phase(colony, config, problem, rng):
     most = max(trials)
     if most > config.limit:
         _new_source(colony, config, problem, rng, trials.index(most))  # first on ties
-    return colony
 
 
-def adapt_colony_size(colony, config, rng, problem):
+def adapt_colony_size(colony, config, problem, rng):
     """Resize toward the gene average: round half up, force even, clamp.
 
     Growth appends new random sources; shrinkage drops the lowest-fitness ones.
@@ -337,7 +331,6 @@ def adapt_colony_size(colony, config, rng, problem):
         )
         for column in colony.columns():
             column[:] = [v for k, v in enumerate(column) if k not in doomed]
-    return colony
 
 
 def run(problem: Problem, config: VariantConfig, termination: TerminationRule,
@@ -348,24 +341,19 @@ def run(problem: Problem, config: VariantConfig, termination: TerminationRule,
     for i in range(config.initial_colony // 2):
         _new_source(colony, config, problem, rng, i)
 
+    # looked up per run, not bound at import, so a wrapper set on the module is used
+    phases = (employed_phase, onlooker_phase, scout_phase)
+    if config.adaptive_sizing:
+        phases += (adapt_colony_size,)
+    cycles = 0
     trace = [(colony.nfe, colony.best_objective)]
     while not termination.reached(colony.best_objective) and colony.nfe < termination.max_nfe:
-        employed_phase(colony, config, problem, rng)
-        if termination.reached(colony.best_objective):
-            break
-        onlooker_phase(colony, config, problem, rng)
-        if termination.reached(colony.best_objective):
-            break
-        scout_phase(colony, config, problem, rng)
-        if termination.reached(colony.best_objective):
-            break
-        if config.adaptive_sizing:
-            adapt_colony_size(colony, config, rng, problem)
+        for phase in phases:
+            phase(colony, config, problem, rng)
             if termination.reached(colony.best_objective):
-                break
-        colony.cycle += 1
-        trace.append((colony.nfe, colony.best_objective))
-    if trace[-1] != (colony.nfe, colony.best_objective):
+                break  # mid-cycle: the cycle is not counted
+        else:
+            cycles += 1
         trace.append((colony.nfe, colony.best_objective))
 
     best_position = colony.best_position.copy()
@@ -376,7 +364,7 @@ def run(problem: Problem, config: VariantConfig, termination: TerminationRule,
         best_objective=problem.to_user_sense(colony.best_objective),
         best_position=best_position,
         nfe=colony.nfe,
-        cycles=colony.cycle,
+        cycles=cycles,
         trace=tuple((n, problem.to_user_sense(f)) for n, f in trace),
         seed=seed,
     )

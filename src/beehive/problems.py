@@ -402,25 +402,15 @@ PROBLEM_NAMES = BENCHMARK_NAMES + ENGINEERING_NAMES
 def make_problem(name: str, dimension: int | None = None, n_atoms: int | None = None) -> Problem:
     """Build any registered problem by name.
 
-    `dimension` applies to the benchmarks (default: the first of their
-    `BENCHMARK_DIMENSIONS`) and, for lennard_jones, may stand in for
-    3*n_atoms. `n_atoms` applies to lennard_jones only. An argument given
-    where it does not apply raises a ConfigurationError that names it.
+    `dimension` applies to the benchmarks only (default: the first of their
+    `BENCHMARK_DIMENSIONS`) and `n_atoms` to lennard_jones only (default 3).
+    An argument given where it does not apply raises a ConfigurationError
+    that names it.
     """
-    if name == "lennard_jones":
-        if dimension is not None:
-            if dimension % 3:
-                raise ConfigurationError(
-                    f"lennard_jones dimension must be 3*n_atoms, not {dimension}")
-            if n_atoms is not None and dimension != 3 * n_atoms:
-                raise ConfigurationError(
-                    f"lennard_jones dimension {dimension} does not match n_atoms {n_atoms}")
-            n_atoms = dimension // 3
-        return make_lennard_jones(LJConfig(3 if n_atoms is None else n_atoms))
     if name not in PROBLEM_NAMES:
         raise ConfigurationError(
             f"unknown problem {name!r}; choose from {', '.join(PROBLEM_NAMES)}")
-    if n_atoms is not None:
+    if n_atoms is not None and name != "lennard_jones":
         raise ConfigurationError(
             f"n_atoms applies only to lennard_jones, not to {name} (got {n_atoms})")
     if name in _BENCHMARKS:
@@ -431,10 +421,11 @@ def make_problem(name: str, dimension: int | None = None, n_atoms: int | None = 
             raise ConfigurationError(f"dimension must be >= 1, not {dimension}")
         return Problem(name, dimension, Bounds.cube(-half_width, half_width, dimension), fn,
                        known_optimum=0.0)
-    fn, lower, upper, direction, integer = _ENGINEERING[name]
     if dimension is not None:
         raise ConfigurationError(
-            f"dimension does not apply to {name}, a fixed {len(lower)}-D design "
-            f"(got {dimension})")
+            f"dimension applies only to the benchmarks, not to {name} (got {dimension})")
+    if name == "lennard_jones":
+        return make_lennard_jones(LJConfig(3 if n_atoms is None else n_atoms))
+    fn, lower, upper, direction, integer = _ENGINEERING[name]
     integrality = np.ones(len(lower), dtype=bool) if integer else None
     return Problem(name, len(lower), Bounds(lower, upper), fn, direction, integrality)

@@ -271,7 +271,7 @@ def test_criterion_09_property_suite():
         employed_phase(col, cfg, p, stream)
         onlooker_phase(col, cfg, p, stream)
         scout_phase(col, cfg, p, stream)
-        adapt_colony_size(col, cfg, stream, p)
+        adapt_colony_size(col, cfg, p, stream)
         sizes_ok = sizes_ok and len(col.sources) % 2 == 0
         sizes_ok = sizes_ok and cfg.sn_min <= len(col.sources) <= cfg.sn_max
     checks.append(("even-sizes", sizes_ok))

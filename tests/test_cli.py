@@ -94,6 +94,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("problem,flag,value", [
         ("gas_production", "--dim", "5"),
         ("sphere", "--atoms", "7"),
+        ("lennard_jones", "--dim", "6"),  # --atoms alone sizes the cluster
     ])
     def test_size_flag_that_does_not_apply_exits_2(self, tmp_path, capsys, problem, flag, value):
         code = run_cli("run", "--problem", problem, flag, value, "--runs", "1",
@@ -101,6 +102,23 @@ class TestRunCommand:
         assert code == 2
         assert f"{flag} {value}" in capsys.readouterr().err
         assert not (tmp_path / "stats.json").exists()
+
+    @pytest.mark.parametrize("problem,flags", [
+        ("sphere", ()),
+        ("sphere", ("--dim", "3")),
+        ("gear_train", ()),
+        ("lennard_jones", ()),
+        ("lennard_jones", ("--atoms", "2")),
+    ])
+    def test_run_and_compare_size_a_problem_alike(self, tmp_path, problem, flags):
+        common = (*flags, "--runs", "1", "--max-nfe", "100", "--format", "json")
+        assert run_cli("run", "--problem", problem, *common,
+                       "--output-dir", str(tmp_path / "run")) == 0
+        assert run_cli("compare", "--problems", problem, "--variants", "basic,sac2", *common,
+                       "--output-dir", str(tmp_path / "compare")) == 0
+        dims = [{s.dim for s in read_stats_json(tmp_path / command / "stats.json")}
+                for command in ("run", "compare")]
+        assert len(dims[0]) == 1 and dims[0] == dims[1]
 
     def test_format_json_skips_csv(self, tmp_path):
         run_cli("run", "--problem", "sphere", "--dim", "2", "--runs", "1",
@@ -257,13 +275,22 @@ class TestErrorsAndConfig:
         ("--runs", "0", "argument --runs: 0 is not an integer >= 1"),
         ("--jobs", "0", "argument --jobs: 0 is not an integer >= 1"),
         ("--max-nfe", "0", "argument --max-nfe: 0 is not an integer >= 1"),
+        ("--atoms", "1", "argument --atoms: 1 is not an integer >= 2"),
+        ("--atoms", "-3", "argument --atoms: -3 is not an integer >= 2"),
+        ("--dim", "0", "argument --dim: 0 is not an integer >= 1"),
     ])
     def test_bad_count_exits_2_naming_flag_and_value(self, tmp_path, capsys, flag, value,
                                                      named):
-        code = run_cli("run", "--problem", "sphere", "--dim", "2", "--max-nfe", "100",
-                       flag, value, "--output-dir", str(tmp_path))
-        assert code == 2
-        assert named in capsys.readouterr().err
+        commands = [("run", "--problem", "sphere", "--dim", "2"),
+                    ("compare", "--problems", "lennard_jones,sphere,gas_production",
+                     "--variants", "basic,sac2")]
+        if flag != "--dim":  # bench has no --dim
+            commands.append(("bench", "engineering"))
+        for command in commands:
+            code = run_cli(*command, "--max-nfe", "100", flag, value,
+                           "--output-dir", str(tmp_path))
+            assert code == 2
+            assert named in capsys.readouterr().err
         assert not (tmp_path / "stats.json").exists()
 
     def test_adaptive_colony_above_sn_max_exits_2(self, tmp_path, capsys):

@@ -255,7 +255,7 @@ class TestGreedySelect:
         _step(colony, small_problem(), 0, 0, 1.0, None)
         assert colony.sources[0] is not current
         assert colony.sources[0].tolist() == [1.0, 0.0]
-        assert colony.objective[0] == 1.0
+        assert colony.fitness[0] == 0.5  # objective 1
         assert colony.trials[0] == 0
 
     def test_worse_candidate_rejected_and_counted(self):
@@ -454,14 +454,14 @@ class TestAdaptColonySize:
         problem = small_problem()
         config = VariantConfig(strategy="sac", sn_min=4, sn_max=100)
         colony = make_colony([[i, 0] for i in range(6)], genes=[6.0] * 6)
-        adapt_colony_size(colony, config, RngStream(1), problem)
+        adapt_colony_size(colony, config, problem, RngStream(1))
         assert len(colony.sources) == 6 and colony.nfe == 0
 
     def test_rounds_half_up_and_forces_even(self):
         problem = small_problem()
         config = VariantConfig(strategy="sac", sn_min=4, sn_max=100)
         colony = make_colony([[i, 0] for i in range(4)], genes=[57.4] * 4)
-        adapt_colony_size(colony, config, RngStream(1), problem)
+        adapt_colony_size(colony, config, problem, RngStream(1))
         # mean 57.4 rounds to 57, then bumps to the next even count
         assert len(colony.sources) == 58
         assert colony.nfe == 54
@@ -473,7 +473,7 @@ class TestAdaptColonySize:
         problem = small_problem()
         config = VariantConfig(strategy="sac", sn_min=4, sn_max=100)
         colony = make_colony([[i, 0] for i in range(4)], genes=[6.5] * 4)
-        adapt_colony_size(colony, config, RngStream(1), problem)
+        adapt_colony_size(colony, config, problem, RngStream(1))
         assert len(colony.sources) == 8
 
     def test_shrink_drops_lowest_fitness(self):
@@ -485,7 +485,7 @@ class TestAdaptColonySize:
             genes=[4.0] * 6,
         )
         kept = [colony.sources[i] for i in (0, 3, 4, 5)]
-        adapt_colony_size(colony, config, RngStream(1), problem)
+        adapt_colony_size(colony, config, problem, RngStream(1))
         assert len(colony.sources) == 4 and colony.nfe == 0
         assert colony.sources == kept
 
@@ -493,10 +493,10 @@ class TestAdaptColonySize:
         problem = small_problem()
         config = VariantConfig(strategy="sac", initial_colony=20, sn_min=4, sn_max=10)
         colony = make_colony([[i, 0] for i in range(8)], genes=[4.0] * 8)
-        adapt_colony_size(colony, config, RngStream(1), problem)
+        adapt_colony_size(colony, config, problem, RngStream(1))
         assert len(colony.sources) == 4
         colony = make_colony([[i, 0] for i in range(8)], genes=[10.0] * 8)
-        adapt_colony_size(colony, config, RngStream(1), problem)
+        adapt_colony_size(colony, config, problem, RngStream(1))
         assert len(colony.sources) == 10
 
 
@@ -689,7 +689,7 @@ class TestColonyInvariantsOverManyCycles:
                 onlooker_phase(colony, config, problem, rng)
                 scout_phase(colony, config, problem, rng)
                 if config.adaptive_sizing:
-                    adapt_colony_size(colony, config, rng, problem)
+                    adapt_colony_size(colony, config, problem, rng)
                     assert config.sn_min <= len(colony.sources) <= config.sn_max
                 assert len(colony.sources) % 2 == 0
                 for p, gene in zip(colony.sources, colony.gene):
@@ -735,7 +735,7 @@ class TestIncrementalEvaluation:
             onlooker_phase(colony, config, problem, rng)
             scout_phase(colony, config, problem, rng)
             if config.adaptive_sizing:
-                adapt_colony_size(colony, config, rng, problem)
+                adapt_colony_size(colony, config, problem, rng)
             assert len(colony.memo) == len(colony.sources)
             for x, memo in zip(colony.sources, colony.memo):
                 assert memo == problem.evaluate.start(x)[1]

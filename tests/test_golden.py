@@ -2,9 +2,11 @@
 
 Each constant is the SHA-256 of `repr((best_objective, best_position.tobytes(),
 nfe, trace))` for seeds 1 and 2 in turn, at a 6,000-NFE budget (with the
-accuracy stop where an optimum is known, as the CLI sets it). A refactor that
-claims to keep seeded results must leave every constant as it is; a change
-that alters results on purpose says so and regenerates them.
+accuracy stop where an optimum is known, as the CLI sets it). Those runs all
+end on their budget, so the target cells add runs that end on their target,
+and their digests add the cycle count. A refactor that claims to keep seeded
+results must leave every constant as it is; a change that alters results on
+purpose says so and regenerates them.
 """
 import hashlib
 
@@ -129,6 +131,74 @@ def test_seeded_results_match_golden_digest(name, strategy, extra):
     problem = make(name)
     got = digest(problem, VariantConfig(strategy=strategy, **extra))
     assert got == GOLDEN[_key(name, strategy, extra)]
+
+
+# Runs of sphere D=2 with the scouting config that stop on the target 0: to
+# within 1e-6, which seeds 1 and 2 reach in the employed phase (basic, sac,
+# sac1) or in the onlooker phase (sac2, gbest), and to within 10, which a
+# source of the initial colony already meets, so the run makes no cycle.
+TARGET_ACCURACY = {"sphere-target": 1e-6, "sphere-target-initial": 10.0}
+
+GOLDEN_TARGET = {
+    "sphere-target/basic": "189f9ec37b3a20dcac6d9bcbe80665930a84085d05dbbcc85e23fcabb8727eb2",
+    "sphere-target/sac": "f5cbcbecd159f19ec9e93538823435ce2ede29140f89215e8664478b567d79bd",
+    "sphere-target/sac1": "2bf4ec2b7e0dfb1f00d098b01dd9d36431a419cebb78bfc6494d3c09a6d38472",
+    "sphere-target/sac2": "10b1396c33aa8c30bca71ffecaa1f53536524d8c170996e6cc08cf95e3bd4cd3",
+    "sphere-target/gbest": "efb5c065f4c255664883d74c9a86927f3c5f0acb3c51246c952d6f0f011951b6",
+    "sphere-target-initial/basic":
+        "ea818f2fb6b68c8df513eec7b7a8612e0a90a74eb71f89eee67b3e3723de38e8",
+}
+
+
+def target_run(key, seed):
+    """One seeded run of a target cell, checked to have met its target."""
+    cell, strategy = key.split("/")
+    termination = TerminationRule(max_nfe=MAX_NFE, accuracy=TARGET_ACCURACY[cell], target=0.0)
+    r = run(make_problem("sphere", dimension=2), VariantConfig(strategy=strategy, **SCOUTING),
+            termination, seed)
+    assert termination.reached(r.best_objective)
+    return r
+
+
+@pytest.mark.parametrize("key", GOLDEN_TARGET)
+def test_target_stop_matches_golden_digest(key):
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        r = target_run(key, seed)
+        h.update(repr((r.best_objective, r.best_position.tobytes(), r.nfe, r.cycles,
+                       r.trace)).encode())
+    assert h.hexdigest() == GOLDEN_TARGET[key]
+
+
+def test_target_met_by_the_initial_colony_ends_without_a_cycle():
+    for seed in SEEDS:
+        r = target_run("sphere-target-initial/basic", seed)
+        assert r.nfe == SCOUTING["initial_colony"] // 2
+        assert r.cycles == 0
+        assert r.trace == ((r.nfe, r.best_objective),)
+
+
+def test_target_cells_stop_in_the_employed_and_the_onlooker_phase(monkeypatch):
+    """The last phase that ran before each target stop, over all strategies."""
+    calls = []
+
+    def recording(name):
+        phase = getattr(engine, name)
+
+        def recorded(colony, *args):
+            calls.append(name)
+            return phase(colony, *args)
+        return recorded
+
+    for name in ("employed_phase", "onlooker_phase", "scout_phase", "adapt_colony_size"):
+        monkeypatch.setattr(engine, name, recording(name))
+    stops = {}
+    for strategy in STRATEGIES:
+        for seed in SEEDS:
+            calls.clear()
+            target_run(f"sphere-target/{strategy}", seed)
+            stops[strategy, seed] = calls[-1]
+    assert set(stops.values()) == {"employed_phase", "onlooker_phase"}
 
 
 def test_scouting_config_fires_scouts_and_resizes(monkeypatch):

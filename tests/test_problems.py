@@ -518,17 +518,12 @@ class TestRegistry:
         assert make_problem("sphere").dimension == 30
         assert make_problem("schaffer").dimension == 2
         assert make_problem("lennard_jones").dimension == 9
-        assert make_problem("lennard_jones", dimension=6).dimension == 6
 
     def test_unknown_name_raises(self):
         with pytest.raises(ConfigurationError):
             make_problem("rosenbrock")
         with pytest.raises(ConfigurationError):
             make_problem("nope")
-
-    def test_bad_lj_dimension_raises(self):
-        with pytest.raises(ConfigurationError):
-            make_problem("lennard_jones", dimension=7)
 
     def test_bad_benchmark_dimension_raises(self):
         with pytest.raises(ConfigurationError):
@@ -540,15 +535,12 @@ class TestRegistry:
         ("air_heater", dict(n_atoms=3), "n_atoms"),
         ("sphere", dict(n_atoms=7), "n_atoms"),
         ("schaffer", dict(dimension=2, n_atoms=2), "n_atoms"),
+        # the cluster is sized by its atom count only
+        ("lennard_jones", dict(dimension=6), "dimension"),
     ])
     def test_argument_that_does_not_apply_raises_and_names_it(self, name, kwargs, named):
         with pytest.raises(ConfigurationError, match=rf"{named}.*{name}"):
             make_problem(name, **kwargs)
-
-    def test_lj_dimension_must_match_atoms(self):
-        assert make_problem("lennard_jones", dimension=12, n_atoms=4).dimension == 12
-        with pytest.raises(ConfigurationError, match="dimension 9 .* n_atoms 4"):
-            make_problem("lennard_jones", dimension=9, n_atoms=4)
 
     def test_problems_share_no_bounds_arrays(self):
         for name in PROBLEM_NAMES:
