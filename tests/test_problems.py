@@ -525,6 +525,10 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             make_problem("nope")
 
+    def test_bad_lj_dimension_raises(self):
+        with pytest.raises(ConfigurationError):
+            make_problem("lennard_jones", dimension=7)
+
     def test_bad_benchmark_dimension_raises(self):
         with pytest.raises(ConfigurationError):
             make_problem("sphere", 0)
@@ -541,6 +545,15 @@ class TestRegistry:
     def test_argument_that_does_not_apply_raises_and_names_it(self, name, kwargs, named):
         with pytest.raises(ConfigurationError, match=rf"{named}.*{name}"):
             make_problem(name, **kwargs)
+
+    def test_lj_dimension_must_match_atoms(self):
+        # the atom count alone sets the dimension; a dimension is refused even
+        # when it equals 3 * n_atoms
+        assert make_problem("lennard_jones", n_atoms=4).dimension == 12
+        with pytest.raises(ConfigurationError, match="dimension .* lennard_jones"):
+            make_problem("lennard_jones", dimension=12, n_atoms=4)
+        with pytest.raises(ConfigurationError, match="dimension .* lennard_jones"):
+            make_problem("lennard_jones", dimension=9, n_atoms=4)
 
     def test_problems_share_no_bounds_arrays(self):
         for name in PROBLEM_NAMES:
