@@ -201,12 +201,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    variants = _split(args.variants)
+    variants = args.variants
     if len(variants) < 2:
         raise ConfigurationError("compare needs at least 2 variants")
     if args.baseline not in variants:
         raise ConfigurationError(f"baseline {args.baseline!r} is not among the variants")
-    all_stats = _sweep(_problems(args, _split(args.problems)), variants, args)
+    all_stats = _sweep(_problems(args, args.problems), variants, args)
     table = compare_table(all_stats, args.baseline)
     _emit(Path(args.output_dir), args.format, all_stats, table)
     for v, avg in table.average_ar.items():
@@ -236,10 +236,6 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument handling
 # ---------------------------------------------------------------------------
-
-def _split(csv_list: str) -> list[str]:
-    return [item.strip() for item in csv_list.split(",") if item.strip()]
-
 
 # store-true flags: a config file switches them on with a truthy value
 _SWITCHES = ("traces", "no-adaptive", "sample-sd")
@@ -315,6 +311,17 @@ def _finite(minimum: float | None = None):
     return parse
 
 
+def _names(text: str) -> list[str]:
+    """argparse type: comma-separated names, none empty or repeated; the error
+    names the flag and the value as `_count`'s does."""
+    names = [name.strip() for name in text.split(",")]
+    for name in names:
+        if not name or names.count(name) > 1:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} " + (f"names {name} twice" if name else "has an empty name"))
+    return names
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--runs", type=_count(1), default=30)
     parser.add_argument("--seed", type=int, default=1, help="base seed; run i uses seed+i")
@@ -352,9 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="compare variants over a problem list",
                            allow_abbrev=False)
-    p_cmp.add_argument("--problems", required=True, help="comma-separated problem names")
+    p_cmp.add_argument("--problems", type=_names, required=True,
+                       help="comma-separated problem names")
     p_cmp.add_argument("--dim", type=_count(1), help="benchmark dimension")
-    p_cmp.add_argument("--variants", default="basic,sac,sac1,sac2")
+    p_cmp.add_argument("--variants", type=_names, default="basic,sac,sac1,sac2")
     p_cmp.add_argument("--baseline", default="sac2")
     _add_common(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)

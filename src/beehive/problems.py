@@ -42,10 +42,16 @@ class Problem:
             raise ConfigurationError(
                 f"{self.name}: dimension {self.dimension} does not match the "
                 f"{self.bounds.dimension}-D bounds")
-        if self.integrality is not None and len(self.integrality) != self.dimension:
-            raise ConfigurationError(
-                f"{self.name}: integrality mask has length {len(self.integrality)}, "
-                f"not the dimension {self.dimension}")
+        if self.integrality is not None:
+            # an integer mask would index the coordinates it should select
+            kind = np.asarray(self.integrality).dtype
+            if kind != bool:
+                raise ConfigurationError(
+                    f"{self.name}: integrality mask must be boolean, not {kind}")
+            if len(self.integrality) != self.dimension:
+                raise ConfigurationError(
+                    f"{self.name}: integrality mask has length {len(self.integrality)}, "
+                    f"not the dimension {self.dimension}")
         if self.direction not in ("minimize", "maximize"):
             raise ConfigurationError(
                 f"{self.name}: direction must be 'minimize' or 'maximize', "
@@ -96,33 +102,36 @@ def _ackley(x):
 class Rastrigin:
     """Rastrigin's function, 10*D + sum(x_i^2 - 10*cos(2*pi*x_i)).
 
-    Besides the numpy `__call__`, it evaluates one-coordinate moves
-    incrementally: `start(x)` returns the value and a memo, the list of
-    per-coordinate terms, and `move(memo, x, j)` returns the value and memo
-    of `x` when only `x[j]` differs from the point the memo belongs to. It
+    The terms are summed exactly rounded (`math.fsum`), so the value does not
+    depend on the order of the terms. That makes one-coordinate moves cheap
+    and exact: `start(x)` returns the value and a memo, the list of
+    per-coordinate terms, and `move(memo, x, j)` returns the value and memo of
+    `x` when only `x[j]` differs from the point the memo belongs to. It
     recomputes term j with `math.cos`, which gives numpy's float64 `cos` bits
-    (both call the C library's cosine), and sums the terms with
-    `_pairwise_sum`, so both return `__call__`'s value bit for bit at every
-    finite point. A module-level callable, so a `Problem` that uses it
-    pickles into worker processes.
+    (both call the C library's cosine), so both return `__call__`'s value bit
+    for bit. A module-level callable, so a `Problem` that uses it pickles into
+    worker processes.
     """
 
     @staticmethod
-    def _terms(x):
-        return x * x - 10.0 * np.cos(2.0 * math.pi * x)
+    def _value(terms):
+        try:
+            return 10.0 * len(terms) + math.fsum(terms)
+        except OverflowError:  # fsum's exact sum passed the float range; terms >= -10
+            return math.inf
 
     def __call__(self, x):
-        return float(10.0 * x.size + self._terms(x).sum())
+        return self.start(x)[0]
 
     def start(self, x):
-        terms = self._terms(x)
-        return float(10.0 * x.size + terms.sum()), terms.tolist()
+        terms = (x * x - 10.0 * np.cos(2.0 * math.pi * x)).tolist()
+        return self._value(terms), terms
 
     def move(self, memo, x, j):
         v = x.item(j)
         terms = memo.copy()
         terms[j] = v * v - 10.0 * math.cos(2.0 * math.pi * v)
-        return 10.0 * len(terms) + _pairwise_sum(terms), terms
+        return self._value(terms), terms
 
 
 def _schaffer(x):
@@ -200,15 +209,11 @@ class LJConfig:
 
 @functools.lru_cache(maxsize=None)
 def _lj_pairs(n):
-    """Pair index table for n atoms: (first, second, row slices), shared read-only.
-
-    Pairs run in `np.triu_indices` order, so atom i's pairs with atoms i+1..n-1
-    are the contiguous slice rows[i] of the pair arrays.
-    """
+    """Pair index table for n atoms in `np.triu_indices` order: (first, second),
+    shared read-only."""
     first, second = np.triu_indices(n, 1)
     first.flags.writeable = second.flags.writeable = False
-    starts = [i * (2 * n - i - 1) // 2 for i in range(n)]
-    return first, second, tuple(map(slice, starts, starts[1:]))
+    return first, second
 
 
 @functools.lru_cache(maxsize=None)
@@ -216,59 +221,11 @@ def _lj_partners(n):
     """For each atom k of n, the pairs it is in: ((3*i, index of pair (i, k)), ...)
     over every other atom i in order, where 3*i is i's first coordinate; as
     tuples, shared read-only."""
-    _, _, rows = _lj_pairs(n)
+    def index(a, b):  # of pair (a, b), a < b, in `np.triu_indices` order
+        return a * (2 * n - a - 1) // 2 + b - a - 1
     return tuple(
-        tuple((3 * i, rows[i].start + k - i - 1) for i in range(k))
-        + tuple((3 * i, rows[k].start + i - k - 1) for i in range(k + 1, n))
+        tuple((3 * i, index(min(i, k), max(i, k))) for i in range(n) if i != k)
         for k in range(n))
-
-
-def _lj_total(sums):
-    """The row sums added one after another into a float from 0.0."""
-    total = 0.0
-    for s in sums:
-        total += s
-    return total
-
-
-def _pairwise_sum(values):
-    """Sum a list of floats exactly as numpy's `np.add.reduce` does for a contiguous
-    float64 array: the same grouping, so the same bits.
-
-    Fewer than 8 terms are folded left from 0.0. Up to 128 terms go into 8
-    accumulators, one per position in each block of 8, which are combined
-    pairwise before the leftover terms are added one by one. Longer lists are
-    split at half their length rounded down to a multiple of 8 and each half
-    is summed the same way. (The builtin `sum` would not do: from Python 3.12
-    it compensates its rounding.)
-    """
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for v in values:
-            total += v
-        return total
-    if n <= 128:
-        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
-        end = n - n % 8
-        for i in range(8, end, 8):
-            r0 += values[i]
-            r1 += values[i + 1]
-            r2 += values[i + 2]
-            r3 += values[i + 3]
-            r4 += values[i + 4]
-            r5 += values[i + 5]
-            r6 += values[i + 6]
-            r7 += values[i + 7]
-        # numpy adds the grouped sum to the reduction's initial 0.0, which
-        # turns a -0.0 total into 0.0
-        total = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
-        for v in values[end:]:
-            total += v
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
 @dataclass(frozen=True)
@@ -280,14 +237,14 @@ class LennardJones:
     distances therefore scores -1 per pair. A module-level callable, so a
     `Problem` that uses it pickles into worker processes.
 
-    Besides `__call__`, it evaluates one-coordinate moves incrementally:
-    `start(x)` returns the value and a memo, the pair energies in
-    `np.triu_indices` order and the per-atom row sums as lists, and
-    `move(memo, x, j)` returns the value and memo of `x` when only `x[j]`
-    differs from the point the memo belongs to. A move shifts atom j // 3, so
-    it recomputes that atom's n - 1 pairs in Python floats with the kernel's
-    arithmetic and re-sums only the rows that hold them; both return
-    `__call__`'s value bit for bit.
+    The pair energies are summed exactly rounded (`math.fsum`), so the value
+    does not depend on their order, and one-coordinate moves are cheap and
+    exact: `start(x)` returns the value and a memo, the list of pair energies
+    in `np.triu_indices` order, and `move(memo, x, j)` returns the value and
+    memo of `x` when only `x[j]` differs from the point the memo belongs to. A
+    move shifts atom j // 3, so it recomputes that atom's n - 1 pair energies
+    in Python floats with the kernel's arithmetic and sums them all again;
+    both return `__call__`'s value bit for bit.
     """
 
     n_atoms: int
@@ -297,7 +254,7 @@ class LennardJones:
 
     def start(self, x):
         n = self.n_atoms
-        first, second, rows = _lj_pairs(n)
+        first, second = _lj_pairs(n)
         pts = np.asarray(x, dtype=float).reshape(n, 3)
         d = pts.take(second, axis=0) - pts.take(first, axis=0)
         sq = d * d
@@ -311,20 +268,15 @@ class LennardJones:
         pair = inv6 * inv6 - 2.0 * inv6
         if tiny is not None:
             pair[tiny] = LJ_PENALTY
-        # Sum atom by atom: each atom's row in numpy's own pairwise grouping
-        # (`_pairwise_sum`, in Python floats), then the rows one after another
-        # into a float. Any other grouping (one np.sum over all pairs, a left
-        # fold of a row of 8 or more pairs) changes the last bits.
         values = pair.tolist()
-        sums = [_pairwise_sum(values[row]) for row in rows]
-        return _lj_total(sums), (values, sums)
+        return math.fsum(values), values
 
     def move(self, memo, x, j):
         n = self.n_atoms
         k = j // 3
         c = x.tolist()
         xk, yk, zk = c[3 * k:3 * k + 3]
-        values = memo[0].copy()
+        values = memo.copy()
         for a, p in _lj_partners(n)[k]:
             # exactly the kernel's difference or its negation: the same square
             dx = c[a] - xk
@@ -336,12 +288,7 @@ class LennardJones:
             else:  # a NaN distance gives a NaN energy, as in `start`
                 inv6 = 1.0 / (r2 * r2 * r2)
                 values[p] = inv6 * inv6 - 2.0 * inv6
-        # rows 0..k hold atom k's pairs; atom n-1 has no row of its own
-        rows = _lj_pairs(n)[2]
-        sums = memo[1].copy()
-        for i in range(min(k + 1, n - 1)):
-            sums[i] = _pairwise_sum(values[rows[i]])
-        return _lj_total(sums), (values, sums)
+        return math.fsum(values), values
 
 
 def make_lennard_jones(config: LJConfig) -> Problem:

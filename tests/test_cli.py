@@ -186,6 +186,23 @@ class TestCompareCommand:
         assert code == 2
         assert "baseline" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--variants", "basic,basic", "argument --variants: 'basic,basic' names basic twice"),
+        ("--variants", "basic,,sac2", "argument --variants: 'basic,,sac2' has an empty name"),
+        ("--problems", "sphere, sphere", "argument --problems: 'sphere, sphere' names sphere"),
+        ("--problems", ",", "argument --problems: ',' has an empty name"),
+        ("--problems", "sphere,", "argument --problems: 'sphere,' has an empty name"),
+    ])
+    def test_empty_or_repeated_name_exits_2_naming_flag_and_value(
+            self, tmp_path, capsys, flag, value, named):
+        args = {"--problems": "sphere", "--variants": "basic,sac2", "--baseline": "basic",
+                flag: value}
+        code = run_cli("compare", *[token for item in args.items() for token in item],
+                       "--runs", "1", "--max-nfe", "100", "--output-dir", str(tmp_path))
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "stats.json").exists()
+
     def test_single_variant_is_usage_error(self, tmp_path):
         code = run_cli("compare", "--problems", "sphere", "--variants", "sac2",
                        "--baseline", "sac2", "--runs", "1", "--max-nfe", "300",

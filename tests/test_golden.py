@@ -30,8 +30,8 @@ PROBLEMS = {
     "air_heater": {},
     "gas_production": {},
     "gas_compressor": {},
-    # 13 atoms: rows of up to 12 pair terms, so a change to the order in which
-    # the energy is summed changes the bits (3 atoms give rows of at most 2)
+    # 13 atoms: each move recomputes 12 of the 78 pair energies (3 atoms: 2 of
+    # 3), so this pins the incremental Lennard-Jones path at a realistic size
     "lennard_jones13": dict(name="lennard_jones", n_atoms=13),
 }
 
@@ -55,11 +55,11 @@ GOLDEN = {
     "ackley/sac1": "c60edb52600c6a9282d84c8e7c6b156d13c4907c05adcd34385d5888277f7cf3",
     "ackley/sac2": "14eaa0fc0bbc32cd8fe9c31e9bc2530099ab0678f2e88a288de6797b51e1649e",
     "ackley/gbest": "559fd7911bc7fccf88a655d4d16fd7cb62fd5c7b448c13d43665823e681b0f06",
-    "rastrigin/basic": "ddc6075e10eead982a5d7e2a1ed18ccaf3ed7e30a3681e7523b40d12e6a33a75",
-    "rastrigin/sac": "e22cd5c87a3bb7db1b235e34918a7dcdf2ebcee8b30ceb87b63b6aad73400100",
-    "rastrigin/sac1": "9fe80501dd9022ef69ff3464797ff1b6a83b30eaac73e969ee698866b7d9fe26",
-    "rastrigin/sac2": "01c85d3b63713b48618639fde9a8a524ac05a8b71d983918924c8c6fa4a221f2",
-    "rastrigin/gbest": "12584bab7b59e35163e3aef44061d188bab4d628aa44a7b45115d0653e6215ff",
+    "rastrigin/basic": "d237f77576a66537ebecab5ec6f9c68eb6b15790f5be546f792be56400a974a6",
+    "rastrigin/sac": "b323ab6f6b6187ffe2c6c5ca2fe371bd6851ebc6965f0e99ba08a6b19a47de3a",
+    "rastrigin/sac1": "d9ab5622688e3f76be4223acac09f63a3cdbd01bef671c4a98e0d57726843fad",
+    "rastrigin/sac2": "39a913cd501e8108b47f4ec9b53e46c4bd4b861901871555c61a1438ded1b9ae",
+    "rastrigin/gbest": "c60b456853afa74354741091bda3103b7893ec25a38df67e4602e294a7307123",
     "schaffer/basic": "816c73e1c41fb04e4011b20ab375b9059ee13237d53bbd3a9df3366ccd7417fd",
     "schaffer/sac": "14e656acc86e20c508aa3c4b1d1ff1b1eb83f5d099f293344c1e907f0b44acb3",
     "schaffer/sac1": "ec05970f799f38f08d783db3f3d0e6704f16378e364e521369fdfd0ccbacc42c",
@@ -70,16 +70,16 @@ GOLDEN = {
     "gear_train/sac1": "df353aba6e6746ee571d3a045f271cf7f2ce283903ced7a3055e73b42e04b027",
     "gear_train/sac2": "4c9154c9abff1eb5c38878368e9d8c58f1b689c72c7e15d4758a3b38894c5072",
     "gear_train/gbest": "90cd4f495ab60440e6b0b97206a0c82a83dd3174e1e87562bbe76c67f2c842b2",
-    "lennard_jones/basic": "ff7343bca7f192026b7f7e809999968e49943d1c1404d0cf0b277a3ccc0ef21d",
-    "lennard_jones/sac": "3f08b81d04dd4a028fe818b71d6742f6c26f1bb245d4c0281a7525c82d5672cb",
-    "lennard_jones/sac1": "595a5ae6a0c8df684b209539dd1646784dfe729076a1e0ca481edf300e7c1c34",
-    "lennard_jones/sac2": "9e39dab6f115119e88a01736d8092c5736a008d90abd0063df5545db79edf8f9",
-    "lennard_jones/gbest": "ab493a566d7277a34886db9e3465cc6fe58d80c02f30dcf2ef948d24a7480902",
-    "lennard_jones13/basic": "bd443ff4eb7921792b7d2382af9246b53c5e46702ab8fb58a0536467a3cc6058",
-    "lennard_jones13/sac": "d90707ec94075b905de9e5f6689a0e52397d89ab86cc10d2adf93ec59fc97aa0",
-    "lennard_jones13/sac1": "40dfb09f8f3f022541c8ee76897355408bbd1e0ec277d37cdf2151d64b7c2447",
-    "lennard_jones13/sac2": "dd5e42ba627da8d0cec1f9bbfb76a0f1b848155a1782177f0dd0410737b4145e",
-    "lennard_jones13/gbest": "426a79082a51a98ba835e0020e25445cfad20692e55c5c10029b677e6eee9462",
+    "lennard_jones/basic": "0dabb8b1fe4916d27c1acc605cfaffb1708330d48fa1aeb7856d28c3bf28cfe7",
+    "lennard_jones/sac": "c05f7955f68b6d89bd54546d88afd7fbbd85b69ff43fda7f0bc7ba0bc7845172",
+    "lennard_jones/sac1": "c47a1faadfd4f41e4ee5b62c28cc454ad52c600f1ae107ea54650d6a2e931fb3",
+    "lennard_jones/sac2": "c16c83be637fa5b86bc67e3162c76796b5de46814861be1c579cbb794fb947b7",
+    "lennard_jones/gbest": "d5fbf1cde7eb08579e945f670288322e72ed641a8c2d6dd81297ec94545aefd1",
+    "lennard_jones13/basic": "74b80246c78a7fc25be73bb01364684b66633f50ead158be3da485bc8e9c4a02",
+    "lennard_jones13/sac": "3376caa1b86a903e38d96bd30435bf0f7128b4d4f27a24a0cefcd62d6dd95ba4",
+    "lennard_jones13/sac1": "34df03b3cca14b59b3e98f531d5dcacc75ff68b77a8668c15aa344816967d4a7",
+    "lennard_jones13/sac2": "927bf8112047146247b6d9d3a1f08c3566e3a33d751a5664bf956d1f8e0ab93f",
+    "lennard_jones13/gbest": "95474f87f691d7567455081d1bb15ed3eddb007d73759055b2c9b34cf794cbdf",
     "air_heater/basic": "925ef271dfa29af801833a366726237615829f8ab20c4d3a418eb8e80f451619",
     "air_heater/sac": "60fc477282c5d17227908f7790caf641a66670ca9ae60b7a0e9579b36258a566",
     "air_heater/sac1": "c0f5439ba9cba52d8cf8186b97c743251f3eeb325faea3595a2490167ff658ac",

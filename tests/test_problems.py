@@ -20,7 +20,6 @@ from beehive.problems import (
     Problem,
     Rastrigin,
     _griewank,
-    _pairwise_sum,
     make_lennard_jones,
     make_problem,
 )
@@ -207,9 +206,10 @@ class TestLennardJones:
 
 
 def lj_reference(n, x):
-    """The atom-by-atom Lennard-Jones loop the batched kernel must match bit for bit."""
+    """The atom-by-atom Lennard-Jones loop with `np.einsum` distances, its pair
+    energies summed exactly rounded; the batched kernel must match it bit for bit."""
     pts = np.asarray(x, dtype=float).reshape(n, 3)
-    total = 0.0
+    energies = []
     for i in range(n - 1):
         d = pts[i + 1:] - pts[i]
         r2 = np.einsum("ij,ij->i", d, d)
@@ -217,11 +217,11 @@ def lj_reference(n, x):
         r2 = np.where(tiny, 1.0, r2)
         inv6 = 1.0 / (r2 * r2 * r2)
         pair = inv6 * inv6 - 2.0 * inv6
-        total += float(np.sum(np.where(tiny, LJ_PENALTY, pair)))
-    return total
+        energies += np.where(tiny, LJ_PENALTY, pair).tolist()
+    return math.fsum(energies)
 
 
-# 130 atoms: the first row has 129 pairs, more than numpy sums without a split
+# 130 atoms: 8,385 pairs, atom 0 in 129 of them
 LJ_ATOMS = (2, 3, 4, 5, 9, 13, 38, 130)
 
 
@@ -315,7 +315,7 @@ class TestLennardJonesMoves:
         for j, v in moves:
             x = x.copy()
             x[j] = v
-            kept = (list(memo[0]), list(memo[1]))
+            kept = list(memo)
             value, new_memo = f.move(memo, x, j)
             assert value == f(x)
             assert memo == kept  # a losing step keeps the old memo
@@ -335,7 +335,6 @@ class TestLennardJonesMoves:
 
     @pytest.mark.parametrize("n", LJ_ATOMS)
     def test_every_coordinate_of_every_atom(self, n):
-        # the last atom, k = n - 1, is in every row and has none of its own
         rng = np.random.default_rng(n)
         half = LJConfig(n).half_width
         x = rng.uniform(-half, half, 3 * n)
@@ -394,39 +393,6 @@ class TestLennardJonesMoves:
                 assert stated.tobytes() == np.einsum("ij,ij->i", d, d).tobytes()
 
 
-# Finite floats of either sign, both zeros included, small enough in magnitude
-# that a sum of 300 of them stays finite.
-_SUMMANDS = st.floats(-1e300, 1e300)
-
-
-class TestPairwiseSum:
-    """`_pairwise_sum` must give numpy's bits: seeded Lennard-Jones runs depend on them."""
-
-    @staticmethod
-    def _bits(x):
-        return x, math.copysign(1.0, x)  # `==` alone takes -0.0 for 0.0
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 300).flatmap(
-        lambda n: st.lists(_SUMMANDS, min_size=n, max_size=n)))
-    def test_matches_numpy_reduce(self, values):
-        expected = float(np.add.reduce(np.array(values, dtype=float)))
-        assert self._bits(_pairwise_sum(values)) == self._bits(expected)
-
-    # every branch and each edge between them: the fold below 8 terms, the
-    # 8-accumulator blocks up to 128, and the split above, once and twice
-    @pytest.mark.parametrize("n", (0, 1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 300, 1000))
-    def test_matches_numpy_reduce_at_every_branch(self, n):
-        rng = np.random.default_rng(n)
-        for _ in range(50):
-            values = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
-            values[rng.random(n) < 0.1] = -0.0
-            expected = float(np.add.reduce(values))
-            assert self._bits(_pairwise_sum(values.tolist())) == self._bits(expected)
-        # numpy's reduction starts from 0.0, so all negative zeros sum to 0.0
-        assert self._bits(_pairwise_sum([-0.0] * n)) == (0.0, 1.0)
-
-
 # Rastrigin coordinates: anywhere in the box, plus the bounds, integers,
 # half-integers and both zeros, where the cosine term is exact or extreme.
 _RASTRIGIN_COORDS = st.one_of(
@@ -453,10 +419,10 @@ class TestRastriginMoves:
             value, new_memo = f.move(memo, x, j)
             assert value == f(x)
             assert memo == kept  # a losing step keeps the old memo
+            assert new_memo == f.start(x)[1]
             memo = new_memo
 
-    # D from 1 to 200: the fold below 8 terms, the 8-accumulator blocks up to
-    # 128 and the split above; up to five moves in a row from one start
+    # D from 1 to 200; up to five moves in a row from one start
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 200).flatmap(lambda n: st.tuples(
         st.lists(_RASTRIGIN_COORDS, min_size=n, max_size=n),
@@ -471,6 +437,19 @@ class TestRastriginMoves:
         rng = np.random.default_rng(n)
         x = rng.uniform(-5.12, 5.12, n)
         self.check_moves(x, [(j, rng.uniform(-5.12, 5.12)) for j in range(n)])
+
+    @pytest.mark.parametrize("n", (1, 2, 10, 30, 60, 200))
+    def test_value_is_the_exactly_rounded_sum(self, n):
+        rng = np.random.default_rng(400 + n)
+        for _ in range(50):
+            x = rng.uniform(-5.12, 5.12, n)
+            expected = 10.0 * n + math.fsum(
+                v * v - 10.0 * math.cos(2.0 * math.pi * v) for v in x.tolist())
+            assert Rastrigin()(x) == expected
+
+    def test_an_overflowing_sum_is_infinite(self):
+        # each term is finite, but their sum is not: math.fsum raises there
+        assert Rastrigin()(np.array([1e154, 1e154])) == math.inf
 
     def test_registered_and_pickles(self):
         f = make_problem("rastrigin", 5).evaluate
@@ -571,6 +550,8 @@ class TestProblemValidation:
         (dict(dimension=5), "dimension 5"),
         (dict(integrality=np.ones(2, dtype=bool)), "length 2"),
         (dict(direction="minimise"), "'minimise'"),
+        (dict(integrality=np.array([0, 1, 1])), "integrality mask must be boolean, not int"),
+        (dict(integrality=[0.0, 1.0, 1.0]), "integrality mask must be boolean, not float64"),
     ])
     def test_inconsistent_field_raises_and_names_it(self, fields, named):
         kwargs = dict(name="cube", dimension=3, bounds=Bounds.cube(-1.0, 1.0, 3),
