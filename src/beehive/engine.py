@@ -110,9 +110,10 @@ class Colony:
     minimization sense. The box limits are Python floats.
 
     The hooks are taken from `evaluate` once: an objective with both a
-    `start(x) -> (f, memo)` and a `move(memo, x, j) -> (f, memo)` method, which
-    evaluate a fresh point and a point that differs from the memo's point in
-    x[j] only, is evaluated through them; any other takes the full path.
+    `start(x) -> (f, memo)` and a `move(memo, j, v) -> (f, memo)` method, which
+    evaluate a fresh point and the memo's own point with coordinate j set to
+    v, is evaluated through them, and a candidate array is built only when
+    it is kept; any other objective takes the full path.
     """
 
     __slots__ = ("lower", "upper", "sources", "fitness", "trials", "gene", "memo",
@@ -157,8 +158,10 @@ def _non_finite(problem: Problem, f: float, nfe: int, position: np.ndarray) -> V
         f"(position {position.tolist()})")
 
 
-def candidate(i, colony, rng, config):
-    """One-coordinate move of source i; returns (j, new x_ij, clamped size gene).
+def _stepper(colony, config, problem, rng):
+    """The candidate operator for one phase: returns step(i), which moves source i
+    in one coordinate, evaluates the candidate, counted, and keeps it iff it
+    moves and its fitness ties or beats the incumbent's.
 
     Draw order: dimension j; partner a != i; for sac1 only, partner b not in
     {i, a}; phi in [-1, 1); for gbest only, psi in [0, C). Each draw is one
@@ -175,80 +178,92 @@ def candidate(i, colony, rng, config):
     two. sac2 is the gbest move with the pull weight fixed at C. The size
     gene, if the colony carries one, moves by the same phi against b for sac1
     and against a otherwise, and is clamped to [sn_min, sn_max].
+
+    With `move` hooks the objective gets only (j, value), and the candidate's
+    array is built only when it wins, becomes the best or is non-finite. A
+    null move, the value equal to the incumbent's own x_ij (a step clamped
+    back onto its bound, an elitist move in a colony collapsed onto the
+    best), is counted but fails: the incumbent gains a trial, so it can still
+    be scouted. A non-finite objective stops the run with a ValueError that
+    names the problem, the value, the evaluation and the point.
     """
     rand = rng.random
     strategy = config.strategy
-    sources = colony.sources
-    n = len(sources)
     two_partners = strategy == "sac1"
+    sac2, gbest = strategy == "sac2", strategy == "gbest"
+    c_factor = config.c_factor
+    sources, fitness, trials, genes, memos = colony.columns()
+    n = len(sources)
     needed = 3 if two_partners else 2
     if n < needed:
         raise ValueError(f"{strategy} candidate needs at least {needed} sources")
-    j = int(rand() * len(colony.lower))
-    a = i
-    while a == i:
-        a = int(rand() * n)
-    b = a  # the partner the gene moves against
-    if two_partners:
-        while b == i or b == a:
-            b = int(rand() * n)
-    phi = -1.0 + 2.0 * rand()
-    if two_partners:
-        v = colony.best_position.item(j) + phi * (sources[a].item(j) - sources[b].item(j))
-    else:
-        x = sources[i].item(j)
-        # the pull is added only where it exists: + 0.0 would turn -0.0 into +0.0
-        v = x + phi * (x - sources[a].item(j))
-        if strategy == "sac2":
-            v += config.c_factor * (colony.best_position.item(j) - x)
-        elif strategy == "gbest":
-            # psi = 0.0 + (C - 0.0) * u, and C - 0.0 is C
-            v += (0.0 + config.c_factor * rand()) * (colony.best_position.item(j) - x)
-    lo, hi = colony.lower[j], colony.upper[j]
-    v = lo if v < lo else hi if v > hi else v
-    gene = colony.gene[i]
-    if gene is not None:
-        gene += phi * (gene - colony.gene[b])
-        lo, hi = float(config.sn_min), float(config.sn_max)
-        gene = lo if gene < lo else hi if gene > hi else gene
-    return j, v, gene
+    lower, upper = colony.lower, colony.upper
+    dimension = len(lower)
+    gene_lo, gene_hi = float(config.sn_min), float(config.sn_max)
+    move, evaluate = colony.move, problem.evaluate
+    maximize = problem.direction != "minimize"
 
+    def step(i):
+        j = int(rand() * dimension)
+        a = i
+        while a == i:
+            a = int(rand() * n)
+        b = a  # the partner the gene moves against
+        if two_partners:
+            while b == i or b == a:
+                b = int(rand() * n)
+        phi = -1.0 + 2.0 * rand()
+        row = sources[i]
+        if two_partners:
+            v = colony.best_position.item(j) + phi * (sources[a].item(j) - sources[b].item(j))
+        else:
+            x = row.item(j)
+            # the pull is added only where it exists: + 0.0 would turn -0.0 into +0.0
+            v = x + phi * (x - sources[a].item(j))
+            if sac2:
+                v += c_factor * (colony.best_position.item(j) - x)
+            elif gbest:
+                # psi = 0.0 + (C - 0.0) * u, and C - 0.0 is C
+                v += (0.0 + c_factor * rand()) * (colony.best_position.item(j) - x)
+        lo, hi = lower[j], upper[j]
+        v = lo if v < lo else hi if v > hi else v
+        gene = genes[i]
+        if gene is not None:
+            gene += phi * (gene - genes[b])
+            gene = gene_lo if gene < gene_lo else gene_hi if gene > gene_hi else gene
 
-def _step(colony, problem, i, j, value, gene):
-    """Evaluate source i with x_ij set to `value`, counted; keep the result iff
-    it moves and its fitness ties or beats the incumbent's.
+        y = None  # the candidate's array, once built
+        if move is None:
+            y = row.copy()
+            y[j] = v
+            f, memo = evaluate(y), None
+        else:
+            f, memo = move(memos[i], j, v)
+        if maximize:
+            f = -f
+        colony.nfe += 1
+        best = f < colony.best_objective
+        fit = 1.0 / (1.0 + f) if f >= 0.0 else 1.0 + abs(f)  # fitness_map
+        won = fit >= fitness[i] and v != row.item(j)
+        finite = math.isfinite(f)
+        if y is None and (best or won or not finite):
+            y = row.copy()
+            y[j] = v
+        if not finite:
+            raise _non_finite(problem, f, colony.nfe, y)
+        if best:
+            colony.best_objective = f
+            colony.best_position = y
+        if won:
+            sources[i] = y
+            fitness[i] = fit
+            trials[i] = 0
+            genes[i] = gene
+            memos[i] = memo
+        else:
+            trials[i] += 1
 
-    A null move, `value` equal to the incumbent's own x_ij (a step clamped back
-    onto its bound, an elitist move in a colony collapsed onto the best), is
-    counted but fails: the incumbent gains a trial, so it can still be scouted.
-    A non-finite objective stops the run with a ValueError that names the
-    problem, the value, the evaluation and the point.
-    """
-    row = colony.sources[i]
-    x = row.copy()
-    x[j] = value
-    move = colony.move
-    if move is None:
-        f, memo = problem.evaluate(x), None
-    else:
-        f, memo = move(colony.memo[i], x, j)
-    if problem.direction != "minimize":
-        f = -f
-    colony.nfe += 1
-    if not math.isfinite(f):
-        raise _non_finite(problem, f, colony.nfe, x)
-    if f < colony.best_objective:
-        colony.best_objective = f
-        colony.best_position = x
-    fit = 1.0 / (1.0 + f) if f >= 0.0 else 1.0 + abs(f)  # fitness_map
-    if fit >= colony.fitness[i] and value != row.item(j):
-        colony.sources[i] = x
-        colony.fitness[i] = fit
-        colony.trials[i] = 0
-        colony.gene[i] = gene
-        colony.memo[i] = memo
-    else:
-        colony.trials[i] += 1
+    return step
 
 
 def _new_source(colony, config, problem, rng, i):
@@ -278,9 +293,9 @@ def _new_source(colony, config, problem, rng, i):
 
 def employed_phase(colony, config, problem, rng):
     """One candidate per source, in order; NFE grows by the source count."""
+    step = _stepper(colony, config, problem, rng)
     for i in range(len(colony.sources)):
-        j, v, gene = candidate(i, colony, rng, config)
-        _step(colony, problem, i, j, v, gene)
+        step(i)
 
 
 def onlooker_phase(colony, config, problem, rng):
@@ -294,12 +309,10 @@ def onlooker_phase(colony, config, problem, rng):
     cum = selection_probabilities(colony).cumsum().tolist()
     last = len(cum) - 1
     rand = rng.random
+    step = _stepper(colony, config, problem, rng)
     for _ in range(len(cum)):
         i = bisect_right(cum, rand())
-        if i > last:
-            i = last
-        j, v, gene = candidate(i, colony, rng, config)
-        _step(colony, problem, i, j, v, gene)
+        step(last if i > last else i)
 
 
 def scout_phase(colony, config, problem, rng):

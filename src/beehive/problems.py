@@ -105,12 +105,12 @@ class Rastrigin:
     The terms are summed exactly rounded (`math.fsum`), so the value does not
     depend on the order of the terms. That makes one-coordinate moves cheap
     and exact: `start(x)` returns the value and a memo, the list of
-    per-coordinate terms, and `move(memo, x, j)` returns the value and memo of
-    `x` when only `x[j]` differs from the point the memo belongs to. It
-    recomputes term j with `math.cos`, which gives numpy's float64 `cos` bits
-    (both call the C library's cosine), so both return `__call__`'s value bit
-    for bit. A module-level callable, so a `Problem` that uses it pickles into
-    worker processes.
+    per-coordinate terms, and `move(memo, j, v)` returns the value and memo of
+    the memo's point with coordinate j set to v. It recomputes term j from v
+    alone with `math.cos`, which gives numpy's float64 `cos` bits (both call
+    the C library's cosine), so both return `__call__`'s value bit for bit.
+    A module-level callable, so a `Problem` that uses it pickles into worker
+    processes.
     """
 
     @staticmethod
@@ -127,8 +127,7 @@ class Rastrigin:
         terms = (x * x - 10.0 * np.cos(2.0 * math.pi * x)).tolist()
         return self._value(terms), terms
 
-    def move(self, memo, x, j):
-        v = x.item(j)
+    def move(self, memo, j, v):
         terms = memo.copy()
         terms[j] = v * v - 10.0 * math.cos(2.0 * math.pi * v)
         return self._value(terms), terms
@@ -239,12 +238,12 @@ class LennardJones:
 
     The pair energies are summed exactly rounded (`math.fsum`), so the value
     does not depend on their order, and one-coordinate moves are cheap and
-    exact: `start(x)` returns the value and a memo, the list of pair energies
-    in `np.triu_indices` order, and `move(memo, x, j)` returns the value and
-    memo of `x` when only `x[j]` differs from the point the memo belongs to. A
-    move shifts atom j // 3, so it recomputes that atom's n - 1 pair energies
-    in Python floats with the kernel's arithmetic and sums them all again;
-    both return `__call__`'s value bit for bit.
+    exact: `start(x)` returns the value and a memo, the coordinates and the
+    pair energies in `np.triu_indices` order as two lists of Python floats,
+    and `move(memo, j, v)` returns the value and memo of the memo's point with
+    coordinate j set to v. A move shifts atom j // 3, so it recomputes that
+    atom's n - 1 pair energies with the kernel's arithmetic and sums them all
+    again; both return `__call__`'s value bit for bit.
     """
 
     n_atoms: int
@@ -269,15 +268,16 @@ class LennardJones:
         if tiny is not None:
             pair[tiny] = LJ_PENALTY
         values = pair.tolist()
-        return math.fsum(values), values
+        return math.fsum(values), (pts.ravel().tolist(), values)
 
-    def move(self, memo, x, j):
-        n = self.n_atoms
+    def move(self, memo, j, v):
+        coords, energies = memo
+        c = coords.copy()
+        c[j] = v
         k = j // 3
-        c = x.tolist()
         xk, yk, zk = c[3 * k:3 * k + 3]
-        values = memo.copy()
-        for a, p in _lj_partners(n)[k]:
+        values = energies.copy()
+        for a, p in _lj_partners(self.n_atoms)[k]:
             # exactly the kernel's difference or its negation: the same square
             dx = c[a] - xk
             dy = c[a + 1] - yk
@@ -288,7 +288,7 @@ class LennardJones:
             else:  # a NaN distance gives a NaN energy, as in `start`
                 inv6 = 1.0 / (r2 * r2 * r2)
                 values[p] = inv6 * inv6 - 2.0 * inv6
-        return math.fsum(values), values
+        return math.fsum(values), (c, values)
 
 
 def make_lennard_jones(config: LJConfig) -> Problem:

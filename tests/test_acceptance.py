@@ -16,7 +16,6 @@ from beehive.engine import (
     STRATEGIES,
     TerminationRule,
     VariantConfig,
-    candidate,
     fitness_map,
     run,
     selection_probabilities,
@@ -226,7 +225,7 @@ def test_criterion_09_property_suite():
     # fitness mapping and probability normalization
     checks.append(("fitness", fitness_map(0.0) == 1.0
                    and fitness_map(3.0) == 0.25 and fitness_map(-2.0) == 3.0))
-    from test_engine import make_colony
+    from test_engine import make_colony, proposed
     colony = make_colony([[x, 0] for x in np.linspace(0.1, 2.0, 9)])
     checks.append(("probability-sum",
                    abs(selection_probabilities(colony).sum() - 1.0) < 1e-12))
@@ -234,12 +233,12 @@ def test_criterion_09_property_suite():
     # strategy reductions: zero weight / zero pull collapse to the basic move
     from conftest import ScriptedRng, index_draw, real_draw
     draws = [index_draw(1, 2), index_draw(1, 3), real_draw(0.3, -1, 1)]
-    move_a = candidate(0, make_colony([[2, 3], [4, 1], [-2, 0]]),
-                       ScriptedRng(draws), VariantConfig("sac2", c_factor=0.0))
-    move_b = candidate(0, make_colony([[2, 3], [4, 1], [-2, 0]]),
-                       ScriptedRng(draws + [0.0]), VariantConfig("gbest"))
-    move_c = candidate(0, make_colony([[2, 3], [4, 1], [-2, 0]]),
-                       ScriptedRng(draws), VariantConfig("basic"))
+    move_a = proposed(0, make_colony([[2, 3], [4, 1], [-2, 0]]),
+                      ScriptedRng(draws), VariantConfig("sac2", c_factor=0.0))
+    move_b = proposed(0, make_colony([[2, 3], [4, 1], [-2, 0]]),
+                      ScriptedRng(draws + [0.0]), VariantConfig("gbest"))
+    move_c = proposed(0, make_colony([[2, 3], [4, 1], [-2, 0]]),
+                      ScriptedRng(draws), VariantConfig("basic"))
     checks.append(("reductions", move_a == move_c == move_b))
 
     # benchmark symmetry and origin optimum

@@ -1,4 +1,5 @@
 """Candidate operators, selection, colony phases, and the full optimization loop."""
+import copy
 import dataclasses
 import math
 
@@ -14,9 +15,8 @@ from beehive.engine import (
     TerminationRule,
     VariantConfig,
     _new_source,
-    _step,
+    _stepper,
     adapt_colony_size,
-    candidate,
     employed_phase,
     fitness_map,
     onlooker_phase,
@@ -25,7 +25,7 @@ from beehive.engine import (
     selection_probabilities,
 )
 from beehive.problems import Problem, make_problem
-from conftest import in_box, index_draw, real_draw
+from conftest import ScriptedRng, in_box, index_draw, real_draw
 from test_golden import SCOUTING
 
 
@@ -46,12 +46,45 @@ def make_colony(positions, objectives=None, genes=None):
     return colony
 
 
+def proposed(i, colony, rng, config):
+    """Source i's candidate as a `_stepper` step draws it: (j, new x_ij, size gene).
+
+    The step runs on a copy of the colony's columns, so `colony` is left as it
+    was. The copy's `move` hook records (j, v) and gives the candidate the
+    objective -1e300, better than every source's, so it wins and its gene
+    lands in the copy's gene column unless it is a null move, which keeps the
+    old gene.
+    """
+    trial = copy.copy(colony)
+    trial.sources, trial.fitness, trial.trials, trial.gene, trial.memo = (
+        list(column) for column in colony.columns())
+    seen = []
+
+    def move(memo, j, v):
+        seen.append((j, v))
+        return -1e300, memo
+
+    trial.move = move
+    _stepper(trial, config, small_problem(len(colony.lower)), rng)(i)
+    [(j, value)] = seen
+    return j, value, trial.gene[i]
+
+
 def moved(i, colony, rng, config):
-    """Source i's candidate position and size gene, as `candidate` proposes them."""
-    j, value, gene = candidate(i, colony, rng, config)
+    """Source i's candidate position and size gene, as `proposed` gives them."""
+    j, value, gene = proposed(i, colony, rng, config)
     position = colony.sources[i].copy()
     position[j] = value
     return position, gene
+
+
+def scripted_step(colony, i, j, a, phi):
+    """One basic `_stepper` step of source i on `small_problem`, with scripted
+    draws: coordinate j, partner a and phi."""
+    rng = ScriptedRng([index_draw(j, len(colony.lower)),
+                       index_draw(a, len(colony.sources)), real_draw(phi, -1, 1)])
+    _stepper(colony, BASIC, small_problem(len(colony.lower)), rng)(i)
+    assert rng.used_up()
 
 
 BASIC = VariantConfig()
@@ -122,7 +155,7 @@ class TestPickOther:
         rng = scripted(raws=[0.0, index_draw(2, 5), index_draw(2, 5), index_draw(0, 5),
                              real_draw(0.5, -1, 1)])
         # partner 0 after two redraws of the bee itself: 2 + 0.5 * (2 - 0)
-        assert candidate(2, colony, rng, BASIC) == (0, 3.0, None)
+        assert proposed(2, colony, rng, BASIC) == (0, 3.0, None)
         assert rng.used_up()
 
     def test_excludes_multiple(self, scripted):
@@ -131,7 +164,7 @@ class TestPickOther:
         rng = scripted(raws=[0.0, index_draw(3, 5), index_draw(1, 5), index_draw(3, 5),
                              index_draw(4, 5), real_draw(0.5, -1, 1)])
         # best_0 + 0.5 * (x_a - x_b) with a = 3, b = 4 and the best at 0
-        assert candidate(1, colony, rng, VariantConfig("sac1")) == (0, -0.5, None)
+        assert proposed(1, colony, rng, VariantConfig("sac1")) == (0, -0.5, None)
         assert rng.used_up()
 
 
@@ -210,13 +243,13 @@ class TestCandidateOperators:
     def test_every_coordinate_is_drawn(self):
         colony = make_colony([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]])
         rng = RngStream(7)
-        drawn = {candidate(0, colony, rng, BASIC)[0] for _ in range(10_000)}
+        drawn = {proposed(0, colony, rng, BASIC)[0] for _ in range(10_000)}
         assert drawn == {0, 1, 2, 3, 4}
 
     def test_one_coordinate_box_always_draws_it(self):
         colony = make_colony([[1], [0]])
         rng = RngStream(0)
-        assert all(candidate(0, colony, rng, BASIC)[0] == 0 for _ in range(100))
+        assert all(proposed(0, colony, rng, BASIC)[0] == 0 for _ in range(100))
 
     def test_index_draw_stays_below_n(self):
         # int(u * n) < n for the largest u below 1, so no draw needs clamping
@@ -228,7 +261,7 @@ class TestCandidateOperators:
         # x_i - x_a = 1, so the basic move puts x_i + phi in [0, 2)
         colony = make_colony([[1], [0]])
         rng = RngStream(7)
-        values = [candidate(0, colony, rng, BASIC)[1] for _ in range(10_000)]
+        values = [proposed(0, colony, rng, BASIC)[1] for _ in range(10_000)]
         assert all(0.0 <= v < 2.0 for v in values)
         assert min(values) < 0.1 and max(values) > 1.9
 
@@ -237,9 +270,9 @@ class TestCandidateOperators:
         two = make_colony([[1, 1], [2, 2]])
         rng = RngStream(0)
         with pytest.raises(ValueError):
-            candidate(0, one, rng, BASIC)
+            proposed(0, one, rng, BASIC)
         with pytest.raises(ValueError):
-            candidate(0, two, rng, VariantConfig("sac1"))
+            proposed(0, two, rng, VariantConfig("sac1"))
         # sac2 has one partner, so two sources are enough
         pos, _ = moved(0, two, rng, VariantConfig("sac2"))
         assert in_box(Bounds.cube(-10, 10, 2), pos)
@@ -247,12 +280,13 @@ class TestCandidateOperators:
 
 class TestGreedySelect:
     """The step: set coordinate j, evaluate once, keep the result iff it moves
-    and its fitness ties or beats the incumbent's."""
+    and its fitness ties or beats the incumbent's. Each basic step below
+    moves one coordinate of source 0 by phi against partner 1."""
 
     def test_better_candidate_replaces(self):
-        colony = make_colony([[3, 0], [0, 2]])
+        colony = make_colony([[3, 0], [-1, 2]])
         current = colony.sources[0]
-        _step(colony, small_problem(), 0, 0, 1.0, None)
+        scripted_step(colony, 0, 0, 1, -0.5)  # 3 - 0.5 * (3 + 1) = 1
         assert colony.sources[0] is not current
         assert colony.sources[0].tolist() == [1.0, 0.0]
         assert colony.fitness[0] == 0.5  # objective 1
@@ -261,15 +295,15 @@ class TestGreedySelect:
     def test_worse_candidate_rejected_and_counted(self):
         colony = make_colony([[1, 0], [0, 2]])
         current = colony.sources[0]
-        _step(colony, small_problem(), 0, 0, 3.0, None)
+        scripted_step(colony, 0, 0, 1, 0.5)  # 1 + 0.5 * (1 - 0) = 1.5
         assert colony.sources[0] is current
         assert colony.trials[0] == 1
 
     def test_tie_replaces_and_resets_trials(self):
-        colony = make_colony([[1, 0], [0, 2]])
+        colony = make_colony([[1, 0], [-3, 2]])
         current = colony.sources[0]
         colony.trials[0] = 7
-        _step(colony, small_problem(), 0, 0, -1.0, None)
+        scripted_step(colony, 0, 0, 1, -0.5)  # 1 - 0.5 * (1 + 3) = -1
         assert colony.sources[0] is not current
         assert colony.trials[0] == 0
 
@@ -277,15 +311,15 @@ class TestGreedySelect:
         colony = make_colony([[1, 0], [0, 2]])
         current = colony.sources[0]
         colony.trials[0] = 7
-        _step(colony, small_problem(), 0, 0, 1.0, None)
+        scripted_step(colony, 0, 0, 1, 0.0)  # 1 + 0.0 * (1 - 0) = 1
         assert colony.sources[0] is current
         assert colony.trials[0] == 8
         assert colony.nfe == 1
 
     def test_counts_one_evaluation_and_updates_best(self):
-        colony = make_colony([[3, 0], [0, 2]])
+        colony = make_colony([[3, 0], [-2, 2]])
         nfe = colony.nfe
-        _step(colony, small_problem(), 0, 0, 0.5, None)
+        scripted_step(colony, 0, 0, 1, -0.5)  # 3 - 0.5 * (3 + 2) = 0.5
         assert colony.nfe == nfe + 1
         assert colony.best_objective == 0.25
         assert colony.best_position.tolist() == [0.5, 0.0]
@@ -295,19 +329,20 @@ class TestGreedySelect:
         # to 10: the same position and fitness, which must not count as a win
         colony = make_colony([[10, 0], [-9, 0]])
         current = colony.sources[0]
-        rng = scripted(raws=[index_draw(0, 2), index_draw(1, 2), real_draw(0.5, -1, 1)])
-        j, value, gene = candidate(0, colony, rng, BASIC)
+        draws = [index_draw(0, 2), index_draw(1, 2), real_draw(0.5, -1, 1)]
+        j, value, gene = proposed(0, colony, scripted(raws=draws), BASIC)
         assert (j, value) == (0, 10.0)
-        _step(colony, small_problem(), 0, j, value, gene)
+        _stepper(colony, BASIC, small_problem(), scripted(raws=draws))(0)
         assert colony.nfe == 1
         assert colony.trials[0] == 1
         assert colony.sources[0] is current
 
     def test_gene_moves_with_the_winner_only(self):
-        colony = make_colony([[3, 0], [0, 2]], genes=[20.0, 30.0])
-        _step(colony, small_problem(), 0, 0, 4.0, 25.0)
+        # phi = -0.5 moves the gene to 20 - 0.5 * (20 - 30) = 25
+        colony = make_colony([[3, 0], [-1, 8]], genes=[20.0, 30.0])
+        scripted_step(colony, 0, 1, 1, -0.5)  # x_01 = 0 - 0.5 * (0 - 8) = 4 loses
         assert colony.gene[0] == 20.0
-        _step(colony, small_problem(), 0, 0, 1.0, 25.0)
+        scripted_step(colony, 0, 0, 1, -0.5)  # x_00 = 3 - 0.5 * (3 + 1) = 1 wins
         assert colony.gene[0] == 25.0
 
 
@@ -341,11 +376,14 @@ class TestPhases:
     def test_onlooker_one_draw_per_placement_scripted(self, scripted, monkeypatch):
         placed = []
 
-        def recording(i, colony, rng, config):
-            placed.append(i)
-            return 0, colony.sources[i].item(0), None
+        def recording(colony, config, problem, rng):
+            def step(i):
+                placed.append(i)
+                # a null move, counted, on draws of its own
+                scripted_step(colony, i, 0, (i + 1) % 4, 0.0)
+            return step
 
-        monkeypatch.setattr("beehive.engine.candidate", recording)
+        monkeypatch.setattr("beehive.engine._stepper", recording)
         # fitnesses 1:1:3:1; the cumulative probabilities round to
         # [1/6, 1/3, 5/6, 0.9999999999999999]
         colony = make_colony([[1, 0], [0, 1], [-1, 0], [0, -1]],
@@ -363,10 +401,12 @@ class TestPhases:
     def test_onlooker_counts_follow_fitness(self, monkeypatch):
         counts = [0, 0, 0, 0]
 
-        def spy(colony, problem, i, j, value, gene):
-            counts[i] += 1
+        def spy(colony, config, problem, rng):
+            def step(i):
+                counts[i] += 1
+            return step
 
-        monkeypatch.setattr("beehive.engine._step", spy)
+        monkeypatch.setattr("beehive.engine._stepper", spy)
         problem = small_problem()
         config = VariantConfig(strategy="basic")
         rng = RngStream(13)
@@ -385,10 +425,12 @@ class TestPhases:
     def test_onlooker_prefers_high_fitness(self, monkeypatch):
         counts = [0, 0, 0, 0]
 
-        def spy(colony, problem, i, j, value, gene):
-            counts[i] += 1
+        def spy(colony, config, problem, rng):
+            def step(i):
+                counts[i] += 1
+            return step
 
-        monkeypatch.setattr("beehive.engine._step", spy)
+        monkeypatch.setattr("beehive.engine._stepper", spy)
         problem = small_problem()
         # objective 0 maps to fitness 1; objective 99 maps to fitness 0.01
         colony = make_colony([[0, 0]] + [[1, 1]] * 3, objectives=[0.0, 99.0, 99.0, 99.0])
@@ -589,6 +631,44 @@ class TestRun:
         assert f"evaluation {k + 1} " in message
         assert "(position [" in message
 
+    @pytest.mark.parametrize("k,bad,direction", [
+        (60, math.nan, "minimize"),       # an employed bee
+        (140, -math.inf, "maximize"),     # an onlooker, maximize sense
+    ])
+    def test_non_finite_move_stops_with_the_same_named_error(self, k, bad, direction):
+        class FlakyMoves:
+            """Sphere with hooks whose memo is the point as a list; the move at
+            evaluation k returns `bad`."""
+
+            def __init__(self):
+                self.calls = 0
+                self.last = None  # the point of the last move
+
+            def __call__(self, x):
+                return self.start(x)[0]
+
+            def start(self, x):
+                self.calls += 1
+                return float(np.dot(x, x)), x.tolist()
+
+            def move(self, memo, j, v):
+                self.calls += 1
+                self.last = point = memo.copy()
+                point[j] = v
+                return (bad if self.calls == k else math.fsum(c * c for c in point)), point
+
+        flaky = FlakyMoves()
+        problem = Problem(name="flaky", dimension=2, bounds=Bounds.cube(-1, 1, 2),
+                          evaluate=flaky, direction=direction)
+        with pytest.raises(ValueError) as info:
+            run(problem, VariantConfig(strategy="sac"), TerminationRule(max_nfe=1000), seed=3)
+        message = str(info.value)
+        assert flaky.calls == k
+        assert "'flaky'" in message
+        assert repr(bad) in message
+        assert f"evaluation {k} " in message
+        assert f"(position {flaky.last})" in message
+
     def test_deterministic_for_fixed_seed(self):
         problem = make_problem("rastrigin", dimension=4)
         config = VariantConfig(strategy="sac1", initial_colony=20, sn_min=10, sn_max=20)
@@ -725,20 +805,26 @@ class TestIncrementalEvaluation:
 
     @staticmethod
     def check_memo_column_follows_its_source(problem, strategy):
+        """After every phase, with scouts firing and colonies resizing, each
+        source's fitness and memo are those of its own array, bit for bit, and
+        no two sources share an array."""
         config = VariantConfig(strategy=strategy, **SCOUTING)
         rng = RngStream(5)
         colony = Colony(problem.bounds, problem.evaluate)
+        start = getattr(problem.evaluate, "start", None)
+        phases = [employed_phase, onlooker_phase, scout_phase]
+        if config.adaptive_sizing:
+            phases.append(adapt_colony_size)
         for i in range(config.initial_colony // 2):
             _new_source(colony, config, problem, rng, i)
         for _ in range(40):
-            employed_phase(colony, config, problem, rng)
-            onlooker_phase(colony, config, problem, rng)
-            scout_phase(colony, config, problem, rng)
-            if config.adaptive_sizing:
-                adapt_colony_size(colony, config, problem, rng)
-            assert len(colony.memo) == len(colony.sources)
-            for x, memo in zip(colony.sources, colony.memo):
-                assert memo == problem.evaluate.start(x)[1]
+            for phase in phases:
+                phase(colony, config, problem, rng)
+                assert len(colony.memo) == len(colony.sources)
+                assert len({id(x) for x in colony.sources}) == len(colony.sources)
+                for x, fit, memo in zip(colony.sources, colony.fitness, colony.memo):
+                    assert fit == fitness_map(problem.evaluate_min(x))
+                    assert memo == (None if start is None else start(x)[1])
 
     @pytest.mark.parametrize("dim", (3, 10, 30, 130))
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -759,3 +845,7 @@ class TestIncrementalEvaluation:
     def test_lennard_jones_memo_column_follows_its_source(self, strategy):
         problem = make_problem("lennard_jones", n_atoms=13)
         self.check_memo_column_follows_its_source(problem, strategy)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_sphere_columns_follow_their_sources(self, strategy):
+        self.check_memo_column_follows_its_source(make_problem("sphere", 10), strategy)

@@ -1,4 +1,5 @@
 """Objective function values, symmetries, and the problem registry."""
+import copy
 import math
 import pickle
 import warnings
@@ -315,8 +316,8 @@ class TestLennardJonesMoves:
         for j, v in moves:
             x = x.copy()
             x[j] = v
-            kept = list(memo)
-            value, new_memo = f.move(memo, x, j)
+            kept = copy.deepcopy(memo)
+            value, new_memo = f.move(memo, j, x.item(j))
             assert value == f(x)
             assert memo == kept  # a losing step keeps the old memo
             assert new_memo == f.start(x)[1]
@@ -355,7 +356,7 @@ class TestLennardJonesMoves:
         f = LennardJones(n)
         onto = x.copy()
         onto[last] = z0
-        assert f.move(f.start(x)[1], onto, last)[0] >= LJ_PENALTY
+        assert f.move(f.start(x)[1], last, onto.item(last))[0] >= LJ_PENALTY
 
     @pytest.mark.parametrize("n", (2, 13))
     def test_move_to_the_squared_distance_floor(self, n):
@@ -376,7 +377,7 @@ class TestLennardJonesMoves:
         memo = f.start(x)[1]
         x[4] = math.nan
         assert math.isnan(f(x))
-        assert math.isnan(f.move(memo, x, 4)[0])
+        assert math.isnan(f.move(memo, 4, math.nan)[0])
 
     @pytest.mark.parametrize("n", LJ_ATOMS)
     def test_stated_r2_grouping_equals_einsum(self, n):
@@ -415,8 +416,8 @@ class TestRastriginMoves:
         for j, v in moves:
             x = x.copy()
             x[j] = v
-            kept = list(memo)
-            value, new_memo = f.move(memo, x, j)
+            kept = copy.deepcopy(memo)
+            value, new_memo = f.move(memo, j, x.item(j))
             assert value == f(x)
             assert memo == kept  # a losing step keeps the old memo
             assert new_memo == f.start(x)[1]
