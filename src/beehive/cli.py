@@ -101,7 +101,7 @@ def write_convergence_csv(path: Path, grid, median) -> None:
         writer = csv.writer(fh)
         writer.writerow(["nfe", "median_best"])
         for n, f in zip(grid, median):
-            writer.writerow([f"{n:g}", repr(float(f))])
+            writer.writerow([int(n), repr(float(f))])  # every NFE digit
 
 
 # ---------------------------------------------------------------------------

@@ -107,26 +107,17 @@ class Colony:
     count), `gene[i]` (proposed source count, None unless adaptive) and
     `memo[i]` (what the objective's `start`/`move` hooks keep about the
     position, None without them) hold the rest. The best objective is in
-    minimization sense. The box limits are Python floats.
-
-    The hooks are taken from `evaluate` once: an objective with both a
-    `start(x) -> (f, memo)` and a `move(memo, j, v) -> (f, memo)` method, which
-    evaluate a fresh point and the memo's own point with coordinate j set to
-    v, is evaluated through them, and a candidate array is built only when
-    it is kept; any other objective takes the full path.
+    minimization sense. The box limits are Python floats. The colony only
+    stores: the problem's objective decides how a point is evaluated.
     """
 
     __slots__ = ("lower", "upper", "sources", "fitness", "trials", "gene", "memo",
-                 "start", "move", "best_position", "best_objective", "nfe")
+                 "best_position", "best_objective", "nfe")
 
-    def __init__(self, bounds, evaluate=None):
+    def __init__(self, bounds):
         self.lower = bounds.lower.tolist()
         self.upper = bounds.upper.tolist()
         self.sources, self.fitness, self.trials, self.gene, self.memo = [], [], [], [], []
-        self.start = getattr(evaluate, "start", None)
-        self.move = getattr(evaluate, "move", None)
-        if self.start is None or self.move is None:
-            self.start = self.move = None
         self.best_position = np.zeros(bounds.dimension)
         self.best_objective = math.inf
         self.nfe = 0
@@ -150,12 +141,26 @@ def selection_probabilities(colony: Colony) -> np.ndarray:
     return fits / fits.sum()
 
 
-def _non_finite(problem: Problem, f: float, nfe: int, position: np.ndarray) -> ValueError:
-    """The error that stops a run at a non-finite objective (nan or an infinity)."""
-    return ValueError(
-        f"problem {problem.name!r} returned a non-finite objective "
-        f"{problem.to_user_sense(f)!r} at evaluation {nfe} "
-        f"(position {position.tolist()})")
+def _hooks(evaluate):
+    """The objective's hooks `(start, move)`, or `(None, None)` unless it has both:
+    `start(x) -> (f, memo)` evaluates a fresh point and `move(memo, j, v) ->
+    (f, memo)` the memo's own point with coordinate j set to v."""
+    start, move = getattr(evaluate, "start", None), getattr(evaluate, "move", None)
+    return (None, None) if start is None or move is None else (start, move)
+
+
+def _keep_best(colony, problem, f, position):
+    """Store f, the counted evaluation at `position` (minimization sense), as the
+    new best, or stop the run with a ValueError that names the problem, the
+    value, the evaluation and the point if f is nan or an infinity. Called only
+    for an f below the best so far or not finite."""
+    if not math.isfinite(f):
+        raise ValueError(
+            f"problem {problem.name!r} returned a non-finite objective "
+            f"{problem.to_user_sense(f)!r} at evaluation {colony.nfe} "
+            f"(position {position.tolist()})")
+    colony.best_objective = f
+    colony.best_position = position
 
 
 def _stepper(colony, config, problem, rng):
@@ -179,13 +184,12 @@ def _stepper(colony, config, problem, rng):
     gene, if the colony carries one, moves by the same phi against b for sac1
     and against a otherwise, and is clamped to [sn_min, sn_max].
 
-    With `move` hooks the objective gets only (j, value), and the candidate's
-    array is built only when it wins, becomes the best or is non-finite. A
-    null move, the value equal to the incumbent's own x_ij (a step clamped
-    back onto its bound, an elitist move in a colony collapsed onto the
-    best), is counted but fails: the incumbent gains a trial, so it can still
-    be scouted. A non-finite objective stops the run with a ValueError that
-    names the problem, the value, the evaluation and the point.
+    With the problem's `move` hook the objective gets only (j, value), and
+    the candidate's array is built only when it wins, becomes the best or is
+    non-finite (`_keep_best` then keeps it or stops the run). A null move,
+    the value equal to the incumbent's own x_ij (a step clamped back onto its
+    bound, an elitist move in a colony collapsed onto the best), is counted
+    but fails: the incumbent gains a trial, so it can still be scouted.
     """
     rand = rng.random
     strategy = config.strategy
@@ -200,7 +204,8 @@ def _stepper(colony, config, problem, rng):
     lower, upper = colony.lower, colony.upper
     dimension = len(lower)
     gene_lo, gene_hi = float(config.sn_min), float(config.sn_max)
-    move, evaluate = colony.move, problem.evaluate
+    evaluate = problem.evaluate
+    move = _hooks(evaluate)[1]
     maximize = problem.direction != "minimize"
 
     def step(i):
@@ -242,18 +247,14 @@ def _stepper(colony, config, problem, rng):
         if maximize:
             f = -f
         colony.nfe += 1
-        best = f < colony.best_objective
+        best = f < colony.best_objective or not math.isfinite(f)  # or a stop: _keep_best
         fit = 1.0 / (1.0 + f) if f >= 0.0 else 1.0 + abs(f)  # fitness_map
         won = fit >= fitness[i] and v != row.item(j)
-        finite = math.isfinite(f)
-        if y is None and (best or won or not finite):
+        if y is None and (best or won):
             y = row.copy()
             y[j] = v
-        if not finite:
-            raise _non_finite(problem, f, colony.nfe, y)
         if best:
-            colony.best_objective = f
-            colony.best_position = y
+            _keep_best(colony, problem, f, y)
         if won:
             sources[i] = y
             fitness[i] = fit
@@ -276,18 +277,13 @@ def _new_source(colony, config, problem, rng, i):
     gene = None
     if config.adaptive_sizing:
         gene = float(config.sn_min + int(rng.random() * (config.sn_max - config.sn_min + 1)))
-    if colony.start is None:
-        f, memo = problem.evaluate_min(pos), None
-    else:
-        f, memo = colony.start(pos)
-        if problem.direction != "minimize":
-            f = -f
+    start = _hooks(problem.evaluate)[0]
+    f, memo = start(pos) if start else (problem.evaluate(pos), None)
+    if problem.direction != "minimize":
+        f = -f
     colony.nfe += 1
-    if not math.isfinite(f):
-        raise _non_finite(problem, f, colony.nfe, pos)
-    if f < colony.best_objective:
-        colony.best_objective = f
-        colony.best_position = pos
+    if f < colony.best_objective or not math.isfinite(f):
+        _keep_best(colony, problem, f, pos)
     colony.put(i, pos, f, gene, memo)
 
 
@@ -350,7 +346,7 @@ def run(problem: Problem, config: VariantConfig, termination: TerminationRule,
         seed: int) -> RunResult:
     """Full optimization run; deterministic for a fixed (problem, config, seed)."""
     rng = RngStream(seed)
-    colony = Colony(problem.bounds, problem.evaluate)
+    colony = Colony(problem.bounds)
     for i in range(config.initial_colony // 2):
         _new_source(colony, config, problem, rng, i)
 

@@ -2,7 +2,7 @@
 
 All problems expose the same `Problem` record. Objectives are evaluated in the
 user's optimization sense; `evaluate_min` gives the minimization-sense value the
-optimizer consumes (maximization problems are negated at this boundary, once).
+optimizer works in (maximization problems are negated).
 """
 from __future__ import annotations
 
@@ -107,8 +107,8 @@ class Rastrigin:
     and exact: `start(x)` returns the value and a memo, the list of
     per-coordinate terms, and `move(memo, j, v)` returns the value and memo of
     the memo's point with coordinate j set to v. It recomputes term j from v
-    alone with `math.cos`, which gives numpy's float64 `cos` bits (both call
-    the C library's cosine), so both return `__call__`'s value bit for bit.
+    alone by the expression, with `math.cos`, that `start` applies to every
+    term, so both return `__call__`'s value bit for bit.
     A module-level callable, so a `Problem` that uses it pickles into worker
     processes.
     """
@@ -124,7 +124,7 @@ class Rastrigin:
         return self.start(x)[0]
 
     def start(self, x):
-        terms = (x * x - 10.0 * np.cos(2.0 * math.pi * x)).tolist()
+        terms = [c * c - 10.0 * math.cos(2.0 * math.pi * c) for c in x.tolist()]
         return self._value(terms), terms
 
     def move(self, memo, j, v):

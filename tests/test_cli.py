@@ -3,14 +3,19 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import beehive
 from beehive import harness
-from beehive.cli import main
+from beehive.cli import main, write_convergence_csv
 from beehive.engine import STRATEGIES
 from beehive.harness import ExperimentStats
 
@@ -119,6 +124,14 @@ class TestRunCommand:
         dims = [{s.dim for s in read_stats_json(tmp_path / command / "stats.json")}
                 for command in ("run", "compare")]
         assert len(dims[0]) == 1 and dims[0] == dims[1]
+
+    def test_convergence_csv_writes_every_nfe_digit(self, tmp_path):
+        # six significant digits would print 1000030 and 1000034 alike
+        grid = np.array([0, 400, 999980, 1000030, 1000034, 1000039])
+        write_convergence_csv(tmp_path / "c.csv", grid, np.linspace(1.0, 0.5, grid.size))
+        rows = read_csv(tmp_path / "c.csv")
+        assert [row[0] for row in rows[1:]] == [
+            "0", "400", "999980", "1000030", "1000034", "1000039"]
 
     def test_format_json_skips_csv(self, tmp_path):
         run_cli("run", "--problem", "sphere", "--dim", "2", "--runs", "1",
@@ -489,6 +502,31 @@ def quiet_main(argv):
 
 def artifacts(out_dir):
     return {p.name: p.read_bytes() for p in Path(out_dir).iterdir()}
+
+
+class TestProcessExitCodes:
+    """`python -m beehive.cli` hands `main`'s code to the process status."""
+
+    @pytest.mark.parametrize("config,output,status", [
+        ("runs = 1\nvariant = sac1\n", "out", 0),
+        ("format = xml\n", "out", 2),  # a bad config value
+        ("runs = 1\n", "blocker/out", 3),  # the output directory sits under a file
+    ])
+    def test_exit_status(self, tmp_path, config, output, status):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(config)
+        (tmp_path / "blocker").write_text("not a directory")
+        src = str(Path(beehive.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        env.pop("BEEHIVE_SEED", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "beehive.cli", "run", "--problem", "sphere",
+             "--dim", "2", "--max-nfe", "200", f"--config={cfg}",
+             "--output-dir", str(tmp_path / output)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == status, done.stderr
+        assert (tmp_path / output / "stats.json").exists() == (status == 0)
 
 
 class TestConfigFuzz:

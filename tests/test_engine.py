@@ -14,6 +14,7 @@ from beehive.engine import (
     RunResult,
     TerminationRule,
     VariantConfig,
+    _hooks,
     _new_source,
     _stepper,
     adapt_colony_size,
@@ -24,7 +25,7 @@ from beehive.engine import (
     scout_phase,
     selection_probabilities,
 )
-from beehive.problems import Problem, make_problem
+from beehive.problems import Problem, Rastrigin, make_problem
 from conftest import ScriptedRng, in_box, index_draw, real_draw
 from test_golden import SCOUTING
 
@@ -46,27 +47,36 @@ def make_colony(positions, objectives=None, genes=None):
     return colony
 
 
+class MoveRecorder:
+    """An objective with `start`/`move` hooks: each move records its (j, v) in
+    `seen` and gives the objective -1e300, better than every source's."""
+
+    def __init__(self):
+        self.seen = []
+
+    def start(self, x):
+        return float(np.dot(x, x)), None
+
+    def move(self, memo, j, v):
+        self.seen.append((j, v))
+        return -1e300, memo
+
+
 def proposed(i, colony, rng, config):
     """Source i's candidate as a `_stepper` step draws it: (j, new x_ij, size gene).
 
     The step runs on a copy of the colony's columns, so `colony` is left as it
-    was. The copy's `move` hook records (j, v) and gives the candidate the
-    objective -1e300, better than every source's, so it wins and its gene
-    lands in the copy's gene column unless it is a null move, which keeps the
-    old gene.
+    was. The problem's objective is a `MoveRecorder`, so the candidate wins
+    and its gene lands in the copy's gene column unless it is a null move,
+    which keeps the old gene.
     """
     trial = copy.copy(colony)
     trial.sources, trial.fitness, trial.trials, trial.gene, trial.memo = (
         list(column) for column in colony.columns())
-    seen = []
-
-    def move(memo, j, v):
-        seen.append((j, v))
-        return -1e300, memo
-
-    trial.move = move
-    _stepper(trial, config, small_problem(len(colony.lower)), rng)(i)
-    [(j, value)] = seen
+    recorder = MoveRecorder()
+    problem = dataclasses.replace(small_problem(len(colony.lower)), evaluate=recorder)
+    _stepper(trial, config, problem, rng)(i)
+    [(j, value)] = recorder.seen
     return j, value, trial.gene[i]
 
 
@@ -781,6 +791,42 @@ class TestColonyInvariantsOverManyCycles:
             assert in_box(problem.bounds, colony.best_position)
 
 
+def assert_same_result(a, b):
+    """Two `RunResult`s agree in every field, arrays bit for bit."""
+    for field in dataclasses.fields(RunResult):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.tobytes() == y.tobytes()
+        else:
+            assert x == y, field.name
+
+
+class Negated:
+    """`inner`'s objective negated, hooks included: the same search posed as a
+    maximization."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __call__(self, x):
+        return -self.inner(x)
+
+    def start(self, x):
+        f, memo = self.inner.start(x)
+        return -f, memo
+
+    def move(self, memo, j, v):
+        f, memo = self.inner.move(memo, j, v)
+        return -f, memo
+
+
+class Sphere:
+    """The sphere function as a callable instance, to hang a lone hook on."""
+
+    def __call__(self, x):
+        return float(np.dot(x, x))
+
+
 class TestIncrementalEvaluation:
     """The `start`/`move` hooks of Rastrigin and Lennard-Jones give the run that
     the full path gives; a plain function around `evaluate` hides the hooks,
@@ -789,19 +835,13 @@ class TestIncrementalEvaluation:
     @staticmethod
     def check_run_equals_the_full_path(problem, strategy, seed):
         full = dataclasses.replace(problem, evaluate=lambda x: problem.evaluate(x))
-        assert Colony(problem.bounds, problem.evaluate).move is not None
-        assert Colony(full.bounds, full.evaluate).move is None
+        assert _hooks(problem.evaluate)[1] is not None
+        assert _hooks(full.evaluate) == (None, None)
         # scouts fire, and the adaptive strategies grow and shrink the colony
         config = VariantConfig(strategy=strategy, **SCOUTING)
         termination = TerminationRule(max_nfe=3000)
-        hooked = run(problem, config, termination, seed=seed)
-        plain = run(full, config, termination, seed=seed)
-        for field in dataclasses.fields(RunResult):
-            a, b = getattr(hooked, field.name), getattr(plain, field.name)
-            if isinstance(a, np.ndarray):
-                assert a.tobytes() == b.tobytes()
-            else:
-                assert a == b, field.name
+        assert_same_result(run(problem, config, termination, seed=seed),
+                           run(full, config, termination, seed=seed))
 
     @staticmethod
     def check_memo_column_follows_its_source(problem, strategy):
@@ -810,7 +850,7 @@ class TestIncrementalEvaluation:
         no two sources share an array."""
         config = VariantConfig(strategy=strategy, **SCOUTING)
         rng = RngStream(5)
-        colony = Colony(problem.bounds, problem.evaluate)
+        colony = Colony(problem.bounds)
         start = getattr(problem.evaluate, "start", None)
         phases = [employed_phase, onlooker_phase, scout_phase]
         if config.adaptive_sizing:
@@ -836,6 +876,27 @@ class TestIncrementalEvaluation:
     def test_lennard_jones_run_equals_the_full_path(self, strategy, atoms):
         problem = make_problem("lennard_jones", n_atoms=atoms)
         self.check_run_equals_the_full_path(problem, strategy, atoms)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_maximize_run_equals_the_full_path(self, strategy):
+        problem = dataclasses.replace(make_problem("rastrigin", 10),
+                                      evaluate=Negated(Rastrigin()), direction="maximize")
+        self.check_run_equals_the_full_path(problem, strategy, 10)
+
+    @pytest.mark.parametrize("hook", ("start", "move"))
+    def test_one_hook_alone_takes_the_full_path(self, hook):
+        def unused(*args):
+            raise AssertionError(f"the lone {hook} hook was called")
+
+        lone = Sphere()
+        setattr(lone, hook, unused)
+        assert _hooks(lone) == (None, None)
+        problem = make_problem("sphere", 4)
+        config = VariantConfig(strategy="sac1", **SCOUTING)
+        termination = TerminationRule(max_nfe=3000)
+        assert_same_result(run(dataclasses.replace(problem, evaluate=lone), config,
+                               termination, seed=4),
+                           run(problem, config, termination, seed=4))
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_memo_column_follows_its_source(self, strategy):
