@@ -4,7 +4,8 @@ Artifacts: stats CSV (`problem,variant,dim,runs,best,mean,sd,mean_nfe`),
 per-run trace CSVs (`nfe,best`), a comparison CSV with per-problem NFE and
 acceleration-rate columns,
 and JSON mirrors of each (JSON keeps full precision; CSV statistics use the
-3-significant-digit, zero-below-threshold table style).
+3-significant-digit, zero-below-threshold table style, and CSV NFE cells hold
+the JSON's numbers).
 
 Exit codes: 0 success, 2 usage/configuration error, 3 I/O error.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -27,12 +29,11 @@ from .harness import (
     compare_table,
     convergence_export,
     format_stat,
-    run_batch,
     run_batches,
 )
 from .problems import BENCHMARK_DIMENSIONS, BENCHMARK_NAMES, ENGINEERING_NAMES, make_problem
 
-STATS_HEADER = ["problem", "variant", "dim", "runs", "best", "mean", "sd", "mean_nfe"]
+STATS_HEADER = [field.name for field in dataclasses.fields(ExperimentStats)]
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +48,7 @@ def write_stats_csv(path: Path, stats: list[ExperimentStats]) -> None:
             writer.writerow(
                 [s.problem, s.variant, s.dim, s.runs,
                  format_stat(s.best), format_stat(s.mean), format_stat(s.sd),
-                 f"{s.mean_nfe:g}"]
+                 repr(s.mean_nfe)]
             )
 
 
@@ -73,7 +74,7 @@ def write_comparison_csv(path: Path, table: ComparisonTable) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for p in table.problems:
-            row = [p] + [f"{table.nfe[v][p]:g}" for v in table.variants]
+            row = [p] + [repr(table.nfe[v][p]) for v in table.variants]
             for v in others:
                 row.append("---" if table.slower[v][p] else f"{table.ar[v][p]:.2f}")
             writer.writerow(row)
@@ -108,35 +109,23 @@ def write_convergence_csv(path: Path, grid, median) -> None:
 # Experiment plumbing
 # ---------------------------------------------------------------------------
 
-def _build_variant(args, strategy: str) -> VariantConfig:
-    return VariantConfig(
-        strategy=strategy,
-        limit=args.limit,
-        c_factor=args.c_factor,
-        adaptive_sizing=False if args.no_adaptive else None,
-        initial_colony=args.colony,
-    )
-
-
-def _build_termination(args, problem) -> TerminationRule:
-    # accuracy stop only applies where an exact optimum is known (benchmarks)
-    return TerminationRule(
-        max_nfe=args.max_nfe,
-        accuracy=args.accuracy,
-        target=problem.known_optimum,
-    )
-
-
-def _sweep(problems, strategies, args) -> list[ExperimentStats]:
-    """Stats of every strategy on every problem, problem by problem; all the
-    runs share one `run_batches` call, so one process pool."""
+def _sweep(problems, strategies, args) -> tuple[list[ExperimentStats], list[list[RunResult]]]:
+    """The stats and the runs of every strategy on every problem, problem by
+    problem; all the runs share one `run_batches` call, so one process pool.
+    The accuracy stop applies only where an exact optimum is known (benchmarks)."""
     pairs = [(problem, strategy) for problem in problems for strategy in strategies]
     batches = run_batches(
-        [(problem, _build_variant(args, strategy), _build_termination(args, problem))
+        [(problem,
+          VariantConfig(strategy=strategy, limit=args.limit, c_factor=args.c_factor,
+                        adaptive_sizing=False if args.no_adaptive else None,
+                        initial_colony=args.colony),
+          TerminationRule(max_nfe=args.max_nfe, accuracy=args.accuracy,
+                          target=problem.known_optimum))
          for problem, strategy in pairs],
         args.runs, args.seed, args.jobs)
-    return [aggregate(problem, strategy, results, sample_sd=args.sample_sd)
-            for (problem, strategy), results in zip(pairs, batches)]
+    stats = [aggregate(problem, strategy, results, sample_sd=args.sample_sd)
+             for (problem, strategy), results in zip(pairs, batches)]
+    return stats, batches
 
 
 def _problems(args, names, dims=None) -> list:
@@ -180,9 +169,7 @@ def _emit(out_dir: Path, fmt: str, stats: list[ExperimentStats],
 
 def cmd_run(args) -> int:
     [problem] = _problems(args, [args.problem])
-    results = run_batch(problem, _build_variant(args, args.variant),
-                        _build_termination(args, problem), args.runs, args.seed, args.jobs)
-    stats = aggregate(problem, args.variant, results, sample_sd=args.sample_sd)
+    [stats], [results] = _sweep([problem], [args.variant], args)
     out_dir = Path(args.output_dir)
     _emit(out_dir, args.format, [stats])
     if args.traces:
@@ -196,7 +183,7 @@ def cmd_run(args) -> int:
         )
     print(f"{stats.problem} {stats.variant}: best={format_stat(stats.best)} "
           f"mean={format_stat(stats.mean)} sd={format_stat(stats.sd)} "
-          f"mean_nfe={stats.mean_nfe:g}")
+          f"mean_nfe={stats.mean_nfe!r}")
     return 0
 
 
@@ -206,7 +193,7 @@ def cmd_compare(args) -> int:
         raise ConfigurationError("compare needs at least 2 variants")
     if args.baseline not in variants:
         raise ConfigurationError(f"baseline {args.baseline!r} is not among the variants")
-    all_stats = _sweep(_problems(args, args.problems), variants, args)
+    all_stats, _ = _sweep(_problems(args, args.problems), variants, args)
     table = compare_table(all_stats, args.baseline)
     _emit(Path(args.output_dir), args.format, all_stats, table)
     for v, avg in table.average_ar.items():
@@ -221,7 +208,7 @@ def cmd_bench(args) -> int:
         names += BENCHMARK_NAMES
     if args.suite in ("engineering", "all"):
         names += ENGINEERING_NAMES
-    all_stats = _sweep(_problems(args, names, BENCHMARK_DIMENSIONS), STRATEGIES, args)
+    all_stats, _ = _sweep(_problems(args, names, BENCHMARK_DIMENSIONS), STRATEGIES, args)
     comparison = None
     if args.suite in ("engineering", "all"):
         comparison = compare_table(
@@ -323,14 +310,18 @@ def _names(text: str) -> list[str]:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    """The flags every subcommand shares; the run's own defaults are the library's."""
     parser.add_argument("--runs", type=_count(1), default=30)
-    parser.add_argument("--seed", type=int, default=1, help="base seed; run i uses seed+i")
-    parser.add_argument("--colony", type=_count(8, even=True), default=100,
+    parser.add_argument("--seed", type=_count(0), default=1,
+                        help="base seed, >= 0; run i uses seed+i")
+    parser.add_argument("--colony", type=_count(8, even=True),
+                        default=VariantConfig.initial_colony,
                         help="colony size (bees); food sources are half of this")
-    parser.add_argument("--limit", type=_count(1), default=100, help="abandonment limit")
-    parser.add_argument("--c-factor", type=_finite(), default=1.5)
-    parser.add_argument("--max-nfe", type=_count(1), default=1_000_000)
-    parser.add_argument("--accuracy", type=_finite(0.0), default=1e-20)
+    parser.add_argument("--limit", type=_count(1), default=VariantConfig.limit,
+                        help="abandonment limit")
+    parser.add_argument("--c-factor", type=_finite(), default=VariantConfig.c_factor)
+    parser.add_argument("--max-nfe", type=_count(1), default=TerminationRule.max_nfe)
+    parser.add_argument("--accuracy", type=_finite(0.0), default=TerminationRule.accuracy)
     parser.add_argument("--no-adaptive", action="store_true",
                         help="disable adaptive colony sizing for the sac variants")
     parser.add_argument("--sample-sd", action="store_true",
@@ -385,9 +376,10 @@ def main(argv=None) -> int:
     if "BEEHIVE_SEED" in os.environ:
         value = os.environ["BEEHIVE_SEED"]
         try:
-            args.seed = int(value)
-        except ValueError:
-            print(f"error: BEEHIVE_SEED must be an integer, not {value!r}", file=sys.stderr)
+            args.seed = _count(0)(value)
+        except (ValueError, argparse.ArgumentTypeError):
+            print(f"error: BEEHIVE_SEED must be an integer >= 0, not {value!r}",
+                  file=sys.stderr)
             return 2
     try:
         return args.func(args)

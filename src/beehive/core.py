@@ -48,6 +48,9 @@ class RngStream:
     __slots__ = ("random",)
 
     def __init__(self, seed: int):
+        # `random.Random` seeds with abs(seed), so -s would replay seed s
+        if seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {seed!r}")
         # bound method cached: `random` is the raw [0, 1) draw
         self.random = random.Random(int(seed)).random
 

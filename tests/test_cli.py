@@ -15,9 +15,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 import beehive
 from beehive import harness
-from beehive.cli import main, write_convergence_csv
+from beehive.cli import (main, write_comparison_csv, write_convergence_csv,
+                         write_stats_csv)
 from beehive.engine import STRATEGIES
-from beehive.harness import ExperimentStats
+from beehive.harness import ExperimentStats, compare_table
 
 
 def run_cli(*argv):
@@ -121,9 +122,11 @@ class TestRunCommand:
                        "--output-dir", str(tmp_path / "run")) == 0
         assert run_cli("compare", "--problems", problem, "--variants", "basic,sac2", *common,
                        "--output-dir", str(tmp_path / "compare")) == 0
-        dims = [{s.dim for s in read_stats_json(tmp_path / command / "stats.json")}
-                for command in ("run", "compare")]
-        assert len(dims[0]) == 1 and dims[0] == dims[1]
+        [by_run] = read_stats_json(tmp_path / "run" / "stats.json")
+        by_compare = read_stats_json(tmp_path / "compare" / "stats.json")
+        assert {s.dim for s in by_compare} == {by_run.dim}
+        # one sweep path: run's record is compare's record for the same variant
+        assert by_run == next(s for s in by_compare if s.variant == by_run.variant)
 
     def test_convergence_csv_writes_every_nfe_digit(self, tmp_path):
         # six significant digits would print 1000030 and 1000034 alike
@@ -132,6 +135,19 @@ class TestRunCommand:
         rows = read_csv(tmp_path / "c.csv")
         assert [row[0] for row in rows[1:]] == [
             "0", "400", "999980", "1000030", "1000034", "1000039"]
+
+    def test_stats_csv_and_console_write_every_nfe_digit(self, tmp_path, capsys):
+        # six significant digits would print these as 1.00004e+06 and 65288.6
+        stats = [ExperimentStats("sphere", "basic", 2, 30, 0.0, 0.0, 0.0, nfe)
+                 for nfe in (1000039.5, 65288.61279485744, 350.0)]
+        write_stats_csv(tmp_path / "stats.csv", stats)
+        rows = read_csv(tmp_path / "stats.csv")
+        assert [row[-1] for row in rows[1:]] == ["1000039.5", "65288.61279485744", "350.0"]
+        assert run_cli("run", "--problem", "sphere", "--dim", "2", "--runs", "3",
+                       "--max-nfe", "300", "--output-dir", str(tmp_path / "out")) == 0
+        [s] = read_stats_json(tmp_path / "out" / "stats.json")
+        assert capsys.readouterr().out.endswith(f" mean_nfe={s.mean_nfe!r}\n")
+        assert read_csv(tmp_path / "out" / "stats.csv")[1][-1] == repr(s.mean_nfe)
 
     def test_format_json_skips_csv(self, tmp_path):
         run_cli("run", "--problem", "sphere", "--dim", "2", "--runs", "1",
@@ -191,6 +207,17 @@ class TestCompareCommand:
         assert read_csv(tmp_path / "comparison.csv")[0][0] == "problem"
         assert (tmp_path / "stats.csv").exists()
         assert not list(tmp_path.glob("*.json"))
+
+    def test_comparison_csv_writes_every_nfe_digit(self, tmp_path):
+        stats = [ExperimentStats(problem, variant, 2, 30, 0.0, 0.0, 0.0, nfe)
+                 for problem, variant, nfe in (("sphere", "basic", 1000039.5),
+                                               ("sphere", "sac2", 65288.61279485744),
+                                               ("ackley", "basic", 700.0),
+                                               ("ackley", "sac2", 350.0))]
+        write_comparison_csv(tmp_path / "c.csv", compare_table(stats, "sac2"))
+        rows = read_csv(tmp_path / "c.csv")
+        assert [row[1:3] for row in rows[1:3]] == [["1000039.5", "65288.61279485744"],
+                                                   ["700.0", "350.0"]]
 
     def test_missing_baseline_is_usage_error(self, tmp_path, capsys):
         code = run_cli("compare", "--problems", "sphere", "--variants",
@@ -308,6 +335,8 @@ class TestErrorsAndConfig:
         ("--atoms", "1", "argument --atoms: 1 is not an integer >= 2"),
         ("--atoms", "-3", "argument --atoms: -3 is not an integer >= 2"),
         ("--dim", "0", "argument --dim: 0 is not an integer >= 1"),
+        # random.Random seeds with abs(seed): seed -2 would replay seed 2
+        ("--seed", "-2", "argument --seed: -2 is not an integer >= 0"),
     ])
     def test_bad_count_exits_2_naming_flag_and_value(self, tmp_path, capsys, flag, value,
                                                      named):
@@ -360,11 +389,14 @@ class TestErrorsAndConfig:
         assert (out_a / "stats.json").read_text() == (out_b / "stats.json").read_text()
 
     def test_bad_env_seed_exits_2(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("BEEHIVE_SEED", "abc")
-        code = run_cli("run", "--problem", "sphere", "--dim", "2", "--runs", "1",
-                       "--max-nfe", "300", "--output-dir", str(tmp_path))
-        assert code == 2
-        assert "abc" in capsys.readouterr().err
+        for value in ("abc", "-2"):  # a negative seed would replay its absolute value
+            monkeypatch.setenv("BEEHIVE_SEED", value)
+            code = run_cli("run", "--problem", "sphere", "--dim", "2", "--runs", "1",
+                           "--max-nfe", "300", "--output-dir", str(tmp_path))
+            assert code == 2
+            assert f"BEEHIVE_SEED must be an integer >= 0, not {value!r}" in \
+                capsys.readouterr().err
+            assert not (tmp_path / "stats.json").exists()
 
     def test_config_file_sets_defaults_and_flags_win(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -408,6 +440,7 @@ class TestErrorsAndConfig:
         ("runs = 2.7", "2.7"),
         ("maxnfe = 5", "maxnfe"),
         ("max-nfe = 1e3", "1e3"),
+        ("seed = -2", "argument --seed: -2 is not an integer >= 0"),
         # a truncated key is not read as the flag it starts
         ("max = 300", "--max=300"),
         ("lim = 5", "--lim=5"),
@@ -545,9 +578,14 @@ class TestConfigFuzz:
             cfg = Path(tmp, "exp.cfg")
             cfg.write_text("\n".join(lines) + "\n")
             by_flags, by_file = Path(tmp, "flags"), Path(tmp, "file")
-            assert quiet_main(base + flags + ["--output-dir", str(by_flags)]) == 0
+            # a negative seed is refused both ways (exit 2), before any run
+            status = 0 if values["seed"] >= 0 else 2
+            assert quiet_main(base + flags + ["--output-dir", str(by_flags)]) == status
             assert quiet_main(base + ["--config", str(cfg),
-                                      "--output-dir", str(by_file)]) == 0
+                                      "--output-dir", str(by_file)]) == status
+            if status:
+                assert not by_flags.exists() and not by_file.exists()
+                return
             from_file = artifacts(by_file)
             assert artifacts(by_flags) == from_file
             assert ("stats.json" in from_file) == (values["format"] != "csv")

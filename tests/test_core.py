@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from beehive.core import Bounds, RngStream, random_position
+from beehive.core import Bounds, ConfigurationError, RngStream, random_position
 from conftest import in_box
 
 
@@ -69,3 +69,9 @@ class TestRngStream:
         a = RngStream(1)
         b = RngStream(2)
         assert [a.random() for _ in range(10)] != [b.random() for _ in range(10)]
+
+    @pytest.mark.parametrize("seed", [-1, -2, -2**64])
+    def test_negative_seed_is_rejected(self, seed):
+        # random.Random seeds with abs(seed): -s would replay seed s
+        with pytest.raises(ConfigurationError, match=f"seed must be >= 0, got {seed}"):
+            RngStream(seed)

@@ -381,8 +381,10 @@ class TestLennardJonesMoves:
 
     @pytest.mark.parametrize("n", LJ_ATOMS)
     def test_stated_r2_grouping_equals_einsum(self, n):
-        # the kernel's `(dx*dx + dz*dz) + dy*dy` is the grouping np.einsum
-        # gives on this numpy; the pair energies and the goldens rest on it
+        # the kernel's `(dx*dx + dz*dz) + dy*dy` is elementwise, so exactly
+        # rounded in every numpy build; `lj_reference` and
+        # `_atoms_at_squared_distance` take it with np.einsum, whose grouping
+        # this checks on this numpy, so the reference stays the kernel's twin
         first, second = np.triu_indices(n, 1)
         rng = np.random.default_rng(300 + n)
         for scale in (1e-3, 1.0, 2.0 * n ** (1.0 / 3.0)):
