@@ -101,14 +101,16 @@ def fitness_map(objective: float) -> float:
 class Colony:
     """The food sources as parallel lists, plus best-so-far memory and the NFE count.
 
-    `sources[i]` is source i's position: a 1-d array that a winning candidate
-    replaces and that is never written in place, so the best memory may share
-    it. `fitness[i]`, `trials[i]` (failed attempts in a row; null moves
-    count), `gene[i]` (proposed source count, None unless adaptive) and
-    `memo[i]` (what the objective's `start`/`move` hooks keep about the
-    position, None without them) hold the rest. The best objective is in
-    minimization sense. The box limits are Python floats. The colony only
-    stores: the problem's objective decides how a point is evaluated.
+    `sources[i]` is source i's position: a list of Python floats that a
+    winning candidate replaces and that is never written in place, so the best
+    memory, also such a list, may share it. `fitness[i]`, `trials[i]` (failed
+    attempts in a row; null moves count), `gene[i]` (proposed source count,
+    None unless adaptive) and `memo[i]` hold the rest. The memo is what the
+    objective's `start`/`move` hooks keep about the position, or, for an
+    objective without them, the position as the 1-d array it is evaluated on
+    (also never written in place). The best objective is in minimization
+    sense. The box limits are Python floats. The colony only stores: the
+    problem's objective decides how a point is evaluated.
     """
 
     __slots__ = ("lower", "upper", "sources", "fitness", "trials", "gene", "memo",
@@ -118,7 +120,7 @@ class Colony:
         self.lower = bounds.lower.tolist()
         self.upper = bounds.upper.tolist()
         self.sources, self.fitness, self.trials, self.gene, self.memo = [], [], [], [], []
-        self.best_position = np.zeros(bounds.dimension)
+        self.best_position = [0.0] * bounds.dimension
         self.best_objective = math.inf
         self.nfe = 0
 
@@ -126,7 +128,7 @@ class Colony:
         """The per-source lists, in the order `put` takes a source's state."""
         return self.sources, self.fitness, self.trials, self.gene, self.memo
 
-    def put(self, i, position, objective, gene, memo=None):
+    def put(self, i, position, objective, gene, memo):
         """Store a fresh source with no trials as source i; i == len(sources) appends."""
         state = (position, fitness_map(objective), 0, gene, memo)
         for column, value in zip(self.columns(), state):
@@ -150,23 +152,24 @@ def _hooks(evaluate):
 
 
 def _keep_best(colony, problem, f, position):
-    """Store f, the counted evaluation at `position` (minimization sense), as the
-    new best, or stop the run with a ValueError that names the problem, the
-    value, the evaluation and the point if f is nan or an infinity. Called only
-    for an f below the best so far or not finite."""
+    """Store f, the counted evaluation at `position` (minimization sense, a list
+    of floats), as the new best, or stop the run with a ValueError that names
+    the problem, the value, the evaluation and the point if f is nan or an
+    infinity. Called only for an f below the best so far or not finite."""
     if not math.isfinite(f):
         raise ValueError(
             f"problem {problem.name!r} returned a non-finite objective "
             f"{problem.to_user_sense(f)!r} at evaluation {colony.nfe} "
-            f"(position {position.tolist()})")
+            f"(position {position})")
     colony.best_objective = f
     colony.best_position = position
 
 
-def _stepper(colony, config, problem, rng):
-    """The candidate operator for one phase: returns step(i), which moves source i
-    in one coordinate, evaluates the candidate, counted, and keeps it iff it
-    moves and its fitness ties or beats the incumbent's.
+def _phase(colony, config, problem, rng, placements):
+    """The candidate operator over one phase: for each source i that
+    `placements` yields, in order, move source i in one coordinate, evaluate
+    the candidate, counted, and keep it iff it moves and its fitness ties or
+    beats the incumbent's.
 
     Draw order: dimension j; partner a != i; for sac1 only, partner b not in
     {i, a}; phi in [-1, 1); for gbest only, psi in [0, C). Each draw is one
@@ -184,12 +187,18 @@ def _stepper(colony, config, problem, rng):
     gene, if the colony carries one, moves by the same phi against b for sac1
     and against a otherwise, and is clamped to [sn_min, sn_max].
 
-    With the problem's `move` hook the objective gets only (j, value), and
-    the candidate's array is built only when it wins, becomes the best or is
-    non-finite (`_keep_best` then keeps it or stops the run). A null move,
+    With the problem's `move` hook the objective gets only (j, value);
+    without it, the source's memo array is copied and set at j. The
+    candidate's position list is built only when it wins, becomes the best or
+    is non-finite (`_keep_best` then keeps it or stops the run). A null move,
     the value equal to the incumbent's own x_ij (a step clamped back onto its
     bound, an elitist move in a colony collapsed onto the best), is counted
     but fails: the incumbent gains a trial, so it can still be scouted.
+
+    The phase's constants are bound once, and the best so far and the NFE
+    count are kept in locals. The count is written back to the colony before
+    each `_keep_best`, so its error names the evaluation, and when the phase
+    ends, however it ends.
     """
     rand = rng.random
     strategy = config.strategy
@@ -207,64 +216,68 @@ def _stepper(colony, config, problem, rng):
     evaluate = problem.evaluate
     move = _hooks(evaluate)[1]
     maximize = problem.direction != "minimize"
+    isfinite = math.isfinite
+    best_objective, best_position = colony.best_objective, colony.best_position
+    nfe = colony.nfe
+    try:
+        for i in placements:
+            j = int(rand() * dimension)
+            a = i
+            while a == i:
+                a = int(rand() * n)
+            b = a  # the partner the gene moves against
+            if two_partners:
+                while b == i or b == a:
+                    b = int(rand() * n)
+            phi = -1.0 + 2.0 * rand()
+            row = sources[i]
+            x = row[j]
+            if two_partners:
+                v = best_position[j] + phi * (sources[a][j] - sources[b][j])
+            else:
+                # the pull is added only where it exists: + 0.0 would turn -0.0 into +0.0
+                v = x + phi * (x - sources[a][j])
+                if sac2:
+                    v += c_factor * (best_position[j] - x)
+                elif gbest:
+                    # psi = 0.0 + (C - 0.0) * u, and C - 0.0 is C
+                    v += (0.0 + c_factor * rand()) * (best_position[j] - x)
+            lo, hi = lower[j], upper[j]
+            v = lo if v < lo else hi if v > hi else v
+            gene = genes[i]
+            if gene is not None:
+                gene += phi * (gene - genes[b])
+                gene = gene_lo if gene < gene_lo else gene_hi if gene > gene_hi else gene
 
-    def step(i):
-        j = int(rand() * dimension)
-        a = i
-        while a == i:
-            a = int(rand() * n)
-        b = a  # the partner the gene moves against
-        if two_partners:
-            while b == i or b == a:
-                b = int(rand() * n)
-        phi = -1.0 + 2.0 * rand()
-        row = sources[i]
-        if two_partners:
-            v = colony.best_position.item(j) + phi * (sources[a].item(j) - sources[b].item(j))
-        else:
-            x = row.item(j)
-            # the pull is added only where it exists: + 0.0 would turn -0.0 into +0.0
-            v = x + phi * (x - sources[a].item(j))
-            if sac2:
-                v += c_factor * (colony.best_position.item(j) - x)
-            elif gbest:
-                # psi = 0.0 + (C - 0.0) * u, and C - 0.0 is C
-                v += (0.0 + c_factor * rand()) * (colony.best_position.item(j) - x)
-        lo, hi = lower[j], upper[j]
-        v = lo if v < lo else hi if v > hi else v
-        gene = genes[i]
-        if gene is not None:
-            gene += phi * (gene - genes[b])
-            gene = gene_lo if gene < gene_lo else gene_hi if gene > gene_hi else gene
-
-        y = None  # the candidate's array, once built
-        if move is None:
-            y = row.copy()
-            y[j] = v
-            f, memo = evaluate(y), None
-        else:
-            f, memo = move(memos[i], j, v)
-        if maximize:
-            f = -f
-        colony.nfe += 1
-        best = f < colony.best_objective or not math.isfinite(f)  # or a stop: _keep_best
-        fit = 1.0 / (1.0 + f) if f >= 0.0 else 1.0 + abs(f)  # fitness_map
-        won = fit >= fitness[i] and v != row.item(j)
-        if y is None and (best or won):
-            y = row.copy()
-            y[j] = v
-        if best:
-            _keep_best(colony, problem, f, y)
-        if won:
-            sources[i] = y
-            fitness[i] = fit
-            trials[i] = 0
-            genes[i] = gene
-            memos[i] = memo
-        else:
-            trials[i] += 1
-
-    return step
+            if move is None:
+                memo = memos[i].copy()
+                memo[j] = v
+                f = evaluate(memo)
+            else:
+                f, memo = move(memos[i], j, v)
+            if maximize:
+                f = -f
+            nfe += 1
+            fit = 1.0 / (1.0 + f) if f >= 0.0 else 1.0 + abs(f)  # fitness_map
+            won = fit >= fitness[i] and v != x
+            best = f < best_objective or not isfinite(f)  # or a stop: _keep_best
+            if best or won:
+                y = row.copy()
+                y[j] = v
+                if best:
+                    colony.nfe = nfe
+                    _keep_best(colony, problem, f, y)
+                    best_objective, best_position = f, y
+            if won:
+                sources[i] = y
+                fitness[i] = fit
+                trials[i] = 0
+                genes[i] = gene
+                memos[i] = memo
+            else:
+                trials[i] += 1
+    finally:
+        colony.nfe = nfe
 
 
 def _new_source(colony, config, problem, rng, i):
@@ -278,20 +291,19 @@ def _new_source(colony, config, problem, rng, i):
     if config.adaptive_sizing:
         gene = float(config.sn_min + int(rng.random() * (config.sn_max - config.sn_min + 1)))
     start = _hooks(problem.evaluate)[0]
-    f, memo = start(pos) if start else (problem.evaluate(pos), None)
+    f, memo = start(pos) if start else (problem.evaluate(pos), pos)
     if problem.direction != "minimize":
         f = -f
     colony.nfe += 1
+    position = pos.tolist()
     if f < colony.best_objective or not math.isfinite(f):
-        _keep_best(colony, problem, f, pos)
-    colony.put(i, pos, f, gene, memo)
+        _keep_best(colony, problem, f, position)
+    colony.put(i, position, f, gene, memo)
 
 
 def employed_phase(colony, config, problem, rng):
     """One candidate per source, in order; NFE grows by the source count."""
-    step = _stepper(colony, config, problem, rng)
-    for i in range(len(colony.sources)):
-        step(i)
+    _phase(colony, config, problem, rng, range(len(colony.sources)))
 
 
 def onlooker_phase(colony, config, problem, rng):
@@ -300,15 +312,19 @@ def onlooker_phase(colony, config, problem, rng):
     The roulette inverts the cumulative `selection_probabilities`, taken once
     per phase: a placement goes to the first source whose cumulative
     probability exceeds a draw u = random(), or to the last source where
-    rounding has left the cumulative total at or below u.
+    rounding has left the cumulative total at or below u. Each u is drawn
+    just before its placement's own draws.
     """
     cum = selection_probabilities(colony).cumsum().tolist()
     last = len(cum) - 1
     rand = rng.random
-    step = _stepper(colony, config, problem, rng)
-    for _ in range(len(cum)):
-        i = bisect_right(cum, rand())
-        step(last if i > last else i)
+
+    def placements():
+        for _ in cum:
+            i = bisect_right(cum, rand())
+            yield last if i > last else i
+
+    _phase(colony, config, problem, rng, placements())
 
 
 def scout_phase(colony, config, problem, rng):
@@ -365,7 +381,7 @@ def run(problem: Problem, config: VariantConfig, termination: TerminationRule,
             cycles += 1
         trace.append((colony.nfe, colony.best_objective))
 
-    best_position = colony.best_position.copy()
+    best_position = np.array(colony.best_position)
     if problem.integrality is not None:
         mask = problem.integrality
         best_position[mask] = np.floor(best_position[mask] + 0.5)

@@ -24,6 +24,10 @@ GAS_PRODUCTION_EPS = 1e-12
 LJ_R2_FLOOR = 1e-12
 LJ_PENALTY = 1e30
 
+# 2*pi as Rastrigin's cosine argument takes it: 2.0 * math.pi * c is
+# (2.0 * math.pi) * c, so _TWO_PI * c gives the same bits
+_TWO_PI = 2.0 * math.pi
+
 
 @dataclass(frozen=True)
 class Problem:
@@ -71,7 +75,7 @@ class Problem:
 # ---------------------------------------------------------------------------
 
 def _sphere(x):
-    return float(np.dot(x, x))
+    return float(x.dot(x))
 
 
 @functools.lru_cache(maxsize=None)
@@ -83,7 +87,7 @@ def _griewank_divisor(n):
 
 
 def _griewank(x):
-    s = np.dot(x, x) / 4000.0
+    s = x.dot(x) / 4000.0
     p = np.multiply.reduce(np.cos(x / _griewank_divisor(x.size)))
     return float(s - p + 1.0)
 
@@ -91,8 +95,8 @@ def _griewank(x):
 def _ackley(x):
     n = x.size
     return float(
-        -20.0 * math.exp(-0.2 * math.sqrt(np.dot(x, x) / n))
-        - math.exp(np.cos(2.0 * math.pi * x).sum() / n)
+        -20.0 * math.exp(-0.2 * math.sqrt(x.dot(x) / n))
+        - math.exp(np.cos(_TWO_PI * x).sum() / n)
         + 20.0
         + math.e
     )
@@ -124,17 +128,20 @@ class Rastrigin:
         return self.start(x)[0]
 
     def start(self, x):
-        terms = [c * c - 10.0 * math.cos(2.0 * math.pi * c) for c in x.tolist()]
+        terms = [c * c - 10.0 * math.cos(_TWO_PI * c) for c in x.tolist()]
         return self._value(terms), terms
 
     def move(self, memo, j, v):
         terms = memo.copy()
-        terms[j] = v * v - 10.0 * math.cos(2.0 * math.pi * v)
-        return self._value(terms), terms
+        terms[j] = v * v - 10.0 * math.cos(_TWO_PI * v)
+        try:  # `_value`, inline: one call less per move
+            return 10.0 * len(terms) + math.fsum(terms), terms
+        except OverflowError:
+            return math.inf, terms
 
 
 def _schaffer(x):
-    s = float(np.dot(x, x))
+    s = float(x.dot(x))
     return 0.5 + (math.sin(math.sqrt(s)) ** 2 - 0.5) / (1.0 + 0.001 * s) ** 2
 
 
@@ -155,7 +162,7 @@ _BENCHMARKS = {
 # ---------------------------------------------------------------------------
 
 def _gas_production(x):
-    x1, x2 = float(x[0]), float(x[1])
+    x1, x2 = x.tolist()
     t = (40.0 - x1) * math.log(x2 / 200.0)
     bracket = t ** -0.85 if t > GAS_PRODUCTION_EPS else 0.0
     return (
@@ -168,7 +175,7 @@ def _gas_production(x):
 
 
 def _air_heater(x):
-    x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
+    x1, x2, x3 = x.tolist()
     fs = 0.079 * x3 ** -0.25
     # The friction-factor chain is implemented exactly as typeset: f_r's power
     # term uses x3 where R_M's uses x2. That x3 is likely a typo for x2 in the
@@ -182,10 +189,16 @@ def _air_heater(x):
 
 
 def _gear_train(x):
-    # teeth counts are integers: round half away from zero before evaluating
-    t = np.floor(np.asarray(x, dtype=float) + 0.5)
-    ratio = (t[0] * t[1]) / (t[2] * t[3])
-    return float((1.0 / 6.931 - ratio) ** 2)
+    # teeth counts are integers: round half up, floor(v + 0.5), before evaluating
+    try:
+        a, b, c, d = [math.floor(v + 0.5) for v in x.tolist()]
+        # float products, which round as numpy's do where exact ints would not
+        return (1.0 / 6.931 - (float(a) * b) / (float(c) * d)) ** 2
+    except (ArithmeticError, ValueError):
+        # a NaN or an infinity, a zero teeth count or an overflow, which Python
+        # floats raise on: numpy gives its IEEE value, nan or inf
+        t = np.floor(x + 0.5)
+        return float((1.0 / 6.931 - (t[0] * t[1]) / (t[2] * t[3])) ** 2)
 
 
 @dataclass(frozen=True)
@@ -304,7 +317,7 @@ def make_lennard_jones(config: LJConfig) -> Problem:
 
 
 def _gas_compressor(x):
-    x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
+    x1, x2, x3 = x.tolist()
     return (
         8.61e5 * math.sqrt(x1) * x2 * x3 ** (-2.0 / 3.0) / math.sqrt(x2 * x2 - 1.0)
         + 3.69e4 * x3

@@ -16,7 +16,7 @@ from beehive.engine import (
     VariantConfig,
     _hooks,
     _new_source,
-    _stepper,
+    _phase,
     adapt_colony_size,
     employed_phase,
     fitness_map,
@@ -32,17 +32,19 @@ from test_golden import SCOUTING
 
 def make_colony(positions, objectives=None, genes=None):
     """Hand-built colony in the box [-10, 10]^D; best memory points at the
-    lowest objective."""
-    positions = [np.array(p, dtype=float) for p in positions]
+    lowest objective. Each position is a list of floats and its memo is the
+    position's array, as `_new_source` stores them for an objective without
+    hooks."""
+    arrays = [np.array(p, dtype=float) for p in positions]
     if objectives is None:
-        objectives = [float(np.dot(p, p)) for p in positions]
+        objectives = [float(np.dot(p, p)) for p in arrays]
     if genes is None:
-        genes = [None] * len(positions)
-    colony = Colony(Bounds.cube(-10, 10, positions[0].size))
-    for i, (p, f, g) in enumerate(zip(positions, objectives, genes)):
-        colony.put(i, p, f, g)
-    best = min(range(len(positions)), key=objectives.__getitem__)
-    colony.best_position = positions[best].copy()
+        genes = [None] * len(arrays)
+    colony = Colony(Bounds.cube(-10, 10, arrays[0].size))
+    for i, (p, f, g) in enumerate(zip(arrays, objectives, genes)):
+        colony.put(i, p.tolist(), f, g, p)
+    best = min(range(len(arrays)), key=objectives.__getitem__)
+    colony.best_position = arrays[best].tolist()
     colony.best_objective = objectives[best]
     return colony
 
@@ -63,37 +65,38 @@ class MoveRecorder:
 
 
 def proposed(i, colony, rng, config):
-    """Source i's candidate as a `_stepper` step draws it: (j, new x_ij, size gene).
+    """Source i's candidate as `_phase` draws it: (j, new x_ij, size gene).
 
-    The step runs on a copy of the colony's columns, so `colony` is left as it
-    was. The problem's objective is a `MoveRecorder`, so the candidate wins
-    and its gene lands in the copy's gene column unless it is a null move,
-    which keeps the old gene.
+    A one-placement phase runs on a copy of the colony's columns, so `colony`
+    is left as it was. The problem's objective is a `MoveRecorder`, so the
+    candidate wins and its gene lands in the copy's gene column unless it is
+    a null move, which keeps the old gene.
     """
     trial = copy.copy(colony)
     trial.sources, trial.fitness, trial.trials, trial.gene, trial.memo = (
         list(column) for column in colony.columns())
     recorder = MoveRecorder()
     problem = dataclasses.replace(small_problem(len(colony.lower)), evaluate=recorder)
-    _stepper(trial, config, problem, rng)(i)
+    _phase(trial, config, problem, rng, [i])
     [(j, value)] = recorder.seen
     return j, value, trial.gene[i]
 
 
 def moved(i, colony, rng, config):
-    """Source i's candidate position and size gene, as `proposed` gives them."""
+    """Source i's candidate position, as an array, and size gene, as `proposed`
+    gives them."""
     j, value, gene = proposed(i, colony, rng, config)
-    position = colony.sources[i].copy()
+    position = np.array(colony.sources[i])
     position[j] = value
     return position, gene
 
 
 def scripted_step(colony, i, j, a, phi):
-    """One basic `_stepper` step of source i on `small_problem`, with scripted
-    draws: coordinate j, partner a and phi."""
+    """One basic `_phase` placement of source i on `small_problem`, with
+    scripted draws: coordinate j, partner a and phi."""
     rng = ScriptedRng([index_draw(j, len(colony.lower)),
                        index_draw(a, len(colony.sources)), real_draw(phi, -1, 1)])
-    _stepper(colony, BASIC, small_problem(len(colony.lower)), rng)(i)
+    _phase(colony, BASIC, small_problem(len(colony.lower)), rng, [i])
     assert rng.used_up()
 
 
@@ -298,7 +301,7 @@ class TestGreedySelect:
         current = colony.sources[0]
         scripted_step(colony, 0, 0, 1, -0.5)  # 3 - 0.5 * (3 + 1) = 1
         assert colony.sources[0] is not current
-        assert colony.sources[0].tolist() == [1.0, 0.0]
+        assert colony.sources[0] == [1.0, 0.0]
         assert colony.fitness[0] == 0.5  # objective 1
         assert colony.trials[0] == 0
 
@@ -332,7 +335,7 @@ class TestGreedySelect:
         scripted_step(colony, 0, 0, 1, -0.5)  # 3 - 0.5 * (3 + 2) = 0.5
         assert colony.nfe == nfe + 1
         assert colony.best_objective == 0.25
-        assert colony.best_position.tolist() == [0.5, 0.0]
+        assert colony.best_position == [0.5, 0.0]
 
     def test_step_clamped_back_onto_own_bound_is_a_failed_trial(self, scripted):
         # x_i0 sits on the upper bound; 10 + 0.5 * (10 + 9) = 19.5 clamps back
@@ -342,7 +345,7 @@ class TestGreedySelect:
         draws = [index_draw(0, 2), index_draw(1, 2), real_draw(0.5, -1, 1)]
         j, value, gene = proposed(0, colony, scripted(raws=draws), BASIC)
         assert (j, value) == (0, 10.0)
-        _stepper(colony, BASIC, small_problem(), scripted(raws=draws))(0)
+        _phase(colony, BASIC, small_problem(), scripted(raws=draws), [0])
         assert colony.nfe == 1
         assert colony.trials[0] == 1
         assert colony.sources[0] is current
@@ -375,7 +378,7 @@ class TestPhases:
         colony = make_colony(initial, objectives=[0.0] * 4)
         employed_phase(colony, VariantConfig(strategy="basic"), problem, RngStream(4))
         assert colony.trials == [1, 1, 1, 1]
-        assert [p.tolist() for p in colony.sources] == initial
+        assert colony.sources == initial
 
     def test_onlooker_costs_one_evaluation_per_source(self):
         problem = small_problem()
@@ -386,14 +389,13 @@ class TestPhases:
     def test_onlooker_one_draw_per_placement_scripted(self, scripted, monkeypatch):
         placed = []
 
-        def recording(colony, config, problem, rng):
-            def step(i):
+        def recording(colony, config, problem, rng, placements):
+            for i in placements:
                 placed.append(i)
                 # a null move, counted, on draws of its own
                 scripted_step(colony, i, 0, (i + 1) % 4, 0.0)
-            return step
 
-        monkeypatch.setattr("beehive.engine._stepper", recording)
+        monkeypatch.setattr("beehive.engine._phase", recording)
         # fitnesses 1:1:3:1; the cumulative probabilities round to
         # [1/6, 1/3, 5/6, 0.9999999999999999]
         colony = make_colony([[1, 0], [0, 1], [-1, 0], [0, -1]],
@@ -411,12 +413,11 @@ class TestPhases:
     def test_onlooker_counts_follow_fitness(self, monkeypatch):
         counts = [0, 0, 0, 0]
 
-        def spy(colony, config, problem, rng):
-            def step(i):
+        def spy(colony, config, problem, rng, placements):
+            for i in placements:
                 counts[i] += 1
-            return step
 
-        monkeypatch.setattr("beehive.engine._stepper", spy)
+        monkeypatch.setattr("beehive.engine._phase", spy)
         problem = small_problem()
         config = VariantConfig(strategy="basic")
         rng = RngStream(13)
@@ -435,12 +436,11 @@ class TestPhases:
     def test_onlooker_prefers_high_fitness(self, monkeypatch):
         counts = [0, 0, 0, 0]
 
-        def spy(colony, config, problem, rng):
-            def step(i):
+        def spy(colony, config, problem, rng, placements):
+            for i in placements:
                 counts[i] += 1
-            return step
 
-        monkeypatch.setattr("beehive.engine._stepper", spy)
+        monkeypatch.setattr("beehive.engine._phase", spy)
         problem = small_problem()
         # objective 0 maps to fitness 1; objective 99 maps to fitness 0.01
         colony = make_colony([[0, 0]] + [[1, 1]] * 3, objectives=[0.0, 99.0, 99.0, 99.0])
@@ -479,7 +479,7 @@ class TestPhases:
         scout_phase(colony, config, problem, rng)
         assert colony.nfe == 9
         assert colony.trials[0] == 0
-        assert colony.sources[0].tolist() != [1.0, 1.0]
+        assert colony.sources[0] != [1.0, 1.0]
         assert colony.trials[1:] == [2, 2, 2]
 
     def test_scout_replaces_at_most_one(self):
@@ -499,6 +499,107 @@ class TestPhases:
         best_before = colony.best_objective
         scout_phase(colony, config, problem, RngStream(6))
         assert colony.best_objective <= best_before
+
+
+class FlakySphere:
+    """The sphere function, counted, whose call number `k` returns `bad`, or
+    raises a RuntimeError if `bad` is None."""
+
+    def __init__(self, k, bad):
+        self.k, self.bad, self.calls = k, bad, 0
+
+    def value(self, point):
+        self.calls += 1
+        if self.calls == self.k:
+            if self.bad is None:
+                raise RuntimeError(f"call {self.k}")
+            return self.bad
+        return math.fsum(c * c for c in point)
+
+    def __call__(self, x):
+        return self.value(x.tolist())
+
+
+class HookedFlakySphere(FlakySphere):
+    """`FlakySphere` with `start`/`move` hooks whose memo is the point as a list."""
+
+    def start(self, x):
+        return self.value(x.tolist()), x.tolist()
+
+    def move(self, memo, j, v):
+        point = memo.copy()
+        point[j] = v
+        return self.value(point), point
+
+
+class TestPhaseLoop:
+    """`_phase` keeps the best so far and the NFE count in locals: the colony's
+    count is right however a phase ends, and no position list is written in
+    place."""
+
+    @staticmethod
+    def flaky_colony(objective):
+        """Six sources in 2-D that have cost 10 evaluations, with memos for
+        `objective`."""
+        colony = make_colony([[1, 1], [2, 2], [3, 3], [-1, 4], [0, 5], [4, 0]])
+        if hasattr(objective, "move"):
+            colony.memo[:] = [list(x) for x in colony.sources]
+        colony.nfe = 10
+        return colony
+
+    @pytest.mark.parametrize("objective", (FlakySphere, HookedFlakySphere))
+    @pytest.mark.parametrize("phase,k,bad", [
+        (employed_phase, 3, math.nan),
+        (employed_phase, 5, -math.inf),   # a new best as well
+        (onlooker_phase, 4, math.inf),
+        (onlooker_phase, 6, math.nan),    # the last placement
+    ])
+    def test_a_non_finite_value_mid_phase_leaves_the_count(self, objective, phase, k, bad):
+        flaky = objective(k, bad)
+        colony = self.flaky_colony(flaky)
+        problem = dataclasses.replace(small_problem(), name="flaky", evaluate=flaky)
+        with pytest.raises(ValueError) as info:
+            phase(colony, BASIC, problem, RngStream(2))
+        assert flaky.calls == k
+        assert colony.nfe == 10 + k
+        assert f"at evaluation {10 + k} (position [" in str(info.value)
+
+    @pytest.mark.parametrize("objective", (FlakySphere, HookedFlakySphere))
+    @pytest.mark.parametrize("phase", (employed_phase, onlooker_phase))
+    def test_an_objective_that_raises_mid_phase_leaves_the_count(self, objective, phase):
+        flaky = objective(4, None)
+        colony = self.flaky_colony(flaky)
+        problem = dataclasses.replace(small_problem(), evaluate=flaky)
+        with pytest.raises(RuntimeError, match="call 4"):
+            phase(colony, BASIC, problem, RngStream(2))
+        assert colony.nfe == 10 + 3  # the evaluations that returned
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("name", ("sphere", "rastrigin"))
+    def test_a_phase_never_writes_a_position_in_place(self, name, strategy):
+        """Every source and best-memory list, and without hooks every memo
+        array, holds its old values after the employed and onlooker phases."""
+        problem = make_problem(name, 5)
+        config = VariantConfig(strategy=strategy, initial_colony=12, sn_min=6, sn_max=12)
+        rng = RngStream(8)
+        colony = Colony(problem.bounds)
+        for i in range(6):
+            _new_source(colony, config, problem, rng, i)
+        arrays = [m for m in colony.memo if isinstance(m, np.ndarray)]
+        assert len(arrays) == (6 if name == "sphere" else 0)
+        replaced = 0
+        for _ in range(20):
+            sources = list(colony.sources)
+            lists = [(x, x.copy()) for x in sources + [colony.best_position]]
+            memos = [(m, m.tobytes()) for m in colony.memo if isinstance(m, np.ndarray)]
+            employed_phase(colony, config, problem, rng)
+            onlooker_phase(colony, config, problem, rng)
+            for x, old in lists:
+                assert x == old
+            for m, old in memos:
+                assert m.tobytes() == old
+            replaced += sum(x is not y for x, y in zip(sources, colony.sources))
+        assert replaced > 0
 
 
 class TestAdaptColonySize:
@@ -846,8 +947,9 @@ class TestIncrementalEvaluation:
     @staticmethod
     def check_memo_column_follows_its_source(problem, strategy):
         """After every phase, with scouts firing and colonies resizing, each
-        source's fitness and memo are those of its own array, bit for bit, and
-        no two sources share an array."""
+        source's fitness and memo are those of its own position, bit for bit
+        (without hooks the memo is the position's array), and no two sources
+        share a position list."""
         config = VariantConfig(strategy=strategy, **SCOUTING)
         rng = RngStream(5)
         colony = Colony(problem.bounds)
@@ -863,8 +965,12 @@ class TestIncrementalEvaluation:
                 assert len(colony.memo) == len(colony.sources)
                 assert len({id(x) for x in colony.sources}) == len(colony.sources)
                 for x, fit, memo in zip(colony.sources, colony.fitness, colony.memo):
-                    assert fit == fitness_map(problem.evaluate_min(x))
-                    assert memo == (None if start is None else start(x)[1])
+                    point = np.array(x)
+                    assert fit == fitness_map(problem.evaluate_min(point))
+                    if start is None:
+                        assert memo.tobytes() == point.tobytes()
+                    else:
+                        assert memo == start(point)[1]
 
     @pytest.mark.parametrize("dim", (3, 10, 30, 130))
     @pytest.mark.parametrize("strategy", STRATEGIES)

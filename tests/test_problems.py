@@ -1,5 +1,6 @@
 """Objective function values, symmetries, and the problem registry."""
 import copy
+import itertools
 import math
 import pickle
 import warnings
@@ -152,6 +153,31 @@ class TestGearTrain:
         p = make_problem("gear_train")
         assert p.integrality is not None and p.integrality.all()
         assert p.dimension == 4
+
+    @staticmethod
+    def float64_value(x):
+        """The objective in numpy float64 arithmetic, IEEE values (nan, inf)
+        where Python floats would raise."""
+        with np.errstate(all="ignore"):
+            t = np.floor(x + 0.5)
+            return float((1.0 / 6.931 - (t[0] * t[1]) / (t[2] * t[3])) ** 2)
+
+    def test_float64_values_in_the_box(self):
+        p = make_problem("gear_train")
+        rng = np.random.default_rng(6)
+        for x in p.bounds.lower + rng.random((20_000, 4)) * (p.bounds.upper - p.bounds.lower):
+            assert p.evaluate(x) == self.float64_value(x)
+
+    def test_float64_values_off_the_box(self):
+        # non-finite coordinates, zero teeth counts (a zero denominator) and
+        # products or squares past the float range
+        f = _fn("gear_train")
+        special = (math.nan, math.inf, -math.inf, 0.0, -0.4, 12.0, -3.0, 1e160, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy's divide and overflow warnings
+            for combo in itertools.product(special, repeat=4):
+                x = np.array(combo)
+                assert repr(f(x)) == repr(self.float64_value(x)), combo
 
 
 class TestLennardJones:
@@ -453,11 +479,23 @@ class TestRastriginMoves:
     def test_an_overflowing_sum_is_infinite(self):
         # each term is finite, but their sum is not: math.fsum raises there
         assert Rastrigin()(np.array([1e154, 1e154])) == math.inf
+        f = Rastrigin()
+        assert f.move(f.start(np.array([1e154, 0.0]))[1], 1, 1e154)[0] == math.inf
 
     def test_registered_and_pickles(self):
         f = make_problem("rastrigin", 5).evaluate
         assert f == Rastrigin()
         assert pickle.loads(pickle.dumps(f)) == f
+
+
+@pytest.mark.parametrize("name", ("gas_production", "air_heater", "gear_train",
+                                  "gas_compressor"))
+def test_a_nan_coordinate_gives_nan_not_an_error(name):
+    p = make_problem(name)
+    for k in range(p.dimension):
+        x = (p.bounds.lower + p.bounds.upper) / 2.0
+        x[k] = math.nan
+        assert math.isnan(p.evaluate(x)), k
 
 
 def test_griewank_matches_the_uncached_divisor():
