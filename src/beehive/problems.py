@@ -3,6 +3,12 @@
 All problems expose the same `Problem` record. Objectives are evaluated in the
 user's optimization sense; `evaluate_min` gives the minimization-sense value the
 optimizer works in (maximization problems are negated).
+
+`Rastrigin`, `LennardJones` and `OnFloats`, the wrapper of the four fixed-size
+designs, carry the engine's `start`/`move` hooks, which evaluate a point that
+differs from a known one in one coordinate; each gives `__call__`'s value bit
+for bit. The designs are functions of a list of Python floats and give nan
+off their real domain.
 """
 from __future__ import annotations
 
@@ -161,9 +167,44 @@ _BENCHMARKS = {
 # Engineering design problems
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class OnFloats:
+    """An objective `fn` of a short list of Python floats, with the engine's
+    incremental-evaluation hooks: `__call__(x)` gives `fn(x.tolist())`,
+    `start(x)` gives it with the list as the memo, and `move(memo, j, v)`
+    gives the value and memo of a copy of the memo with element j set to v,
+    leaving the memo it is given as it is. All three call `fn` on the same
+    floats, so they agree bit for bit. `fn` is a module-level function, so a
+    `Problem` that uses it pickles into worker processes.
+    """
+
+    fn: Callable[[list], float]
+
+    def __call__(self, x):
+        return self.fn(x.tolist())
+
+    def start(self, x):
+        c = x.tolist()
+        return self.fn(c), c
+
+    def move(self, memo, j, v):
+        c = memo.copy()
+        c[j] = v
+        return self.fn(c), c
+
+
+# The design objectives take a list of Python floats (see `OnFloats`) and give
+# nan off their real domain, where Python floats would raise (a logarithm or
+# square root of a negative, a division by zero, an overflow) or a fractional
+# power of a negative base would be complex. A `try` costs nothing until it
+# catches; a comparison guards each such power.
+
 def _gas_production(x):
-    x1, x2 = x.tolist()
-    t = (40.0 - x1) * math.log(x2 / 200.0)
+    x1, x2 = x
+    try:
+        t = (40.0 - x1) * math.log(x2 / 200.0)
+    except ValueError:  # x2 <= 0
+        return math.nan
     bracket = t ** -0.85 if t > GAS_PRODUCTION_EPS else 0.0
     return (
         61.8
@@ -175,29 +216,36 @@ def _gas_production(x):
 
 
 def _air_heater(x):
-    x1, x2, x3 = x.tolist()
-    fs = 0.079 * x3 ** -0.25
-    # The friction-factor chain is implemented exactly as typeset: f_r's power
-    # term uses x3 where R_M's uses x2. That x3 is likely a typo for x2 in the
-    # original reference.
-    fr = 2.0 / (0.95 * x3 ** 0.53 + 2.5 * math.log(1.0 / (2.0 * x1)) ** 2 - 3.75) ** 2
-    f_bar = 0.5 * (fs + fr)
-    e_plus = x1 * x3 * math.sqrt(f_bar / 2.0)
-    r_m = 0.95 * x2 ** 0.53
-    g_h = 4.5 * e_plus ** 0.28 * 0.7 ** 0.57
-    return 2.51 * math.log(e_plus) + 5.5 - 0.1 * r_m - g_h
+    x1, x2, x3 = x
+    if x2 < 0.0 or x3 < 0.0:  # the powers of x2 and x3 would be complex
+        return math.nan
+    try:
+        fs = 0.079 * x3 ** -0.25
+        # The friction-factor chain is implemented exactly as typeset: f_r's power
+        # term uses x3 where R_M's uses x2. That x3 is likely a typo for x2 in the
+        # original reference.
+        fr = 2.0 / (0.95 * x3 ** 0.53 + 2.5 * math.log(1.0 / (2.0 * x1)) ** 2 - 3.75) ** 2
+        f_bar = 0.5 * (fs + fr)
+        e_plus = x1 * x3 * math.sqrt(f_bar / 2.0)
+        r_m = 0.95 * x2 ** 0.53
+        g_h = 4.5 * e_plus ** 0.28 * 0.7 ** 0.57
+        return 2.51 * math.log(e_plus) + 5.5 - 0.1 * r_m - g_h
+    except (ArithmeticError, ValueError):  # x1 <= 0, x3 = 0, an overflow
+        return math.nan
 
 
 def _gear_train(x):
     # teeth counts are integers: round half up, floor(v + 0.5), before evaluating
+    x1, x2, x3, x4 = x
+    floor = math.floor
     try:
-        a, b, c, d = [math.floor(v + 0.5) for v in x.tolist()]
+        a, b, c, d = floor(x1 + 0.5), floor(x2 + 0.5), floor(x3 + 0.5), floor(x4 + 0.5)
         # float products, which round as numpy's do where exact ints would not
         return (1.0 / 6.931 - (float(a) * b) / (float(c) * d)) ** 2
     except (ArithmeticError, ValueError):
         # a NaN or an infinity, a zero teeth count or an overflow, which Python
         # floats raise on: numpy gives its IEEE value, nan or inf
-        t = np.floor(x + 0.5)
+        t = np.floor(np.array(x) + 0.5)
         return float((1.0 / 6.931 - (t[0] * t[1]) / (t[2] * t[3])) ** 2)
 
 
@@ -317,13 +365,18 @@ def make_lennard_jones(config: LJConfig) -> Problem:
 
 
 def _gas_compressor(x):
-    x1, x2, x3 = x.tolist()
-    return (
-        8.61e5 * math.sqrt(x1) * x2 * x3 ** (-2.0 / 3.0) / math.sqrt(x2 * x2 - 1.0)
-        + 3.69e4 * x3
-        + 7.72e8 / x1 * x2 ** 0.219
-        - 765.43e6 / x1
-    )
+    x1, x2, x3 = x
+    if x2 < 0.0 or x3 < 0.0:  # the powers of x2 and x3 would be complex
+        return math.nan
+    try:
+        return (
+            8.61e5 * math.sqrt(x1) * x2 * x3 ** (-2.0 / 3.0) / math.sqrt(x2 * x2 - 1.0)
+            + 3.69e4 * x3
+            + 7.72e8 / x1 * x2 ** 0.219
+            - 765.43e6 / x1
+        )
+    except (ArithmeticError, ValueError):  # x1 <= 0, x2 <= 1, x3 = 0
+        return math.nan
 
 
 # The fixed-size designs: (objective, lower bounds, upper bounds, direction,
@@ -388,4 +441,5 @@ def make_problem(name: str, dimension: int | None = None, n_atoms: int | None = 
         return make_lennard_jones(LJConfig(3 if n_atoms is None else n_atoms))
     fn, lower, upper, direction, integer = _ENGINEERING[name]
     integrality = np.ones(len(lower), dtype=bool) if integer else None
-    return Problem(name, len(lower), Bounds(lower, upper), fn, direction, integrality)
+    return Problem(name, len(lower), Bounds(lower, upper), OnFloats(fn), direction,
+                   integrality)

@@ -28,6 +28,7 @@ from beehive.engine import (
 from beehive.problems import Problem, Rastrigin, make_problem
 from conftest import ScriptedRng, in_box, index_draw, real_draw
 from test_golden import SCOUTING
+from test_problems import DESIGNS
 
 
 def make_colony(positions, objectives=None, genes=None):
@@ -929,9 +930,9 @@ class Sphere:
 
 
 class TestIncrementalEvaluation:
-    """The `start`/`move` hooks of Rastrigin and Lennard-Jones give the run that
-    the full path gives; a plain function around `evaluate` hides the hooks,
-    so it takes that path."""
+    """The `start`/`move` hooks of Rastrigin, Lennard-Jones and the four
+    fixed-size designs give the run that the full path gives; a plain function
+    around `evaluate` hides the hooks, so it takes that path."""
 
     @staticmethod
     def check_run_equals_the_full_path(problem, strategy, seed):
@@ -983,6 +984,11 @@ class TestIncrementalEvaluation:
         problem = make_problem("lennard_jones", n_atoms=atoms)
         self.check_run_equals_the_full_path(problem, strategy, atoms)
 
+    @pytest.mark.parametrize("name", DESIGNS)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_design_run_equals_the_full_path(self, strategy, name):
+        self.check_run_equals_the_full_path(make_problem(name), strategy, len(name))
+
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_maximize_run_equals_the_full_path(self, strategy):
         problem = dataclasses.replace(make_problem("rastrigin", 10),
@@ -1012,6 +1018,11 @@ class TestIncrementalEvaluation:
     def test_lennard_jones_memo_column_follows_its_source(self, strategy):
         problem = make_problem("lennard_jones", n_atoms=13)
         self.check_memo_column_follows_its_source(problem, strategy)
+
+    @pytest.mark.parametrize("name", DESIGNS)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_design_memo_column_follows_its_source(self, strategy, name):
+        self.check_memo_column_follows_its_source(make_problem(name), strategy)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_sphere_columns_follow_their_sources(self, strategy):

@@ -20,6 +20,8 @@ from beehive.harness import (
     run_batches,
 )
 from beehive.problems import LJConfig, Problem, make_lennard_jones, make_problem
+from test_golden import SCOUTING
+from test_problems import DESIGNS
 
 
 def shifted_sphere(x):
@@ -119,15 +121,25 @@ def mixed_cells():
 
 
 class TestRunBatches:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_mixed_cells_equal_serial_runs(self, jobs):
-        cells = mixed_cells()
+    @staticmethod
+    def check_equal_to_serial_runs(cells, jobs):
         batches = run_batches(cells, runs=2, base_seed=5, jobs=jobs)
         assert len(batches) == len(cells)
         for (problem, config, term), results in zip(cells, batches):
             expected = [run(problem, config, term, seed) for seed in (5, 6)]
             assert len(results) == 2
             assert all(same_result(a, b) for a, b in zip(expected, results))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_mixed_cells_equal_serial_runs(self, jobs):
+        self.check_equal_to_serial_runs(mixed_cells(), jobs)
+
+    def test_hooked_designs_in_workers_equal_serial_runs(self):
+        # their `OnFloats` objectives pickle into the workers with their hooks
+        config = VariantConfig("sac1", **SCOUTING)
+        cells = [(make_problem(name), config, TerminationRule(max_nfe=1500))
+                 for name in DESIGNS]
+        self.check_equal_to_serial_runs(cells, jobs=2)
 
     @pytest.mark.parametrize("n_cells, runs, jobs, workers", [
         (1, 2, 8, [2]),

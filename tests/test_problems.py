@@ -3,6 +3,7 @@ import copy
 import itertools
 import math
 import pickle
+import struct
 import warnings
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from beehive.problems import (
     PROBLEM_NAMES,
     LJConfig,
     LennardJones,
+    OnFloats,
     Problem,
     Rastrigin,
     _griewank,
@@ -488,14 +490,180 @@ class TestRastriginMoves:
         assert pickle.loads(pickle.dumps(f)) == f
 
 
-@pytest.mark.parametrize("name", ("gas_production", "air_heater", "gear_train",
-                                  "gas_compressor"))
+DESIGNS = ("gas_production", "air_heater", "gear_train", "gas_compressor")
+
+
+@pytest.mark.parametrize("name", DESIGNS)
 def test_a_nan_coordinate_gives_nan_not_an_error(name):
     p = make_problem(name)
     for k in range(p.dimension):
         x = (p.bounds.lower + p.bounds.upper) / 2.0
         x[k] = math.nan
         assert math.isnan(p.evaluate(x)), k
+
+
+# The designs' expressions over an array, without the guards that keep them
+# real: off the domain Python floats raise there, or a fractional power of a
+# negative float makes the value complex.
+
+def _unguarded_gas_production(x):
+    x1, x2 = x.tolist()
+    t = (40.0 - x1) * math.log(x2 / 200.0)
+    bracket = t ** -0.85 if t > 1e-12 else 0.0
+    return 61.8 + 5.72 * x1 + 0.2623 * bracket + 0.087 * t + 700.23 * x2 ** -0.75
+
+
+def _unguarded_air_heater(x):
+    x1, x2, x3 = x.tolist()
+    fs = 0.079 * x3 ** -0.25
+    fr = 2.0 / (0.95 * x3 ** 0.53 + 2.5 * math.log(1.0 / (2.0 * x1)) ** 2 - 3.75) ** 2
+    f_bar = 0.5 * (fs + fr)
+    e_plus = x1 * x3 * math.sqrt(f_bar / 2.0)
+    r_m = 0.95 * x2 ** 0.53
+    g_h = 4.5 * e_plus ** 0.28 * 0.7 ** 0.57
+    return 2.51 * math.log(e_plus) + 5.5 - 0.1 * r_m - g_h
+
+
+def _unguarded_gear_train(x):
+    try:
+        a, b, c, d = [math.floor(v + 0.5) for v in x.tolist()]
+        return (1.0 / 6.931 - (float(a) * b) / (float(c) * d)) ** 2
+    except (ArithmeticError, ValueError):
+        with np.errstate(all="ignore"):
+            t = np.floor(x + 0.5)
+            return float((1.0 / 6.931 - (t[0] * t[1]) / (t[2] * t[3])) ** 2)
+
+
+def _unguarded_gas_compressor(x):
+    x1, x2, x3 = x.tolist()
+    return (
+        8.61e5 * math.sqrt(x1) * x2 * x3 ** (-2.0 / 3.0) / math.sqrt(x2 * x2 - 1.0)
+        + 3.69e4 * x3
+        + 7.72e8 / x1 * x2 ** 0.219
+        - 765.43e6 / x1
+    )
+
+
+UNGUARDED = {
+    "gas_production": _unguarded_gas_production,
+    "air_heater": _unguarded_air_heater,
+    "gear_train": _unguarded_gear_train,
+    "gas_compressor": _unguarded_gas_compressor,
+}
+
+
+def _bits(f):
+    return struct.pack("<d", f)
+
+
+def _design_point(coordinate):
+    """A design's name and a point of its dimension, each coordinate drawn
+    by `coordinate`."""
+    return st.sampled_from(DESIGNS).flatmap(lambda name: st.tuples(
+        st.just(name),
+        st.lists(coordinate, min_size=make_problem(name).dimension,
+                 max_size=make_problem(name).dimension)))
+
+
+# finite floats of every magnitude, and as many from a range around the boxes
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.floats(-100.0, 25_000.0))
+# any float, and the values where the designs' expressions break down
+_ANY = st.one_of(_FINITE, st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0,
+                                           -1.0, 1.0, 40.0, 200.0]))
+
+
+class TestDesignsOnFloats:
+    """The four fixed-size designs are `OnFloats` objectives: a real float
+    everywhere, nan off their domain, and hooks that give `__call__`'s bits,
+    because seeded design runs evaluate every candidate through `move`."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_design_point(_FINITE))
+    def test_a_float_everywhere_and_the_unguarded_value_where_that_is_real(self, case):
+        name, coords = case
+        x = np.array(coords)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy's, in gear_train's fallback
+            got = make_problem(name).evaluate(x)
+        assert type(got) is float
+        try:
+            expected = UNGUARDED[name](x)
+        except (ArithmeticError, ValueError, TypeError):
+            assert math.isnan(got)
+            return
+        if type(expected) is complex:
+            assert math.isnan(got)
+        else:
+            assert _bits(got) == _bits(expected)
+
+    @pytest.mark.parametrize("name,point", [
+        ("air_heater", [0.3, -20.0, 3000.0]),  # complex unguarded
+        ("air_heater", [0.3, 20.0, -5.0]),
+        ("air_heater", [-0.3, 20.0, 3000.0]),
+        ("air_heater", [0.0, 20.0, 3000.0]),
+        ("air_heater", [0.3, 20.0, 0.0]),
+        ("gas_compressor", [30.0, 1.5, -5.0]),  # complex unguarded
+        ("gas_compressor", [30.0, -1.5, 20.0]),  # complex unguarded
+        ("gas_compressor", [30.0, 0.5, 20.0]),
+        ("gas_compressor", [0.0, 1.5, 20.0]),
+        ("gas_compressor", [-3.0, 1.5, 20.0]),
+        ("gas_production", [20.0, 0.0]),
+        ("gas_production", [20.0, -5.0]),
+    ])
+    def test_off_the_domain_is_nan(self, name, point):
+        assert math.isnan(make_problem(name).evaluate(np.array(point)))
+
+    @staticmethod
+    def check_moves(name, x, moves):
+        f = make_problem(name).evaluate
+        value, memo = f.start(x)
+        assert _bits(value) == _bits(f(x))
+        assert np.array(memo).tobytes() == x.tobytes()
+        for j, v in moves:
+            x = x.copy()
+            x[j] = v
+            kept = np.array(memo).tobytes()
+            value, new_memo = f.move(memo, j, x.item(j))
+            assert _bits(value) == _bits(f(x))
+            assert np.array(memo).tobytes() == kept  # a losing step keeps the old memo
+            assert new_memo is not memo
+            assert np.array(new_memo).tobytes() == x.tobytes()
+            memo = new_memo
+
+    @settings(max_examples=500, deadline=None)
+    @given(_design_point(_ANY).flatmap(lambda case: st.tuples(
+        st.just(case), st.lists(st.tuples(st.integers(0, len(case[1]) - 1), _ANY),
+                                min_size=1, max_size=5))))
+    def test_moves_match_the_full_evaluation(self, case):
+        (name, coords), moves = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy's, in gear_train's fallback
+            self.check_moves(name, np.array(coords), moves)
+
+    @pytest.mark.parametrize("name", DESIGNS)
+    def test_every_coordinate_in_and_off_the_box(self, name):
+        p = make_problem(name)
+        lower, upper = p.bounds.lower, p.bounds.upper
+        rng = np.random.default_rng(len(name))
+        special = (math.nan, math.inf, -math.inf, 0.0, -0.0)
+        for x in (lower + rng.random(p.dimension) * (upper - lower), lower, upper,
+                  2.0 * upper, -lower):
+            moves = [(j, v) for j in range(p.dimension)
+                     for v in (lower[j] + rng.random() * (upper[j] - lower[j]),
+                               lower[j] - 1.0, 3.0 * upper[j], -upper[j]) + special]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                self.check_moves(name, x, moves)
+
+    @pytest.mark.parametrize("name", DESIGNS)
+    def test_registered_and_pickles(self, name):
+        f = make_problem(name).evaluate
+        assert type(f) is OnFloats
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f
+        x = (make_problem(name).bounds.lower + make_problem(name).bounds.upper) / 2.0
+        assert _bits(g(x)) == _bits(f(x))
 
 
 def test_griewank_matches_the_uncached_divisor():
