@@ -185,7 +185,10 @@ def _phase(colony, config, problem, rng, placements):
     clamped to the violated bound, so sac1 needs three sources and the others
     two. sac2 is the gbest move with the pull weight fixed at C. The size
     gene, if the colony carries one, moves by the same phi against b for sac1
-    and against a otherwise, and is clamped to [sn_min, sn_max].
+    and against a otherwise, and is clamped to [sn_min, sn_max]. Only a
+    winner keeps its gene, so the gene is moved only when the candidate wins:
+    it draws nothing and reads genes[i], genes[b] and phi, which nothing
+    before that changes.
 
     With the problem's `move` hook the objective gets only (j, value);
     without it, the source's memo array is copied and set at j. The
@@ -193,7 +196,9 @@ def _phase(colony, config, problem, rng, placements):
     is non-finite (`_keep_best` then keeps it or stops the run). A null move,
     the value equal to the incumbent's own x_ij (a step clamped back onto its
     bound, an elitist move in a colony collapsed onto the best), is counted
-    but fails: the incumbent gains a trial, so it can still be scouted.
+    but fails: the incumbent gains a trial, so it can still be scouted. It is
+    still passed to `move`, once, like every counted evaluation; a hook may
+    answer it from its memo (`problems.OnFloats` does).
 
     The phase's constants are bound once, and the best so far and the NFE
     count are kept in locals. The count is written back to the colony before
@@ -244,10 +249,6 @@ def _phase(colony, config, problem, rng, placements):
                     v += (0.0 + c_factor * rand()) * (best_position[j] - x)
             lo, hi = lower[j], upper[j]
             v = lo if v < lo else hi if v > hi else v
-            gene = genes[i]
-            if gene is not None:
-                gene += phi * (gene - genes[b])
-                gene = gene_lo if gene < gene_lo else gene_hi if gene > gene_hi else gene
 
             if move is None:
                 memo = memos[i].copy()
@@ -272,8 +273,12 @@ def _phase(colony, config, problem, rng, placements):
                 sources[i] = y
                 fitness[i] = fit
                 trials[i] = 0
-                genes[i] = gene
                 memos[i] = memo
+                gene = genes[i]
+                if gene is not None:
+                    gene += phi * (gene - genes[b])
+                    genes[i] = (gene_lo if gene < gene_lo
+                                else gene_hi if gene > gene_hi else gene)
             else:
                 trials[i] += 1
     finally:
@@ -338,7 +343,10 @@ def scout_phase(colony, config, problem, rng):
 def adapt_colony_size(colony, config, problem, rng):
     """Resize toward the gene average: round half up, force even, clamp.
 
-    Growth appends new random sources; shrinkage drops the lowest-fitness ones.
+    Growth appends new random sources. Shrinkage drops the lowest-fitness
+    ones, the later index first among equal fitness, from every column in
+    place; the survivors keep their order. A stable sort by fitness of the
+    indices in descending order gives that tie rule.
     """
     mean_gene = sum(colony.gene) / len(colony.gene)
     sn = math.floor(mean_gene + 0.5)
@@ -350,12 +358,12 @@ def adapt_colony_size(colony, config, problem, rng):
         for i in range(current, sn):
             _new_source(colony, config, problem, rng, i)
     elif sn < current:
-        fitness = colony.fitness
-        doomed = set(
-            sorted(range(current), key=lambda i: (fitness[i], -i))[: current - sn]
-        )
+        doomed = sorted(range(current - 1, -1, -1),
+                        key=colony.fitness.__getitem__)[:current - sn]
+        doomed.sort(reverse=True)  # delete from the end, so no index shifts
         for column in colony.columns():
-            column[:] = [v for k, v in enumerate(column) if k not in doomed]
+            for k in doomed:
+                del column[k]
 
 
 def run(problem: Problem, config: VariantConfig, termination: TerminationRule,

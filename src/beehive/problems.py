@@ -171,11 +171,18 @@ _BENCHMARKS = {
 class OnFloats:
     """An objective `fn` of a short list of Python floats, with the engine's
     incremental-evaluation hooks: `__call__(x)` gives `fn(x.tolist())`,
-    `start(x)` gives it with the list as the memo, and `move(memo, j, v)`
-    gives the value and memo of a copy of the memo with element j set to v,
-    leaving the memo it is given as it is. All three call `fn` on the same
-    floats, so they agree bit for bit. `fn` is a module-level function, so a
-    `Problem` that uses it pickles into worker processes.
+    `start(x)` gives it with the memo `(c, f)`, the list c and its value f,
+    and `move(memo, j, v)` gives the value and memo of the memo's point with
+    element j set to v, leaving the memo it is given as it is.
+
+    A null move, `c[j] == v` with `v != 0.0`, is the memo's own point, so
+    `move` returns `(f, memo)`, the same memo object, without calling `fn`
+    or copying the list. Equal nonzero floats have the same bits, so that is
+    the value `fn` would give; zero is excluded because `-0.0 == 0.0` and an
+    `fn` may tell them apart, and a NaN compares unequal, so both compute.
+    Every other move calls `fn` on a copy of c with element j set. So all
+    three agree bit for bit. `fn` is a module-level function, so a `Problem`
+    that uses it pickles into worker processes.
     """
 
     fn: Callable[[list], float]
@@ -185,12 +192,17 @@ class OnFloats:
 
     def start(self, x):
         c = x.tolist()
-        return self.fn(c), c
+        f = self.fn(c)
+        return f, (c, f)
 
     def move(self, memo, j, v):
-        c = memo.copy()
+        c = memo[0]
+        if c[j] == v and v != 0.0:
+            return memo[1], memo
+        c = c.copy()
         c[j] = v
-        return self.fn(c), c
+        f = self.fn(c)
+        return f, (c, f)
 
 
 # The design objectives take a list of Python floats (see `OnFloats`) and give
@@ -244,9 +256,11 @@ def _gear_train(x):
         return (1.0 / 6.931 - (float(a) * b) / (float(c) * d)) ** 2
     except (ArithmeticError, ValueError):
         # a NaN or an infinity, a zero teeth count or an overflow, which Python
-        # floats raise on: numpy gives its IEEE value, nan or inf
-        t = np.floor(np.array(x) + 0.5)
-        return float((1.0 / 6.931 - (t[0] * t[1]) / (t[2] * t[3])) ** 2)
+        # floats raise on: numpy gives its IEEE value, nan or inf, silently,
+        # as the other designs give nan
+        with np.errstate(all="ignore"):
+            t = np.floor(np.array(x) + 0.5)
+            return float((1.0 / 6.931 - (t[0] * t[1]) / (t[2] * t[3])) ** 2)
 
 
 @dataclass(frozen=True)

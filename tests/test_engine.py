@@ -25,10 +25,10 @@ from beehive.engine import (
     scout_phase,
     selection_probabilities,
 )
-from beehive.problems import Problem, Rastrigin, make_problem
+from beehive.problems import OnFloats, Problem, Rastrigin, make_problem
 from conftest import ScriptedRng, in_box, index_draw, real_draw
 from test_golden import SCOUTING
-from test_problems import DESIGNS
+from test_problems import DESIGNS, CountingFn
 
 
 def make_colony(positions, objectives=None, genes=None):
@@ -643,6 +643,29 @@ class TestAdaptColonySize:
         assert len(colony.sources) == 4 and colony.nfe == 0
         assert colony.sources == kept
 
+    @pytest.mark.parametrize("objectives,dropped", [
+        # sources 1 and 3 tie for lowest fitness, and one goes
+        ([1.0, 4.0, 0.5, 4.0, 0.2], {3}),
+        # source 2 goes first, then sources 1 and 4 tie for the last place
+        ([1.0, 4.0, 9.0, 0.5, 4.0, 0.2], {2, 4}),
+    ])
+    def test_shrink_drops_the_later_of_tied_sources(self, objectives, dropped):
+        problem = small_problem()
+        config = VariantConfig(strategy="sac", sn_min=4, sn_max=100)
+        n = len(objectives)
+        genes = [4.0 + (k - (n - 1) / 2.0) for k in range(n)]  # mean 4.0
+        colony = make_colony([[k, 0] for k in range(n)], objectives, genes)
+        colony.trials[:] = [10 * k for k in range(n)]
+        rows = list(zip(*colony.columns()))
+        adapt_colony_size(colony, config, problem, RngStream(1))
+        assert colony.nfe == 0
+        assert list(zip(*colony.columns())) == [
+            row for k, row in enumerate(rows) if k not in dropped]
+        for x, fit, trials, gene, memo in zip(*colony.columns()):
+            k = int(x[0])
+            assert (fit, trials, gene) == (fitness_map(objectives[k]), 10 * k, genes[k])
+            assert memo.tolist() == x
+
     def test_clamps_to_configured_range(self):
         problem = small_problem()
         config = VariantConfig(strategy="sac", initial_colony=20, sn_min=4, sn_max=10)
@@ -929,6 +952,26 @@ class Sphere:
         return float(np.dot(x, x))
 
 
+class CountingHooks:
+    """`inner`'s objective and hooks, counting the calls of each."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = dict.fromkeys(("__call__", "start", "move"), 0)
+
+    def __call__(self, x):
+        self.calls["__call__"] += 1
+        return self.inner(x)
+
+    def start(self, x):
+        self.calls["start"] += 1
+        return self.inner.start(x)
+
+    def move(self, memo, j, v):
+        self.calls["move"] += 1
+        return self.inner.move(memo, j, v)
+
+
 class TestIncrementalEvaluation:
     """The `start`/`move` hooks of Rastrigin, Lennard-Jones and the four
     fixed-size designs give the run that the full path gives; a plain function
@@ -988,6 +1031,25 @@ class TestIncrementalEvaluation:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_design_run_equals_the_full_path(self, strategy, name):
         self.check_run_equals_the_full_path(make_problem(name), strategy, len(name))
+
+    @pytest.mark.parametrize("name", DESIGNS)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_design_hooks_are_called_once_per_evaluation(self, strategy, name):
+        """The engine calls `start` or `move` once per counted evaluation, null
+        moves included; `OnFloats` answers the null moves without calling
+        `fn`, which gas_production, with its optimum on a bound, is full of."""
+        problem = make_problem(name)
+        fn = CountingFn(problem.evaluate.fn)
+        hooks = CountingHooks(OnFloats(fn))
+        config = VariantConfig(strategy=strategy, **SCOUTING)
+        termination = TerminationRule(max_nfe=3000)
+        r = run(dataclasses.replace(problem, evaluate=hooks), config, termination, seed=7)
+        assert_same_result(r, run(problem, config, termination, seed=7))
+        assert hooks.calls["__call__"] == 0
+        assert hooks.calls["start"] + hooks.calls["move"] == r.nfe
+        assert fn.calls <= r.nfe
+        if name == "gas_production":
+            assert fn.calls < r.nfe
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_maximize_run_equals_the_full_path(self, strategy):

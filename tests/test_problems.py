@@ -176,7 +176,7 @@ class TestGearTrain:
         f = _fn("gear_train")
         special = (math.nan, math.inf, -math.inf, 0.0, -0.4, 12.0, -3.0, 1e160, 1e300)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # numpy's divide and overflow warnings
+            warnings.simplefilter("error")  # the fallback keeps numpy's quiet
             for combo in itertools.product(special, repeat=4):
                 x = np.array(combo)
                 assert repr(f(x)) == repr(self.float64_value(x)), combo
@@ -584,7 +584,7 @@ class TestDesignsOnFloats:
         name, coords = case
         x = np.array(coords)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # numpy's, in gear_train's fallback
+            warnings.simplefilter("error")  # gear_train's fallback keeps numpy's quiet
             got = make_problem(name).evaluate(x)
         assert type(got) is float
         try:
@@ -616,19 +616,27 @@ class TestDesignsOnFloats:
 
     @staticmethod
     def check_moves(name, x, moves):
+        """Each memo is `(c, f)`: the point as a list and its value, bit for
+        bit; a null move gives back the very memo it was given, any other
+        move a new one."""
         f = make_problem(name).evaluate
         value, memo = f.start(x)
         assert _bits(value) == _bits(f(x))
-        assert np.array(memo).tobytes() == x.tobytes()
+        assert np.array(memo[0]).tobytes() == x.tobytes()
+        assert _bits(memo[1]) == _bits(value)
         for j, v in moves:
             x = x.copy()
             x[j] = v
-            kept = np.array(memo).tobytes()
-            value, new_memo = f.move(memo, j, x.item(j))
+            v = x.item(j)
+            null = memo[0][j] == v and v != 0.0
+            kept = np.array(memo[0]).tobytes(), _bits(memo[1])
+            value, new_memo = f.move(memo, j, v)
             assert _bits(value) == _bits(f(x))
-            assert np.array(memo).tobytes() == kept  # a losing step keeps the old memo
-            assert new_memo is not memo
-            assert np.array(new_memo).tobytes() == x.tobytes()
+            # a losing step keeps the old memo
+            assert (np.array(memo[0]).tobytes(), _bits(memo[1])) == kept
+            assert (new_memo is memo) == null
+            assert np.array(new_memo[0]).tobytes() == x.tobytes()
+            assert _bits(new_memo[1]) == _bits(value)
             memo = new_memo
 
     @settings(max_examples=500, deadline=None)
@@ -638,7 +646,7 @@ class TestDesignsOnFloats:
     def test_moves_match_the_full_evaluation(self, case):
         (name, coords), moves = case
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # numpy's, in gear_train's fallback
+            warnings.simplefilter("error")  # gear_train's fallback keeps numpy's quiet
             self.check_moves(name, np.array(coords), moves)
 
     @pytest.mark.parametrize("name", DESIGNS)
@@ -653,8 +661,22 @@ class TestDesignsOnFloats:
                      for v in (lower[j] + rng.random() * (upper[j] - lower[j]),
                                lower[j] - 1.0, 3.0 * upper[j], -upper[j]) + special]
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+                warnings.simplefilter("error")
                 self.check_moves(name, x, moves)
+
+    @pytest.mark.parametrize("point,expected", [
+        ([12.0, 12.0, 0.0, 12.0], math.inf),  # a zero divisor
+        ([0.0, 12.0, 0.0, 12.0], math.nan),  # zero over zero
+    ])
+    def test_gear_train_fallback_is_silent(self, point, expected):
+        f = make_problem("gear_train").evaluate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert repr(f(np.array(point))) == repr(expected)
+            memo = f.start(np.array([12.0] * 4))[1]
+            for j, v in enumerate(point):
+                value, memo = f.move(memo, j, v)
+            assert repr(value) == repr(expected)
 
     @pytest.mark.parametrize("name", DESIGNS)
     def test_registered_and_pickles(self, name):
@@ -664,6 +686,69 @@ class TestDesignsOnFloats:
         assert g == f
         x = (make_problem(name).bounds.lower + make_problem(name).bounds.upper) / 2.0
         assert _bits(g(x)) == _bits(f(x))
+
+
+class CountingFn:
+    """`fn`, counting its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, c):
+        self.calls += 1
+        return self.fn(c)
+
+
+def _signed_first(c):
+    """An objective that tells -0.0 from +0.0: the sign of c[0], as +-1.0."""
+    return math.copysign(1.0, c[0])
+
+
+class TestOnFloatsMemo:
+    """`OnFloats.move` answers a null move, `c[j] == v` with `v != 0.0`, from
+    its memo `(c, f)`; every other move calls `fn` and gives a fresh memo."""
+
+    @pytest.mark.parametrize("name", DESIGNS)
+    def test_a_null_move_is_the_memo_itself(self, name):
+        p = make_problem(name)
+        fn = CountingFn(p.evaluate.fn)
+        f = OnFloats(fn)
+        rng = np.random.default_rng(len(name))
+        lower, upper = p.bounds.lower, p.bounds.upper
+        for x in (lower + rng.random(p.dimension) * (upper - lower), lower, upper):
+            value, memo = f.start(x)
+            assert _bits(value) == _bits(f(x))
+            kept = list(memo[0])
+            fn.calls = 0
+            for j in range(p.dimension):
+                got, new_memo = f.move(memo, j, x.item(j))
+                assert new_memo is memo
+                assert _bits(got) == _bits(value)
+            assert fn.calls == 0
+            assert memo[0] == kept
+
+    @pytest.mark.parametrize("old,v", [
+        (0.0, -0.0),  # equal, but fn tells them apart
+        (-0.0, 0.0),
+        (0.0, 0.0),
+        (math.nan, math.nan),  # unequal to itself
+        (1.0, math.nan),
+        (1.0, 2.0),  # an ordinary move
+        (-1.0, 1.0),
+    ])
+    def test_zero_nan_and_ordinary_moves_call_fn(self, old, v):
+        fn = CountingFn(_signed_first)
+        f = OnFloats(fn)
+        memo = f.start(np.array([old, 5.0]))[1]
+        fn.calls = 0
+        value, new_memo = f.move(memo, 0, v)
+        assert fn.calls == 1
+        assert new_memo is not memo and new_memo[0] is not memo[0]
+        assert _bits(value) == _bits(f(np.array([v, 5.0])))
+        assert new_memo[0][1] == 5.0 and _bits(new_memo[0][0]) == _bits(v)
+        assert _bits(new_memo[1]) == _bits(value)
+        assert _bits(memo[0][0]) == _bits(old)  # the given memo is left as it was
 
 
 def test_griewank_matches_the_uncached_divisor():
