@@ -9,8 +9,10 @@ own position; out-of-box values are clamped to the violated bound.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -21,6 +23,18 @@ STRATEGIES = ("basic", "sac", "sac1", "sac2", "gbest")
 
 # Strategies that resize the colony each cycle unless explicitly disabled.
 _ADAPTIVE_BY_DEFAULT = frozenset({"sac", "sac1", "sac2"})
+
+
+def _require_integers(config, *names):
+    """Store each named field as a plain int, or raise a ConfigurationError that
+    names the field if its value is not an integer (`operator.index` takes
+    Python and numpy integers, not floats)."""
+    for name in names:
+        value = getattr(config, name)
+        try:
+            object.__setattr__(config, name, operator.index(value))
+        except TypeError:
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -36,6 +50,7 @@ class VariantConfig:
     sn_max: int = 100
 
     def __post_init__(self):
+        _require_integers(self, "limit", "initial_colony", "sn_min", "sn_max")
         if self.strategy not in STRATEGIES:
             raise ConfigurationError(f"unknown strategy {self.strategy!r}")
         if self.limit < 1:
@@ -67,6 +82,7 @@ class TerminationRule:
     target: float | None = None  # minimization sense
 
     def __post_init__(self):
+        _require_integers(self, "max_nfe")
         if self.max_nfe < 1:
             raise ConfigurationError(f"max_nfe must be >= 1, got {self.max_nfe!r}")
         if not (math.isfinite(self.accuracy) and self.accuracy >= 0.0):
@@ -95,7 +111,7 @@ def fitness_map(objective: float) -> float:
         raise ValueError("objective must be finite")
     if objective >= 0.0:
         return 1.0 / (1.0 + objective)
-    return 1.0 + abs(objective)
+    return 1.0 - objective  # 1 + |f|: IEEE subtraction is addition of the negation
 
 
 class Colony:
@@ -221,7 +237,7 @@ def _phase(colony, config, problem, rng, placements):
     evaluate = problem.evaluate
     move = _hooks(evaluate)[1]
     maximize = problem.direction != "minimize"
-    isfinite = math.isfinite
+    inf = math.inf
     best_objective, best_position = colony.best_objective, colony.best_position
     nfe = colony.nfe
     try:
@@ -259,9 +275,10 @@ def _phase(colony, config, problem, rng, placements):
             if maximize:
                 f = -f
             nfe += 1
-            fit = 1.0 / (1.0 + f) if f >= 0.0 else 1.0 + abs(f)  # fitness_map
+            fit = 1.0 / (1.0 + f) if f >= 0.0 else 1.0 - f  # fitness_map
             won = fit >= fitness[i] and v != x
-            best = f < best_objective or not isfinite(f)  # or a stop: _keep_best
+            # below the best, or nan or +inf (-inf is below): a stop in _keep_best
+            best = f < best_objective or not f < inf
             if best or won:
                 y = row.copy()
                 y[j] = v
@@ -317,19 +334,16 @@ def onlooker_phase(colony, config, problem, rng):
     The roulette inverts the cumulative `selection_probabilities`, taken once
     per phase: a placement goes to the first source whose cumulative
     probability exceeds a draw u = random(), or to the last source where
-    rounding has left the cumulative total at or below u. Each u is drawn
-    just before its placement's own draws.
+    rounding has left the cumulative total at or below u. The last
+    cumulative value is set to infinity, so `bisect_right` alone gives both.
+    Each u is drawn just before its placement's own draws: `map` draws it as
+    `_phase` asks for the next placement, and stops after SN placements
+    without drawing again.
     """
     cum = selection_probabilities(colony).cumsum().tolist()
-    last = len(cum) - 1
-    rand = rng.random
-
-    def placements():
-        for _ in cum:
-            i = bisect_right(cum, rand())
-            yield last if i > last else i
-
-    _phase(colony, config, problem, rng, placements())
+    cum[-1] = math.inf
+    placements = map(bisect_right, repeat(cum, len(cum)), iter(rng.random, None))
+    _phase(colony, config, problem, rng, placements)
 
 
 def scout_phase(colony, config, problem, rng):

@@ -292,13 +292,12 @@ def _lj_pairs(n):
 
 @functools.lru_cache(maxsize=None)
 def _lj_partners(n):
-    """For each atom k of n, the pairs it is in: ((3*i, index of pair (i, k)), ...)
-    over every other atom i in order, where 3*i is i's first coordinate; as
-    tuples, shared read-only."""
+    """For each atom k of n, the pairs it is in: ((i, index of pair (i, k)), ...)
+    over every other atom i in order; as tuples, shared read-only."""
     def index(a, b):  # of pair (a, b), a < b, in `np.triu_indices` order
         return a * (2 * n - a - 1) // 2 + b - a - 1
     return tuple(
-        tuple((3 * i, index(min(i, k), max(i, k))) for i in range(n) if i != k)
+        tuple((i, index(min(i, k), max(i, k))) for i in range(n) if i != k)
         for k in range(n))
 
 
@@ -313,12 +312,16 @@ class LennardJones:
 
     The pair energies are summed exactly rounded (`math.fsum`), so the value
     does not depend on their order, and one-coordinate moves are cheap and
-    exact: `start(x)` returns the value and a memo, the coordinates and the
-    pair energies in `np.triu_indices` order as two lists of Python floats,
-    and `move(memo, j, v)` returns the value and memo of the memo's point with
-    coordinate j set to v. A move shifts atom j // 3, so it recomputes that
-    atom's n - 1 pair energies with the kernel's arithmetic and sums them all
-    again; both return `__call__`'s value bit for bit.
+    exact: `start(x)` returns the value and a memo, and `move(memo, j, v)`
+    returns the value and memo of the memo's point with coordinate j set to
+    v. The memo is `(xs, ys, zs, energies, partners)`: the atoms' x, y and z
+    coordinates and the pair energies in `np.triu_indices` order, as lists of
+    Python floats, and the shared `_lj_partners` table. A move shifts atom
+    k = j // 3 along one axis, so it copies only that axis's list and shares
+    the other lists with the memo it is given, which it leaves as it is;
+    then it recomputes atom k's n - 1 pair energies with the kernel's
+    arithmetic and sums them all again. Both return `__call__`'s value bit for
+    bit.
     """
 
     n_atoms: int
@@ -343,27 +346,35 @@ class LennardJones:
         if tiny is not None:
             pair[tiny] = LJ_PENALTY
         values = pair.tolist()
-        return math.fsum(values), (pts.ravel().tolist(), values)
+        xs, ys, zs = pts.T.tolist()
+        return math.fsum(values), (xs, ys, zs, values, _lj_partners(n))
 
     def move(self, memo, j, v):
-        coords, energies = memo
-        c = coords.copy()
-        c[j] = v
-        k = j // 3
-        xk, yk, zk = c[3 * k:3 * k + 3]
+        xs, ys, zs, energies, partners = memo
+        k, axis = divmod(j, 3)
+        if axis == 0:
+            xs = xs.copy()
+            xs[k] = v
+        elif axis == 1:
+            ys = ys.copy()
+            ys[k] = v
+        else:
+            zs = zs.copy()
+            zs[k] = v
+        xk, yk, zk = xs[k], ys[k], zs[k]
         values = energies.copy()
-        for a, p in _lj_partners(self.n_atoms)[k]:
+        for i, p in partners[k]:
             # exactly the kernel's difference or its negation: the same square
-            dx = c[a] - xk
-            dy = c[a + 1] - yk
-            dz = c[a + 2] - zk
+            dx = xs[i] - xk
+            dy = ys[i] - yk
+            dz = zs[i] - zk
             r2 = (dx * dx + dz * dz) + dy * dy
             if r2 < LJ_R2_FLOOR:
                 values[p] = LJ_PENALTY
             else:  # a NaN distance gives a NaN energy, as in `start`
                 inv6 = 1.0 / (r2 * r2 * r2)
                 values[p] = inv6 * inv6 - 2.0 * inv6
-        return math.fsum(values), (c, values)
+        return math.fsum(values), (xs, ys, zs, values, partners)
 
 
 def make_lennard_jones(config: LJConfig) -> Problem:

@@ -2,10 +2,12 @@
 import copy
 import dataclasses
 import math
+import re
+from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from beehive.core import Bounds, ConfigurationError, RngStream
 from beehive.engine import (
@@ -136,6 +138,18 @@ class TestFitnessMap:
             fitness_map(math.inf)
         with pytest.raises(ValueError):
             fitness_map(math.nan)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-5e-324)
+    @example(1.7976931348623157e308)
+    @example(-1.7976931348623157e308)
+    def test_bits_match_one_plus_abs(self, f):
+        # `1.0 - f` for a negative f is the IEEE sum 1.0 + (-f), that is 1 + |f|
+        expected = 1.0 / (1.0 + f) if f >= 0.0 else 1.0 + abs(f)
+        assert fitness_map(f).hex() == expected.hex()
 
 
 class TestSelectionProbabilities:
@@ -410,6 +424,37 @@ class TestPhases:
         assert placed == [2, 1, 0, 3]
         assert rng.used_up()
         assert colony.nfe == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(fits=st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=100),
+           picks=st.lists(st.one_of(st.integers(0, 101), st.floats(0.0, 1.0, exclude_max=True)),
+                          min_size=100, max_size=100))
+    @example(fits=[1.0] * 7, picks=list(range(100)))  # the total rounds below 1
+    @example(fits=[1.0] * 9, picks=list(range(100)))  # and above 1
+    @example(fits=[1.0, 1.0, 3.0, 1.0], picks=list(range(100)))
+    def test_onlooker_placements_match_the_clamped_bisection(self, fits, picks):
+        """Each placement is `min(bisect_right(cum, u), n - 1)` for its draw u, on
+        the cumulative probabilities as computed: the infinite last value
+        stands in for the clamp, whether the rounded total is below, at or
+        above 1. An integer pick k draws the k-th edge, mod their count: 0.0,
+        the largest float below 1, or a cumulative value below 1."""
+        n = len(fits)
+        colony = make_colony([[0.0, 0.0]] * n)
+        colony.fitness[:] = fits
+        cum = selection_probabilities(colony).cumsum().tolist()
+        edges = [0.0, 0.9999999999999999] + [c for c in cum if c < 1.0]
+        draws = [edges[u % len(edges)] if isinstance(u, int) else u for u in picks[:n]]
+        placed = []
+
+        def spy(colony, config, problem, rng, placements):
+            placed.extend(placements)
+
+        rng = ScriptedRng(draws)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("beehive.engine._phase", spy)
+            onlooker_phase(colony, BASIC, small_problem(), rng)
+        assert placed == [min(bisect_right(cum, u), n - 1) for u in draws]
+        assert rng.used_up()
 
     def test_onlooker_counts_follow_fitness(self, monkeypatch):
         counts = [0, 0, 0, 0]
@@ -729,6 +774,37 @@ class TestTerminationRule:
         rule = TerminationRule(accuracy=0.5, target=10.0)
         assert rule.reached(9.6) and rule.reached(10.4)
         assert not rule.reached(9.4)
+
+
+@pytest.mark.parametrize("owner, field, value", [
+    (VariantConfig, "initial_colony", 10.0),  # passed the checks, then `run` died
+    (VariantConfig, "initial_colony", np.float64(20.0)),
+    (VariantConfig, "limit", 5.0),
+    (VariantConfig, "sn_min", 10.0),
+    (VariantConfig, "sn_max", 100.0),
+    (VariantConfig, "sn_max", "100"),
+    (TerminationRule, "max_nfe", 1e5),
+    (TerminationRule, "max_nfe", None),
+])
+def test_count_fields_refuse_a_non_integer(owner, field, value):
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"{field} must be an integer, got {value!r}")):
+        owner(**{field: value})
+
+
+def test_count_fields_take_numpy_integers_as_ints():
+    config = VariantConfig(strategy="sac", limit=np.int32(5), initial_colony=np.int64(20),
+                           sn_min=np.int16(10), sn_max=np.uint8(20))
+    termination = TerminationRule(max_nfe=np.int64(600))
+    for value in (config.limit, config.initial_colony, config.sn_min, config.sn_max,
+                  termination.max_nfe):
+        assert type(value) is int
+    plain = run(make_problem("sphere", dimension=2),
+                VariantConfig(strategy="sac", limit=5, initial_colony=20, sn_min=10, sn_max=20),
+                TerminationRule(max_nfe=600), seed=4)
+    got = run(make_problem("sphere", dimension=2), config, termination, seed=4)
+    assert (got.best_objective, got.nfe, got.trace) == (plain.best_objective, plain.nfe,
+                                                        plain.trace)
 
 
 class TestRun:
