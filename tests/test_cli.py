@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: artifacts, exit codes, config handling."""
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -323,6 +324,43 @@ class TestSweepPool:
                        "--output-dir", str(tmp_path))
         assert code == 0
         assert pools == [2]
+
+
+class TestArtifactBytes:
+    """Every artifact of two seeded runs, pinned by the SHA-256 of its bytes.
+
+    The values follow the platform's arithmetic as the goldens in
+    `test_golden.py` do; the CSV dialect, header rows, cell formats and JSON
+    layout follow the writers alone. A change to any of them moves a digest.
+    """
+
+    RUN = (("run", "--problem", "rastrigin", "--dim", "5", "--variant", "sac1",
+            "--runs", "3", "--max-nfe", "3000", "--traces"), {
+        "rastrigin_sac1_convergence.csv":
+            "c2b442be949c3ead4195ae35b6e4af085a84072ea7c985c8ee3efcfd22ee1f50",
+        "rastrigin_sac1_trace_seed1.csv":
+            "3917a5e955b026062c8a9fc8567eae856cd8a02f273ae9fe3f3cbee4c10a9e6a",
+        "rastrigin_sac1_trace_seed2.csv":
+            "c8b9102aa7fea51152fdb399fbda7100dfa110b1c04e10c849a7b9d7ba42fbeb",
+        "rastrigin_sac1_trace_seed3.csv":
+            "aa6158de2f2060b9927c70fbf91bf566de1117c794f28e49f0dff971702f3773",
+        "stats.csv": "7b6a9e02a5b98195cc8ebb20607f7f64a968fb04395149d9922d5f6eee4808f4",
+        "stats.json": "ae0d9e2761d272fb73a19e1824d6d5d913d862d1cf172ddfc86d6d212cd14cf6",
+    })
+    COMPARE = (("compare", "--problems", "gas_production,air_heater",
+                "--variants", "basic,sac,sac2", "--runs", "2", "--max-nfe", "2000"), {
+        "comparison.csv": "33c1b8dd016556e94ea0485c87a37c607c5f7f372acdff67682a23081a860aff",
+        "comparison.json": "787359698b29457746305bd7c4008c354dd4b33e19c722e70a3a236abef3ddf8",
+        "stats.csv": "4e35d8b7062f2d9a7e8d1e5b08452d6e70a1ae4dc1e461d7c55e2c686952a9c7",
+        "stats.json": "91d6399295f4fabbb8aedd1cba080b3b2d5c9358840d2821e944db1de992974f",
+    })
+
+    @pytest.mark.parametrize("argv,digests", [RUN, COMPARE], ids=["run-traces", "compare"])
+    def test_every_artifact_has_its_pinned_bytes(self, tmp_path, argv, digests):
+        assert run_cli(*argv, "--output-dir", str(tmp_path)) == 0
+        written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in tmp_path.iterdir()}
+        assert written == digests
 
 
 class TestErrorsAndConfig:
