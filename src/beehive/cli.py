@@ -1,11 +1,13 @@
 """Command-line experiment driver: run, compare, and bench subcommands.
 
-Artifacts: stats CSV (`problem,variant,dim,runs,best,mean,sd,mean_nfe`),
-per-run trace CSVs (`nfe,best`), a comparison CSV with per-problem NFE and
-acceleration-rate columns,
-and JSON mirrors of each (JSON keeps full precision; CSV statistics use the
-3-significant-digit, zero-below-threshold table style, and CSV NFE cells hold
-the JSON's numbers).
+Artifacts: a stats CSV (`problem,variant,dim,runs,best,mean,sd,mean_nfe`)
+and a comparison CSV with per-problem NFE and acceleration-rate columns,
+each with a JSON mirror, and with `run --traces` per-run trace CSVs
+(`nfe,best`) and a median convergence CSV (`nfe,median_best`), which have
+none. JSON keeps full precision; CSV statistics use the 3-significant-digit,
+zero-below-threshold table style, and the CSVs' NFE cells and trace values
+hold every digit. Each CSV goes through `_write_csv` and each JSON document
+through `_write_json`.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 I/O error.
 """
@@ -40,50 +42,48 @@ STATS_HEADER = [field.name for field in dataclasses.fields(ExperimentStats)]
 # Serialization
 # ---------------------------------------------------------------------------
 
-def write_stats_csv(path: Path, stats: list[ExperimentStats]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(STATS_HEADER)
-        for s in stats:
-            writer.writerow(
-                [s.problem, s.variant, s.dim, s.runs,
-                 format_stat(s.best), format_stat(s.mean), format_stat(s.sd),
-                 repr(s.mean_nfe)]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def write_stats_json(path: Path, stats: list[ExperimentStats]) -> None:
+def _write_json(path: Path, doc) -> None:
     with open(path, "w") as fh:
-        json.dump([vars(s) for s in stats], fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
+def write_stats_csv(path: Path, stats: list[ExperimentStats]) -> None:
+    _write_csv(path, STATS_HEADER,
+               ([s.problem, s.variant, s.dim, s.runs,
+                 format_stat(s.best), format_stat(s.mean), format_stat(s.sd),
+                 repr(s.mean_nfe)] for s in stats))
+
+
+def write_stats_json(path: Path, stats: list[ExperimentStats]) -> None:
+    _write_json(path, [vars(s) for s in stats])
+
+
 def write_trace_csv(path: Path, result: RunResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["nfe", "best"])
-        for nfe, best in result.trace:
-            writer.writerow([nfe, repr(best)])
+    _write_csv(path, ["nfe", "best"], ([nfe, repr(best)] for nfe, best in result.trace))
 
 
 def write_comparison_csv(path: Path, table: ComparisonTable) -> None:
     others = [v for v in table.variants if v != table.baseline]
     header = (["problem"] + [f"nfe_{v}" for v in table.variants]
               + [f"ar_{table.baseline}_vs_{v}" for v in others])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for p in table.problems:
-            row = [p] + [repr(table.nfe[v][p]) for v in table.variants]
-            for v in others:
-                row.append("---" if table.slower[v][p] else f"{table.ar[v][p]:.2f}")
-            writer.writerow(row)
-        writer.writerow(["average_ar"] + [""] * len(table.variants)
-                        + [f"{table.average_ar[v]:.2f}" for v in others])
+    rows = [[p] + [repr(table.nfe[v][p]) for v in table.variants]
+            + ["---" if table.slower[v][p] else f"{table.ar[v][p]:.2f}" for v in others]
+            for p in table.problems]
+    rows.append(["average_ar"] + [""] * len(table.variants)
+                + [f"{table.average_ar[v]:.2f}" for v in others])
+    _write_csv(path, header, rows)
 
 
 def write_comparison_json(path: Path, table: ComparisonTable) -> None:
-    doc = {
+    _write_json(path, {
         "baseline": table.baseline,
         "problems": list(table.problems),
         "variants": list(table.variants),
@@ -91,18 +91,12 @@ def write_comparison_json(path: Path, table: ComparisonTable) -> None:
         "acceleration_rate": table.ar,
         "baseline_slower": table.slower,
         "average_acceleration_rate": table.average_ar,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    })
 
 
 def write_convergence_csv(path: Path, grid, median) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["nfe", "median_best"])
-        for n, f in zip(grid, median):
-            writer.writerow([int(n), repr(float(f))])  # every NFE digit
+    _write_csv(path, ["nfe", "median_best"],
+               ([int(n), repr(float(f))] for n, f in zip(grid, median)))
 
 
 # ---------------------------------------------------------------------------
