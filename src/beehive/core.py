@@ -1,6 +1,10 @@
-"""Shared value types: box bounds and the seeded RNG stream."""
+"""Shared value types: box bounds and the seeded RNG stream, and the checks
+that turn a configuration value into a plain int or float."""
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 import random
 from dataclasses import dataclass
 
@@ -11,9 +15,27 @@ class ConfigurationError(ValueError):
     """Unknown problem/variant/suite name or an invalid configuration value."""
 
 
+def integer(name: str, value) -> int:
+    """`value` as a plain int, or a ConfigurationError that names the field and
+    the value if it is not an integer (`operator.index` takes Python and numpy
+    integers, not floats)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+
+
+def real(name: str, value) -> float:
+    """`value` as a float, or a ConfigurationError that names the field and the
+    value if it is not a real number (Python or numpy; not a string)."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Bounds:
-    """Axis-aligned search box with strictly ordered per-coordinate limits."""
+    """Axis-aligned search box with finite, strictly ordered per-coordinate limits."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -25,6 +47,9 @@ class Bounds:
         object.__setattr__(self, "upper", upper)
         if lower.ndim != 1 or lower.shape != upper.shape or lower.size < 1:
             raise ValueError("bounds must be 1-d vectors of identical length >= 1")
+        for limit in (*lower.tolist(), *upper.tolist()):
+            if not math.isfinite(limit):
+                raise ConfigurationError(f"each bound must be finite, got {limit!r}")
         if not np.all(lower < upper):
             raise ValueError("each lower bound must be strictly below its upper bound")
 
@@ -48,11 +73,13 @@ class RngStream:
     __slots__ = ("random",)
 
     def __init__(self, seed: int):
-        # `random.Random` seeds with abs(seed), so -s would replay seed s
+        # an integer >= 0: a float 1.5 would replay seed 1 under another name,
+        # and `random.Random` seeds with abs(seed), so -s would replay seed s
+        seed = integer("seed", seed)
         if seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {seed!r}")
         # bound method cached: `random` is the raw [0, 1) draw
-        self.random = random.Random(int(seed)).random
+        self.random = random.Random(seed).random
 
 
 def random_position(bounds: Bounds, rng: RngStream) -> np.ndarray:

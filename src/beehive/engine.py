@@ -9,14 +9,13 @@ own position; out-of-box values are clamped to the violated bound.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from .core import ConfigurationError, RngStream, random_position
+from .core import ConfigurationError, RngStream, integer, random_position, real
 from .problems import Problem
 
 STRATEGIES = ("basic", "sac", "sac1", "sac2", "gbest")
@@ -25,16 +24,11 @@ STRATEGIES = ("basic", "sac", "sac1", "sac2", "gbest")
 _ADAPTIVE_BY_DEFAULT = frozenset({"sac", "sac1", "sac2"})
 
 
-def _require_integers(config, *names):
-    """Store each named field as a plain int, or raise a ConfigurationError that
-    names the field if its value is not an integer (`operator.index` takes
-    Python and numpy integers, not floats)."""
+def _require(config, convert, *names):
+    """Store each named field as `convert` (core's `integer` or `real`) gives it;
+    a value of the wrong type raises a ConfigurationError that names the field."""
     for name in names:
-        value = getattr(config, name)
-        try:
-            object.__setattr__(config, name, operator.index(value))
-        except TypeError:
-            raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+        object.__setattr__(config, name, convert(name, getattr(config, name)))
 
 
 @dataclass(frozen=True)
@@ -50,7 +44,8 @@ class VariantConfig:
     sn_max: int = 100
 
     def __post_init__(self):
-        _require_integers(self, "limit", "initial_colony", "sn_min", "sn_max")
+        _require(self, integer, "limit", "initial_colony", "sn_min", "sn_max")
+        _require(self, real, "c_factor")
         if self.strategy not in STRATEGIES:
             raise ConfigurationError(f"unknown strategy {self.strategy!r}")
         if self.limit < 1:
@@ -66,6 +61,11 @@ class VariantConfig:
             object.__setattr__(
                 self, "adaptive_sizing", self.strategy in _ADAPTIVE_BY_DEFAULT
             )
+        elif isinstance(self.adaptive_sizing, (bool, np.bool_)):
+            object.__setattr__(self, "adaptive_sizing", bool(self.adaptive_sizing))
+        else:  # a truthy string such as 'no' would switch sizing on
+            raise ConfigurationError(
+                f"adaptive_sizing must be a bool or None, got {self.adaptive_sizing!r}")
         # the first resize would drop the sources above sn_max, evaluated for nothing
         if self.adaptive_sizing and self.initial_colony // 2 > self.sn_max:
             raise ConfigurationError(
@@ -82,12 +82,19 @@ class TerminationRule:
     target: float | None = None  # minimization sense
 
     def __post_init__(self):
-        _require_integers(self, "max_nfe")
+        _require(self, integer, "max_nfe")
+        _require(self, real, "accuracy")
         if self.max_nfe < 1:
             raise ConfigurationError(f"max_nfe must be >= 1, got {self.max_nfe!r}")
         if not (math.isfinite(self.accuracy) and self.accuracy >= 0.0):
             raise ConfigurationError(
                 f"accuracy must be finite and >= 0, got {self.accuracy!r}")
+        if self.target is not None:
+            _require(self, real, "target")
+            # a NaN or infinite target is never reached: the run would spend its
+            # whole budget without saying why
+            if not math.isfinite(self.target):
+                raise ConfigurationError(f"target must be finite, got {self.target!r}")
 
     def reached(self, best_objective: float) -> bool:
         return self.target is not None and abs(best_objective - self.target) < self.accuracy

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError
+from .core import ConfigurationError, integer
 from .engine import RunResult, TerminationRule, VariantConfig, run
 from .problems import Problem
 
@@ -45,8 +45,12 @@ def run_batches(cells: list[Cell], runs: int, base_seed: int,
     to raise cancels the runs still queued, and its error propagates once
     the running ones have ended.
     """
+    runs, base_seed, jobs = integer("runs", runs), integer("base_seed", base_seed), \
+        integer("jobs", jobs)
     if runs < 1:
         raise ConfigurationError(f"runs must be >= 1, got {runs!r}")
+    if base_seed < 0:  # refused before any run starts
+        raise ConfigurationError(f"base_seed must be >= 0, got {base_seed!r}")
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs!r}")
     tasks = [(cell, base_seed + i) for cell in cells for i in range(runs)]

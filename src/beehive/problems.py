@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Bounds, ConfigurationError
+from .core import Bounds, ConfigurationError, integer, real
 
 # Degenerate-bracket cutoff for the gas production objective: below this the
 # 0^(-0.85) term is treated as 0 so the function stays total at x1 = 40.
@@ -271,8 +271,16 @@ class LJConfig:
     box_half_width: float | None = None  # default scales with cluster radius
 
     def __post_init__(self):
+        object.__setattr__(self, "n_atoms", integer("n_atoms", self.n_atoms))
         if self.n_atoms < 2:
-            raise ConfigurationError("Lennard-Jones cluster needs at least 2 atoms")
+            raise ConfigurationError(
+                f"Lennard-Jones cluster needs at least 2 atoms, got {self.n_atoms}")
+        if self.box_half_width is not None:
+            half = real("box_half_width", self.box_half_width)
+            if not (math.isfinite(half) and half > 0.0):
+                raise ConfigurationError(
+                    f"box_half_width must be finite and > 0, got {half!r}")
+            object.__setattr__(self, "box_half_width", half)
 
     @property
     def half_width(self) -> float:
@@ -453,8 +461,7 @@ def make_problem(name: str, dimension: int | None = None, n_atoms: int | None = 
             f"n_atoms applies only to lennard_jones, not to {name} (got {n_atoms})")
     if name in _BENCHMARKS:
         fn, half_width, dims = _BENCHMARKS[name]
-        if dimension is None:
-            dimension = dims[0]
+        dimension = dims[0] if dimension is None else integer("dimension", dimension)
         if dimension < 1:
             raise ConfigurationError(f"dimension must be >= 1, not {dimension}")
         return Problem(name, dimension, Bounds.cube(-half_width, half_width, dimension), fn,
@@ -464,7 +471,7 @@ def make_problem(name: str, dimension: int | None = None, n_atoms: int | None = 
             f"dimension applies only to the benchmarks, not to {name} (got {dimension})")
     if name == "lennard_jones":
         return make_lennard_jones(LJConfig(3 if n_atoms is None else n_atoms))
-    fn, lower, upper, direction, integer = _ENGINEERING[name]
-    integrality = np.ones(len(lower), dtype=bool) if integer else None
+    fn, lower, upper, direction, integral = _ENGINEERING[name]
+    integrality = np.ones(len(lower), dtype=bool) if integral else None
     return Problem(name, len(lower), Bounds(lower, upper), OnFloats(fn), direction,
                    integrality)

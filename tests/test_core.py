@@ -18,6 +18,16 @@ class TestBounds:
         with pytest.raises(ValueError):
             Bounds(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("lower,upper,bad", [
+        ([0.0], [np.inf], "inf"),
+        ([-np.inf, 0.0], [0.0, 1.0], "-inf"),
+        ([0.0, np.nan], [1.0, 1.0], "nan"),
+    ])
+    def test_rejects_a_non_finite_limit_and_names_it(self, lower, upper, bad):
+        # a run on [0, inf] stopped at its first evaluation, at position [inf]
+        with pytest.raises(ConfigurationError, match=f"each bound must be finite, got {bad}$"):
+            Bounds(lower, upper)
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             Bounds(np.array([0.0]), np.array([1.0, 2.0]))
@@ -75,3 +85,13 @@ class TestRngStream:
         # random.Random seeds with abs(seed): -s would replay seed s
         with pytest.raises(ConfigurationError, match=f"seed must be >= 0, got {seed}"):
             RngStream(seed)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "1", None])
+    def test_non_integer_seed_is_rejected(self, seed):
+        # int(1.5) replayed seed 1's stream under the name 1.5
+        with pytest.raises(ConfigurationError, match=f"seed must be an integer, got {seed!r}"):
+            RngStream(seed)
+
+    def test_numpy_integer_seed_is_its_int(self):
+        a, b = RngStream(np.int64(7)), RngStream(7)
+        assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]

@@ -792,6 +792,39 @@ def test_count_fields_refuse_a_non_integer(owner, field, value):
         owner(**{field: value})
 
 
+@pytest.mark.parametrize("owner, field, value, named", [
+    (VariantConfig, "c_factor", "1.5", "c_factor must be a real number, got '1.5'"),
+    (VariantConfig, "c_factor", None, "c_factor must be a real number, got None"),
+    (TerminationRule, "accuracy", "1e-8", "accuracy must be a real number, got '1e-8'"),
+    (TerminationRule, "target", "0", "target must be a real number, got '0'"),
+    (TerminationRule, "target", math.nan, "target must be finite, got nan"),
+    (TerminationRule, "target", -math.inf, "target must be finite, got -inf"),
+    (VariantConfig, "adaptive_sizing", "no", "adaptive_sizing must be a bool or None, got 'no'"),
+    (VariantConfig, "adaptive_sizing", 0, "adaptive_sizing must be a bool or None, got 0"),
+])
+def test_real_and_flag_fields_refuse_a_wrong_type(owner, field, value, named):
+    # a string target failed inside `run`, 'no' switched sizing on, and a NaN
+    # target could never be reached
+    with pytest.raises(ConfigurationError, match=re.escape(named)):
+        owner(**{field: value})
+
+
+def test_real_and_flag_fields_are_stored_as_float_and_bool():
+    config = VariantConfig(c_factor=np.float32(2.0), adaptive_sizing=np.bool_(False))
+    termination = TerminationRule(accuracy=0, target=np.int64(3))
+    assert (type(config.c_factor), type(config.adaptive_sizing)) == (float, bool)
+    assert (config.c_factor, config.adaptive_sizing) == (2.0, False)
+    assert (type(termination.accuracy), type(termination.target)) == (float, float)
+    assert TerminationRule(target=None).target is None
+
+
+def test_run_refuses_a_non_integer_seed():
+    # seed=1.5 replayed seed 1's run and reported seed 1.5
+    with pytest.raises(ConfigurationError, match="seed must be an integer, got 1.5"):
+        run(make_problem("sphere", dimension=2), VariantConfig(),
+            TerminationRule(max_nfe=200), seed=1.5)
+
+
 def test_count_fields_take_numpy_integers_as_ints():
     config = VariantConfig(strategy="sac", limit=np.int32(5), initial_colony=np.int64(20),
                            sn_min=np.int16(10), sn_max=np.uint8(20))

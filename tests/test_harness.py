@@ -1,6 +1,7 @@
 """Batch statistics, acceleration rates, comparison tables, convergence export."""
 import math
 import multiprocessing
+import re
 from concurrent.futures import Future
 
 import numpy as np
@@ -155,6 +156,27 @@ class TestRunBatches:
         batches = run_batches(cells, runs=runs, base_seed=1, jobs=jobs)
         assert RecordingExecutor.created == workers
         assert [[r.seed for r in rs] for rs in batches] == [list(range(1, runs + 1))] * n_cells
+
+    @pytest.mark.parametrize("args,named", [
+        (dict(runs=2.5), "runs must be an integer, got 2.5"),
+        (dict(base_seed=0.5), "base_seed must be an integer, got 0.5"),
+        (dict(jobs=1.5), "jobs must be an integer, got 1.5"),
+        (dict(base_seed=-2, runs=3), "base_seed must be >= 0, got -2"),
+    ])
+    def test_bad_count_or_seed_is_refused_before_any_run(self, monkeypatch, args, named):
+        # 0.5 ran seeds 0.5 and 1.5 as seeds 0 and 1, and jobs=1.5 was accepted
+        started = []
+        monkeypatch.setattr(harness, "run", lambda *a: started.append(a))
+        cells = mixed_cells()[:1]
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            run_batches(cells, **{**dict(runs=2, base_seed=0, jobs=1), **args})
+        assert started == []
+
+    def test_numpy_counts_and_seed_are_ints(self):
+        [results] = run_batches(mixed_cells()[:1], runs=np.int64(2), base_seed=np.int32(3),
+                                jobs=np.int8(1))
+        assert [type(r.seed) for r in results] == [int, int]
+        assert [r.seed for r in results] == [3, 4]
 
     def test_first_failure_cancels_the_queue_and_leaves_no_worker(self, monkeypatch):
         submitted = []

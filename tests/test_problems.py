@@ -3,6 +3,7 @@ import copy
 import itertools
 import math
 import pickle
+import re
 import struct
 import warnings
 from fractions import Fraction
@@ -226,12 +227,30 @@ class TestLennardJones:
             assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
     def test_config_validation_and_box(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="at least 2 atoms, got 1$"):
             LJConfig(1)
         p = make_lennard_jones(LJConfig(8))
         assert p.dimension == 24
         assert np.all(p.bounds.upper == 2.0 * 8 ** (1.0 / 3.0))
         assert LJConfig(3, box_half_width=5.0).half_width == 5.0
+
+
+    @pytest.mark.parametrize("fields,named", [
+        (dict(n_atoms=2.5), "n_atoms must be an integer, got 2.5"),
+        (dict(n_atoms=3.0), "n_atoms must be an integer, got 3.0"),
+        (dict(box_half_width=math.inf), "box_half_width must be finite and > 0, got inf"),
+        (dict(box_half_width=math.nan), "box_half_width must be finite and > 0, got nan"),
+        (dict(box_half_width=0.0), "box_half_width must be finite and > 0, got 0.0"),
+        (dict(box_half_width="2"), "box_half_width must be a real number, got '2'"),
+    ])
+    def test_config_refuses_a_bad_count_or_box_and_names_it(self, fields, named):
+        # LJConfig(2.5) was accepted, and box_half_width=inf built an infinite box
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            LJConfig(**{"n_atoms": 3, **fields})
+
+    def test_config_stores_int_atoms_and_float_box(self):
+        config = LJConfig(np.int64(4), box_half_width=2)
+        assert (type(config.n_atoms), type(config.half_width)) == (int, float)
 
 
 def lj_reference(n, x):
@@ -805,6 +824,20 @@ class TestRegistry:
     def test_bad_benchmark_dimension_raises(self):
         with pytest.raises(ConfigurationError):
             make_problem("sphere", 0)
+
+    @pytest.mark.parametrize("name,kwargs,named", [
+        ("sphere", dict(dimension=2.5), "dimension must be an integer, got 2.5"),
+        ("rastrigin", dict(dimension="10"), "dimension must be an integer, got '10'"),
+        ("lennard_jones", dict(n_atoms=3.0), "n_atoms must be an integer, got 3.0"),
+    ])
+    def test_non_integer_size_raises_and_names_it(self, name, kwargs, named):
+        # these escaped as numpy's "expected a sequence of integers" TypeError
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            make_problem(name, **kwargs)
+
+    def test_numpy_integer_dimension_is_its_int(self):
+        problem = make_problem("sphere", np.int64(3))
+        assert type(problem.dimension) is int and problem.dimension == 3
 
     @pytest.mark.parametrize("name,kwargs,named", [
         ("gas_production", dict(dimension=5), "dimension"),
