@@ -6,8 +6,7 @@ each with a JSON mirror, and with `run --traces` per-run trace CSVs
 (`nfe,best`) and a median convergence CSV (`nfe,median_best`), which have
 none. JSON keeps full precision; CSV statistics use the 3-significant-digit,
 zero-below-threshold table style, and the CSVs' NFE cells and trace values
-hold every digit. Each CSV goes through `_write_csv` and each JSON document
-through `_write_json`.
+hold every digit.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 I/O error.
 """

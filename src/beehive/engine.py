@@ -390,6 +390,7 @@ def adapt_colony_size(colony, config, problem, rng):
 def run(problem: Problem, config: VariantConfig, termination: TerminationRule,
         seed: int) -> RunResult:
     """Full optimization run; deterministic for a fixed (problem, config, seed)."""
+    seed = integer("seed", seed)  # reported as a plain int
     rng = RngStream(seed)
     colony = Colony(problem.bounds)
     for i in range(config.initial_colony // 2):

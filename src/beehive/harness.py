@@ -45,8 +45,9 @@ def run_batches(cells: list[Cell], runs: int, base_seed: int,
     to raise cancels the runs still queued, and its error propagates once
     the running ones have ended.
     """
-    runs, base_seed, jobs = integer("runs", runs), integer("base_seed", base_seed), \
-        integer("jobs", jobs)
+    runs = integer("runs", runs)
+    base_seed = integer("base_seed", base_seed)
+    jobs = integer("jobs", jobs)
     if runs < 1:
         raise ConfigurationError(f"runs must be >= 1, got {runs!r}")
     if base_seed < 0:  # refused before any run starts

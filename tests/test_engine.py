@@ -818,11 +818,14 @@ def test_real_and_flag_fields_are_stored_as_float_and_bool():
     assert TerminationRule(target=None).target is None
 
 
-def test_run_refuses_a_non_integer_seed():
+def test_run_refuses_a_non_integer_seed_and_reports_an_int():
     # seed=1.5 replayed seed 1's run and reported seed 1.5
+    args = make_problem("sphere", dimension=2), VariantConfig(), TerminationRule(max_nfe=200)
     with pytest.raises(ConfigurationError, match="seed must be an integer, got 1.5"):
-        run(make_problem("sphere", dimension=2), VariantConfig(),
-            TerminationRule(max_nfe=200), seed=1.5)
+        run(*args, seed=1.5)
+    result = run(*args, seed=np.int64(3))
+    assert type(result.seed) is int and result.seed == 3
+    assert result.best_objective == run(*args, seed=3).best_objective
 
 
 def test_count_fields_take_numpy_integers_as_ints():
