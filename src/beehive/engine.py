@@ -167,9 +167,15 @@ def selection_probabilities(colony: Colony) -> np.ndarray:
 
 
 def _hooks(evaluate):
-    """The objective's hooks `(start, move)`, or `(None, None)` unless it has both:
-    `start(x) -> (f, memo)` evaluates a fresh point and `move(memo, j, v) ->
-    (f, memo)` the memo's own point with coordinate j set to v."""
+    """The objective's hooks `(start, move)`, or `(None, None)` unless it has both.
+
+    The hook contract: `start(x) -> (f, memo)` evaluates a fresh point and
+    `move(memo, j, v) -> (f, memo)` the memo's own point with coordinate j set
+    to the float v. Each f is `evaluate`'s value at that point, bit for bit,
+    so a run gives the same result with or without the hooks; the memo `move`
+    returns is the one `start` would give at the moved point, and `move`
+    leaves the memo it is given as it was, because a losing candidate keeps
+    its source's memo."""
     start, move = getattr(evaluate, "start", None), getattr(evaluate, "move", None)
     return (None, None) if start is None or move is None else (start, move)
 

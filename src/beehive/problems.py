@@ -5,10 +5,9 @@ user's optimization sense; `evaluate_min` gives the minimization-sense value the
 optimizer works in (maximization problems are negated).
 
 `Rastrigin`, `LennardJones` and `OnFloats`, the wrapper of the four fixed-size
-designs, carry the engine's `start`/`move` hooks, which evaluate a point that
-differs from a known one in one coordinate; each gives `__call__`'s value bit
-for bit. The designs are functions of a list of Python floats and give nan
-off their real domain.
+designs, carry the engine's `start`/`move` hooks (the contract is stated in
+`engine._hooks`). The designs are functions of a list of Python floats and
+give nan off their real domain.
 """
 from __future__ import annotations
 
@@ -113,12 +112,10 @@ class Rastrigin:
     """Rastrigin's function, 10*D + sum(x_i^2 - 10*cos(2*pi*x_i)).
 
     The terms are summed exactly rounded (`math.fsum`), so the value does not
-    depend on the order of the terms. That makes one-coordinate moves cheap
-    and exact: `start(x)` returns the value and a memo, the list of
-    per-coordinate terms, and `move(memo, j, v)` returns the value and memo of
-    the memo's point with coordinate j set to v. It recomputes term j from v
-    alone by the expression, with `math.cos`, that `start` applies to every
-    term, so both return `__call__`'s value bit for bit.
+    depend on the order of the terms. That makes one-coordinate moves, the
+    `start`/`move` hooks of `engine._hooks`, cheap and exact: the memo is the
+    list of per-coordinate terms, and `move` recomputes term j from v alone by
+    the expression, with `math.cos`, that `start` applies to every term.
     A module-level callable, so a `Problem` that uses it pickles into worker
     processes.
     """
@@ -169,20 +166,19 @@ _BENCHMARKS = {
 
 @dataclass(frozen=True)
 class OnFloats:
-    """An objective `fn` of a short list of Python floats, with the engine's
-    incremental-evaluation hooks: `__call__(x)` gives `fn(x.tolist())`,
-    `start(x)` gives it with the memo `(c, f)`, the list c and its value f,
-    and `move(memo, j, v)` gives the value and memo of the memo's point with
-    element j set to v, leaving the memo it is given as it is.
+    """An objective `fn` of a short list of Python floats, with the
+    `start`/`move` hooks of `engine._hooks`: `__call__(x)` gives
+    `fn(x.tolist())`, and the memo is `(c, f)`, the point as a list c and its
+    value f.
 
     A null move, `c[j] == v` with `v != 0.0`, is the memo's own point, so
     `move` returns `(f, memo)`, the same memo object, without calling `fn`
     or copying the list. Equal nonzero floats have the same bits, so that is
     the value `fn` would give; zero is excluded because `-0.0 == 0.0` and an
     `fn` may tell them apart, and a NaN compares unequal, so both compute.
-    Every other move calls `fn` on a copy of c with element j set. So all
-    three agree bit for bit. `fn` is a module-level function, so a `Problem`
-    that uses it pickles into worker processes.
+    Every other move calls `fn` on a copy of c with element j set. `fn` is a
+    module-level function, so a `Problem` that uses it pickles into worker
+    processes.
     """
 
     fn: Callable[[list], float]
@@ -301,12 +297,15 @@ def _lj_pairs(n):
 @functools.lru_cache(maxsize=None)
 def _lj_partners(n):
     """For each atom k of n, the pairs it is in: ((i, index of pair (i, k)), ...)
-    over every other atom i in order; as tuples, shared read-only."""
-    def index(a, b):  # of pair (a, b), a < b, in `np.triu_indices` order
-        return a * (2 * n - a - 1) // 2 + b - a - 1
-    return tuple(
-        tuple((i, index(min(i, k), max(i, k))) for i in range(n) if i != k)
-        for k in range(n))
+    over every other atom i in order; as tuples, shared read-only. Built from
+    `_lj_pairs(n)`, so the pair indices follow its order."""
+    first, second = _lj_pairs(n)
+    partners = [[] for _ in range(n)]
+    for p, (a, b) in enumerate(zip(first.tolist(), second.tolist())):
+        # pairs (i, k) with i < k come before those with k first, each in order
+        partners[a].append((b, p))
+        partners[b].append((a, p))
+    return tuple(map(tuple, partners))
 
 
 @dataclass(frozen=True)
@@ -319,17 +318,14 @@ class LennardJones:
     `Problem` that uses it pickles into worker processes.
 
     The pair energies are summed exactly rounded (`math.fsum`), so the value
-    does not depend on their order, and one-coordinate moves are cheap and
-    exact: `start(x)` returns the value and a memo, and `move(memo, j, v)`
-    returns the value and memo of the memo's point with coordinate j set to
-    v. The memo is `(xs, ys, zs, energies, partners)`: the atoms' x, y and z
-    coordinates and the pair energies in `np.triu_indices` order, as lists of
-    Python floats, and the shared `_lj_partners` table. A move shifts atom
-    k = j // 3 along one axis, so it copies only that axis's list and shares
-    the other lists with the memo it is given, which it leaves as it is;
-    then it recomputes atom k's n - 1 pair energies with the kernel's
-    arithmetic and sums them all again. Both return `__call__`'s value bit for
-    bit.
+    does not depend on their order, and one-coordinate moves, the
+    `start`/`move` hooks of `engine._hooks`, are cheap and exact. The memo is
+    `(xs, ys, zs, energies, partners)`: the atoms' x, y and z coordinates and
+    the pair energies in `np.triu_indices` order, as lists of Python floats,
+    and the shared `_lj_partners` table. A move shifts atom k = j // 3 along
+    one axis, so it copies only that axis's list and shares the other lists
+    with the memo it is given; then it recomputes atom k's n - 1 pair
+    energies with the kernel's arithmetic and sums them all again.
     """
 
     n_atoms: int

@@ -1084,13 +1084,34 @@ class CountingHooks:
         return self.inner.move(memo, j, v)
 
 
+def _cell(problem, *args):
+    """`problem` and `args` as one `pytest.param`, named by the problem."""
+    sense = "-maximize" if problem.direction == "maximize" else ""
+    return pytest.param(problem, *args, id=f"{problem.name}-{problem.dimension}{sense}")
+
+
+# every hooked objective, and Rastrigin posed as a maximization, with the
+# seed of its run
+HOOKED_RUNS = (
+    [_cell(make_problem("rastrigin", dim), dim) for dim in (3, 10, 30, 130)]
+    + [_cell(make_problem("lennard_jones", n_atoms=atoms), atoms) for atoms in (3, 4, 13)]
+    + [_cell(make_problem(name), len(name)) for name in DESIGNS]
+    + [_cell(dataclasses.replace(make_problem("rastrigin", 10), evaluate=Negated(Rastrigin()),
+                                 direction="maximize"), 10)])
+# the hooked objectives, and sphere, which has no hooks
+MEMO_COLUMNS = [_cell(p) for p in (make_problem("rastrigin", 10),
+                                   make_problem("lennard_jones", n_atoms=13),
+                                   *map(make_problem, DESIGNS), make_problem("sphere", 10))]
+
+
 class TestIncrementalEvaluation:
     """The `start`/`move` hooks of Rastrigin, Lennard-Jones and the four
     fixed-size designs give the run that the full path gives; a plain function
     around `evaluate` hides the hooks, so it takes that path."""
 
-    @staticmethod
-    def check_run_equals_the_full_path(problem, strategy, seed):
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("problem,seed", HOOKED_RUNS)
+    def test_run_equals_the_full_path(self, problem, seed, strategy):
         full = dataclasses.replace(problem, evaluate=lambda x: problem.evaluate(x))
         assert _hooks(problem.evaluate)[1] is not None
         assert _hooks(full.evaluate) == (None, None)
@@ -1100,8 +1121,43 @@ class TestIncrementalEvaluation:
         assert_same_result(run(problem, config, termination, seed=seed),
                            run(full, config, termination, seed=seed))
 
-    @staticmethod
-    def check_memo_column_follows_its_source(problem, strategy):
+    @pytest.mark.parametrize("name", DESIGNS)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_design_hooks_are_called_once_per_evaluation(self, strategy, name):
+        """The engine calls `start` or `move` once per counted evaluation, null
+        moves included; `OnFloats` answers the null moves without calling
+        `fn`, which gas_production, with its optimum on a bound, is full of."""
+        problem = make_problem(name)
+        fn = CountingFn(problem.evaluate.fn)
+        hooks = CountingHooks(OnFloats(fn))
+        config = VariantConfig(strategy=strategy, **SCOUTING)
+        termination = TerminationRule(max_nfe=3000)
+        r = run(dataclasses.replace(problem, evaluate=hooks), config, termination, seed=7)
+        assert_same_result(r, run(problem, config, termination, seed=7))
+        assert hooks.calls["__call__"] == 0
+        assert hooks.calls["start"] + hooks.calls["move"] == r.nfe
+        assert fn.calls <= r.nfe
+        if name == "gas_production":
+            assert fn.calls < r.nfe
+
+    @pytest.mark.parametrize("hook", ("start", "move"))
+    def test_one_hook_alone_takes_the_full_path(self, hook):
+        def unused(*args):
+            raise AssertionError(f"the lone {hook} hook was called")
+
+        lone = Sphere()
+        setattr(lone, hook, unused)
+        assert _hooks(lone) == (None, None)
+        problem = make_problem("sphere", 4)
+        config = VariantConfig(strategy="sac1", **SCOUTING)
+        termination = TerminationRule(max_nfe=3000)
+        assert_same_result(run(dataclasses.replace(problem, evaluate=lone), config,
+                               termination, seed=4),
+                           run(problem, config, termination, seed=4))
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("problem", MEMO_COLUMNS)
+    def test_memo_column_follows_its_source(self, problem, strategy):
         """After every phase, with scouts firing and colonies resizing, each
         source's fitness and memo are those of its own position, bit for bit
         (without hooks the memo is the position's array), and no two sources
@@ -1127,77 +1183,3 @@ class TestIncrementalEvaluation:
                         assert memo.tobytes() == point.tobytes()
                     else:
                         assert memo == start(point)[1]
-
-    @pytest.mark.parametrize("dim", (3, 10, 30, 130))
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_run_equals_the_full_path(self, strategy, dim):
-        self.check_run_equals_the_full_path(make_problem("rastrigin", dim), strategy, dim)
-
-    @pytest.mark.parametrize("atoms", (3, 4, 13))
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_lennard_jones_run_equals_the_full_path(self, strategy, atoms):
-        problem = make_problem("lennard_jones", n_atoms=atoms)
-        self.check_run_equals_the_full_path(problem, strategy, atoms)
-
-    @pytest.mark.parametrize("name", DESIGNS)
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_design_run_equals_the_full_path(self, strategy, name):
-        self.check_run_equals_the_full_path(make_problem(name), strategy, len(name))
-
-    @pytest.mark.parametrize("name", DESIGNS)
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_design_hooks_are_called_once_per_evaluation(self, strategy, name):
-        """The engine calls `start` or `move` once per counted evaluation, null
-        moves included; `OnFloats` answers the null moves without calling
-        `fn`, which gas_production, with its optimum on a bound, is full of."""
-        problem = make_problem(name)
-        fn = CountingFn(problem.evaluate.fn)
-        hooks = CountingHooks(OnFloats(fn))
-        config = VariantConfig(strategy=strategy, **SCOUTING)
-        termination = TerminationRule(max_nfe=3000)
-        r = run(dataclasses.replace(problem, evaluate=hooks), config, termination, seed=7)
-        assert_same_result(r, run(problem, config, termination, seed=7))
-        assert hooks.calls["__call__"] == 0
-        assert hooks.calls["start"] + hooks.calls["move"] == r.nfe
-        assert fn.calls <= r.nfe
-        if name == "gas_production":
-            assert fn.calls < r.nfe
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_maximize_run_equals_the_full_path(self, strategy):
-        problem = dataclasses.replace(make_problem("rastrigin", 10),
-                                      evaluate=Negated(Rastrigin()), direction="maximize")
-        self.check_run_equals_the_full_path(problem, strategy, 10)
-
-    @pytest.mark.parametrize("hook", ("start", "move"))
-    def test_one_hook_alone_takes_the_full_path(self, hook):
-        def unused(*args):
-            raise AssertionError(f"the lone {hook} hook was called")
-
-        lone = Sphere()
-        setattr(lone, hook, unused)
-        assert _hooks(lone) == (None, None)
-        problem = make_problem("sphere", 4)
-        config = VariantConfig(strategy="sac1", **SCOUTING)
-        termination = TerminationRule(max_nfe=3000)
-        assert_same_result(run(dataclasses.replace(problem, evaluate=lone), config,
-                               termination, seed=4),
-                           run(problem, config, termination, seed=4))
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_memo_column_follows_its_source(self, strategy):
-        self.check_memo_column_follows_its_source(make_problem("rastrigin", 10), strategy)
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_lennard_jones_memo_column_follows_its_source(self, strategy):
-        problem = make_problem("lennard_jones", n_atoms=13)
-        self.check_memo_column_follows_its_source(problem, strategy)
-
-    @pytest.mark.parametrize("name", DESIGNS)
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_design_memo_column_follows_its_source(self, strategy, name):
-        self.check_memo_column_follows_its_source(make_problem(name), strategy)
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_sphere_columns_follow_their_sources(self, strategy):
-        self.check_memo_column_follows_its_source(make_problem("sphere", 10), strategy)

@@ -1,5 +1,4 @@
 """Objective function values, symmetries, and the problem registry."""
-import copy
 import itertools
 import math
 import pickle
@@ -32,6 +31,60 @@ from beehive.problems import (
 
 def _fn(name, dimension=None, **kw):
     return make_problem(name, dimension=dimension, **kw).evaluate
+
+
+def _bits(f):
+    return struct.pack("<d", f)
+
+
+def _memo_bits(memo, shared):
+    """`memo`, a float, a list of floats or a tuple of memos, with every float
+    as its bytes, so that `==` compares bits; a fresh object, so it also
+    serves as a snapshot. `shared`, a read-only table every memo holds, is
+    kept as it is, neither copied nor walked."""
+    if memo is shared:
+        return memo
+    if isinstance(memo, tuple):
+        return tuple(_memo_bits(m, shared) for m in memo)
+    if isinstance(memo, list):
+        return [struct.pack(f"<{len(memo)}d", *memo)]
+    return _bits(memo)
+
+
+def check_hooks(f, x, moves):
+    """Check the `start`/`move` contract of `engine._hooks` on the objective f,
+    from the point x through each move (j, v) in turn, by the bits of every
+    value and memo: `start`'s value is `f(x)`'s; each move's value is f's at
+    the moved point, it leaves the memo it is given as it was, and its memo
+    is the one `start` gives at the moved point. An `OnFloats` memo is also
+    `(c, value)`, c the point as a list, and a move gives back the very memo
+    it is given exactly on a null move, `c[j] == v` with `v != 0.0`."""
+    on_floats = isinstance(f, OnFloats)
+    value, memo = f.start(x)
+    # the Lennard-Jones partner table, shared by every memo
+    shared = memo[-1] if isinstance(f, LennardJones) else None
+
+    def bits(memo):
+        return _memo_bits(memo, shared)
+
+    assert _bits(value) == _bits(f(x)), "start's value is not f's"
+    if on_floats:
+        assert bits(memo) == bits((x.tolist(), value)), "the memo is not (c, value)"
+    for j, v in moves:
+        x = x.copy()
+        x[j] = v
+        v = x.item(j)
+        null = on_floats and memo[0][j] == v and v != 0.0
+        kept = bits(memo)
+        value, new_memo = f.move(memo, j, v)
+        assert _bits(value) == _bits(f(x)), "move's value is not f's"
+        # a losing step keeps the old memo
+        assert bits(memo) == kept, "move changed the memo it was given"
+        assert bits(new_memo) == bits(f.start(x)[1]), "move's memo is not start's"
+        if on_floats:
+            assert (new_memo is memo) == null, "only a null move gives back its memo"
+            assert bits(new_memo) == bits((x.tolist(), value)), "the memo is not (c, value)"
+        memo = new_memo
 
 
 class TestBenchmarkValues:
@@ -338,13 +391,6 @@ class TestLennardJonesKernelMatchesLoop:
         n = x.size // 3
         assert LennardJones(n)(x) == lj_reference(n, x)
 
-    def test_pickled_callable_gives_the_same_value(self):
-        f = LennardJones(13)
-        g = pickle.loads(pickle.dumps(f))
-        x = np.random.default_rng(5).uniform(-4.0, 4.0, 39)
-        assert g == f
-        assert g(x) == f(x)
-
 
 # Lennard-Jones coordinates: anywhere in a box wide enough for 130 atoms,
 # plus a few values that often put two atoms on top of each other.
@@ -355,21 +401,6 @@ class TestLennardJonesMoves:
     """`LennardJones.start`/`move` must give `__call__`'s bits: seeded
     Lennard-Jones runs evaluate every candidate through `move`."""
 
-    @staticmethod
-    def check_moves(x, moves):
-        f = LennardJones(x.size // 3)
-        value, memo = f.start(x)
-        assert value == f(x)
-        for j, v in moves:
-            x = x.copy()
-            x[j] = v
-            kept = copy.deepcopy(memo)
-            value, new_memo = f.move(memo, j, x.item(j))
-            assert value == f(x)
-            assert memo == kept  # a losing step keeps the old memo
-            assert new_memo == f.start(x)[1]
-            memo = new_memo
-
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(LJ_ATOMS + (13,) * 4).flatmap(lambda n: st.tuples(
         st.lists(_LJ_COORDS, min_size=3 * n, max_size=3 * n),
@@ -379,14 +410,14 @@ class TestLennardJonesMoves:
         coords, moves = case
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            self.check_moves(np.array(coords), moves)
+            check_hooks(LennardJones(len(coords) // 3), np.array(coords), moves)
 
     @pytest.mark.parametrize("n", LJ_ATOMS)
     def test_every_coordinate_of_every_atom(self, n):
         rng = np.random.default_rng(n)
         half = LJConfig(n).half_width
         x = rng.uniform(-half, half, 3 * n)
-        self.check_moves(x, [(j, rng.uniform(-half, half)) for j in range(3 * n)])
+        check_hooks(LennardJones(n), x, [(j, rng.uniform(-half, half)) for j in range(3 * n)])
 
     @pytest.mark.parametrize("n", (2, 3, 13))
     def test_moves_onto_and_off_a_coincident_atom(self, n):
@@ -399,7 +430,8 @@ class TestLennardJonesMoves:
         # the last atom onto atom 0 and off, then atom 0 onto it and off
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            self.check_moves(x, [(last, z0), (last, z0 + 1.0), (2, z0 + 1.0), (2, z0)])
+            check_hooks(LennardJones(n), x,
+                        [(last, z0), (last, z0 + 1.0), (2, z0 + 1.0), (2, z0)])
         f = LennardJones(n)
         onto = x.copy()
         onto[last] = z0
@@ -416,7 +448,7 @@ class TestLennardJonesMoves:
                 start[j] += 1.0
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    self.check_moves(start, [(j, x[j])])
+                    check_hooks(LennardJones(n), start, [(j, x[j])])
 
     def test_a_nan_coordinate_stays_nan(self):
         f = LennardJones(3)
@@ -457,21 +489,6 @@ class TestRastriginMoves:
     """`Rastrigin.start`/`move` must give `__call__`'s bits: seeded Rastrigin
     runs evaluate every candidate through `move`."""
 
-    @staticmethod
-    def check_moves(x, moves):
-        f = Rastrigin()
-        value, memo = f.start(x)
-        assert value == f(x)
-        for j, v in moves:
-            x = x.copy()
-            x[j] = v
-            kept = copy.deepcopy(memo)
-            value, new_memo = f.move(memo, j, x.item(j))
-            assert value == f(x)
-            assert memo == kept  # a losing step keeps the old memo
-            assert new_memo == f.start(x)[1]
-            memo = new_memo
-
     # D from 1 to 200; up to five moves in a row from one start
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 200).flatmap(lambda n: st.tuples(
@@ -480,13 +497,13 @@ class TestRastriginMoves:
                  min_size=1, max_size=5))))
     def test_moves_match_the_full_evaluation(self, case):
         coords, moves = case
-        self.check_moves(np.array(coords), moves)
+        check_hooks(Rastrigin(), np.array(coords), moves)
 
     @pytest.mark.parametrize("n", (1, 7, 8, 9, 16, 17, 128, 129, 136, 200))
     def test_every_coordinate_at_every_branch(self, n):
         rng = np.random.default_rng(n)
         x = rng.uniform(-5.12, 5.12, n)
-        self.check_moves(x, [(j, rng.uniform(-5.12, 5.12)) for j in range(n)])
+        check_hooks(Rastrigin(), x, [(j, rng.uniform(-5.12, 5.12)) for j in range(n)])
 
     @pytest.mark.parametrize("n", (1, 2, 10, 30, 60, 200))
     def test_value_is_the_exactly_rounded_sum(self, n):
@@ -502,11 +519,6 @@ class TestRastriginMoves:
         assert Rastrigin()(np.array([1e154, 1e154])) == math.inf
         f = Rastrigin()
         assert f.move(f.start(np.array([1e154, 0.0]))[1], 1, 1e154)[0] == math.inf
-
-    def test_registered_and_pickles(self):
-        f = make_problem("rastrigin", 5).evaluate
-        assert f == Rastrigin()
-        assert pickle.loads(pickle.dumps(f)) == f
 
 
 DESIGNS = ("gas_production", "air_heater", "gear_train", "gas_compressor")
@@ -571,10 +583,6 @@ UNGUARDED = {
 }
 
 
-def _bits(f):
-    return struct.pack("<d", f)
-
-
 def _design_point(coordinate):
     """A design's name and a point of its dimension, each coordinate drawn
     by `coordinate`."""
@@ -633,31 +641,6 @@ class TestDesignsOnFloats:
     def test_off_the_domain_is_nan(self, name, point):
         assert math.isnan(make_problem(name).evaluate(np.array(point)))
 
-    @staticmethod
-    def check_moves(name, x, moves):
-        """Each memo is `(c, f)`: the point as a list and its value, bit for
-        bit; a null move gives back the very memo it was given, any other
-        move a new one."""
-        f = make_problem(name).evaluate
-        value, memo = f.start(x)
-        assert _bits(value) == _bits(f(x))
-        assert np.array(memo[0]).tobytes() == x.tobytes()
-        assert _bits(memo[1]) == _bits(value)
-        for j, v in moves:
-            x = x.copy()
-            x[j] = v
-            v = x.item(j)
-            null = memo[0][j] == v and v != 0.0
-            kept = np.array(memo[0]).tobytes(), _bits(memo[1])
-            value, new_memo = f.move(memo, j, v)
-            assert _bits(value) == _bits(f(x))
-            # a losing step keeps the old memo
-            assert (np.array(memo[0]).tobytes(), _bits(memo[1])) == kept
-            assert (new_memo is memo) == null
-            assert np.array(new_memo[0]).tobytes() == x.tobytes()
-            assert _bits(new_memo[1]) == _bits(value)
-            memo = new_memo
-
     @settings(max_examples=500, deadline=None)
     @given(_design_point(_ANY).flatmap(lambda case: st.tuples(
         st.just(case), st.lists(st.tuples(st.integers(0, len(case[1]) - 1), _ANY),
@@ -666,7 +649,7 @@ class TestDesignsOnFloats:
         (name, coords), moves = case
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # gear_train's fallback keeps numpy's quiet
-            self.check_moves(name, np.array(coords), moves)
+            check_hooks(make_problem(name).evaluate, np.array(coords), moves)
 
     @pytest.mark.parametrize("name", DESIGNS)
     def test_every_coordinate_in_and_off_the_box(self, name):
@@ -681,7 +664,7 @@ class TestDesignsOnFloats:
                                lower[j] - 1.0, 3.0 * upper[j], -upper[j]) + special]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                self.check_moves(name, x, moves)
+                check_hooks(p.evaluate, x, moves)
 
     @pytest.mark.parametrize("point,expected", [
         ([12.0, 12.0, 0.0, 12.0], math.inf),  # a zero divisor
@@ -696,15 +679,6 @@ class TestDesignsOnFloats:
             for j, v in enumerate(point):
                 value, memo = f.move(memo, j, v)
             assert repr(value) == repr(expected)
-
-    @pytest.mark.parametrize("name", DESIGNS)
-    def test_registered_and_pickles(self, name):
-        f = make_problem(name).evaluate
-        assert type(f) is OnFloats
-        g = pickle.loads(pickle.dumps(f))
-        assert g == f
-        x = (make_problem(name).bounds.lower + make_problem(name).bounds.upper) / 2.0
-        assert _bits(g(x)) == _bits(f(x))
 
 
 class CountingFn:
@@ -768,6 +742,27 @@ class TestOnFloatsMemo:
         assert new_memo[0][1] == 5.0 and _bits(new_memo[0][0]) == _bits(v)
         assert _bits(new_memo[1]) == _bits(value)
         assert _bits(memo[0][0]) == _bits(old)  # the given memo is left as it was
+
+
+# every registered objective with hooks, and the type of its `evaluate`
+HOOKED = {"rastrigin": Rastrigin, "lennard_jones": LennardJones,
+          **dict.fromkeys(DESIGNS, OnFloats)}
+
+
+class TestHookContract:
+    """Every registered hooked objective pickles with its hooks."""
+
+    @pytest.mark.parametrize("name", HOOKED)
+    def test_registered_and_pickles(self, name):
+        p = make_problem(name, n_atoms=13) if name == "lennard_jones" else make_problem(name)
+        f = p.evaluate
+        assert type(f) is HOOKED[name]
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f
+        x = p.bounds.lower + np.random.default_rng(5).random(p.dimension) * (
+            p.bounds.upper - p.bounds.lower)
+        assert _bits(g(x)) == _bits(f(x))
+        check_hooks(g, x, [(j, x.item(-1 - j)) for j in range(p.dimension)])
 
 
 def test_griewank_matches_the_uncached_divisor():
