@@ -23,6 +23,7 @@ from beehive.problems import (
     OnFloats,
     Problem,
     Rastrigin,
+    _gas_production,
     _griewank,
     make_lennard_jones,
     make_problem,
@@ -749,8 +750,63 @@ HOOKED = {"rastrigin": Rastrigin, "lennard_jones": LennardJones,
           **dict.fromkeys(DESIGNS, OnFloats)}
 
 
+class WritesItsMemo(Rastrigin):
+    """A `move` that sets the new term in the memo it is given as well."""
+
+    def move(self, memo, j, v):
+        value, terms = super().move(memo, j, v)
+        memo[j] = terms[j]
+        return value, terms
+
+
+class OneUlpOff(Rastrigin):
+    """A `move` whose value is one ulp above `__call__`'s."""
+
+    def move(self, memo, j, v):
+        value, terms = super().move(memo, j, v)
+        return math.nextafter(value, math.inf), terms
+
+
+class ZeroSignLost(LennardJones):
+    """A `move` that stores a coordinate moved to 0.0 as -0.0 in its new memo:
+    equal to `start`'s memo under `==`, but not in its bits."""
+
+    def move(self, memo, j, v):
+        value, new_memo = super().move(memo, j, v)
+        k, axis = divmod(j, 3)
+        if v == 0.0:
+            new_memo[axis][k] = -0.0  # the moved axis's list is the move's own copy
+        return value, new_memo
+
+
+class FreshNullMove(OnFloats):
+    """An `OnFloats` whose `move` answers a null move with a new memo."""
+
+    def move(self, memo, j, v):
+        c = memo[0].copy()
+        c[j] = v
+        value = self.fn(c)
+        return value, (c, value)
+
+
 class TestHookContract:
-    """Every registered hooked objective pickles with its hooks."""
+    """`check_hooks` fails on each way a hook can break the contract, and
+    every registered hooked objective pickles with its hooks."""
+
+    @pytest.mark.parametrize("good,broken,x,move,fails", [
+        (Rastrigin(), WritesItsMemo(), [0.5, -1.25, 3.0], (1, 2.0),
+         "move changed the memo it was given"),
+        (Rastrigin(), OneUlpOff(), [0.5, -1.25, 3.0], (1, 2.0), "move's value is not f's"),
+        (LennardJones(3), ZeroSignLost(3), list(range(9)), (4, 0.0),
+         "move's memo is not start's"),
+        (OnFloats(_gas_production), FreshNullMove(_gas_production), [20.0, 400.0],
+         (0, 20.0), "only a null move gives back its memo"),
+    ], ids=["writes-its-memo", "one-ulp-off", "zero-sign-lost", "fresh-null-move"])
+    def test_check_hooks_fails_on_a_broken_hook(self, good, broken, x, move, fails):
+        x = np.array(x, dtype=float)
+        check_hooks(good, x, [move])
+        with pytest.raises(AssertionError, match=fails):
+            check_hooks(broken, x, [move])
 
     @pytest.mark.parametrize("name", HOOKED)
     def test_registered_and_pickles(self, name):
