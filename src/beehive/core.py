@@ -18,17 +18,19 @@ class ConfigurationError(ValueError):
 def integer(name: str, value) -> int:
     """`value` as a plain int, or a ConfigurationError that names the field and
     the value if it is not an integer (`operator.index` takes Python and numpy
-    integers, not floats)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+    integers, not floats; a bool, Python's as numpy's, is refused)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
 def real(name: str, value) -> float:
     """`value` as a float, or a ConfigurationError that names the field and the
-    value if it is not a real number (Python or numpy; not a string)."""
-    if not isinstance(value, numbers.Real):
+    value if it is not a real number (Python or numpy; not a string or a bool)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ConfigurationError(f"{name} must be a real number, got {value!r}")
     return float(value)
 
@@ -46,12 +48,17 @@ class Bounds:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         if lower.ndim != 1 or lower.shape != upper.shape or lower.size < 1:
-            raise ValueError("bounds must be 1-d vectors of identical length >= 1")
+            raise ConfigurationError(
+                "bounds must be 1-d vectors of identical length >= 1, got shapes "
+                f"{lower.shape} and {upper.shape}")
         for limit in (*lower.tolist(), *upper.tolist()):
             if not math.isfinite(limit):
                 raise ConfigurationError(f"each bound must be finite, got {limit!r}")
-        if not np.all(lower < upper):
-            raise ValueError("each lower bound must be strictly below its upper bound")
+        for k, (low, high) in enumerate(zip(lower.tolist(), upper.tolist())):
+            if not low < high:
+                raise ConfigurationError(
+                    f"lower bound {low!r} of coordinate {k} is not below its upper "
+                    f"bound {high!r}")
 
     @property
     def dimension(self) -> int:

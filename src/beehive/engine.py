@@ -56,7 +56,9 @@ class VariantConfig:
             raise ConfigurationError(
                 f"initial_colony must be even and >= 8, got {self.initial_colony!r}")
         if not (4 <= self.sn_min <= self.sn_max) or self.sn_min % 2 or self.sn_max % 2:
-            raise ConfigurationError("sn_min/sn_max must be even with 4 <= sn_min <= sn_max")
+            raise ConfigurationError(
+                "sn_min/sn_max must be even with 4 <= sn_min <= sn_max, got "
+                f"sn_min={self.sn_min!r}, sn_max={self.sn_max!r}")
         if self.adaptive_sizing is None:
             object.__setattr__(
                 self, "adaptive_sizing", self.strategy in _ADAPTIVE_BY_DEFAULT
@@ -115,7 +117,7 @@ class RunResult:
 def fitness_map(objective: float) -> float:
     """Map a raw objective (minimization sense) to a strictly positive fitness."""
     if not math.isfinite(objective):
-        raise ValueError("objective must be finite")
+        raise ValueError(f"objective must be finite, got {objective!r}")
     if objective >= 0.0:
         return 1.0 / (1.0 + objective)
     return 1.0 - objective  # 1 + |f|: IEEE subtraction is addition of the negation

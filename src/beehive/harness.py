@@ -104,7 +104,7 @@ def acceleration_rate(nfe_compared: float, nfe_baseline: float) -> float:
     35.62 reads "the baseline needs 35.62% fewer evaluations".
     """
     if nfe_compared <= 0:
-        raise ValueError("compared NFE must be positive")
+        raise ValueError(f"compared NFE must be positive, got {nfe_compared!r}")
     return 100.0 * (nfe_compared - nfe_baseline) / nfe_compared
 
 

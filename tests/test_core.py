@@ -1,4 +1,6 @@
 """Bounds, random positions, and the seeded RNG stream."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -31,6 +33,24 @@ class TestBounds:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             Bounds(np.array([0.0]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("lower,upper,named", [
+        ([1.0], [0.0], "lower bound 1.0 of coordinate 0 is not below its upper bound 0.0"),
+        ([0.0, 2.5], [1.0, 2.5], "lower bound 2.5 of coordinate 1 is not below its upper bound 2.5"),
+    ])
+    def test_inverted_limits_name_the_coordinate_and_both_limits(self, lower, upper, named):
+        # the message named neither the coordinate nor the values
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            Bounds(lower, upper)
+
+    @pytest.mark.parametrize("lower,upper,shapes", [
+        ([[1.0]], [[2.0]], "(1, 1) and (1, 1)"),
+        ([0.0], [1.0, 2.0], "(1,) and (2,)"),
+        ([], [], "(0,) and (0,)"),
+    ])
+    def test_bad_shapes_are_named(self, lower, upper, shapes):
+        with pytest.raises(ConfigurationError, match=re.escape(f"got shapes {shapes}")):
+            Bounds(lower, upper)
 
     def test_contains(self):
         b = Bounds(np.array([0.0, -1.0]), np.array([1.0, 1.0]))
@@ -86,10 +106,11 @@ class TestRngStream:
         with pytest.raises(ConfigurationError, match=f"seed must be >= 0, got {seed}"):
             RngStream(seed)
 
-    @pytest.mark.parametrize("seed", [1.5, 1.0, "1", None])
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "1", None, True, False, np.True_])
     def test_non_integer_seed_is_rejected(self, seed):
-        # int(1.5) replayed seed 1's stream under the name 1.5
-        with pytest.raises(ConfigurationError, match=f"seed must be an integer, got {seed!r}"):
+        # int(1.5) replayed seed 1's stream under the name 1.5, and True seed 1's
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"seed must be an integer, got {seed!r}")):
             RngStream(seed)
 
     def test_numpy_integer_seed_is_its_int(self):

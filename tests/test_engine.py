@@ -139,6 +139,11 @@ class TestFitnessMap:
         with pytest.raises(ValueError):
             fitness_map(math.nan)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_is_named(self, bad):
+        with pytest.raises(ValueError, match=f"objective must be finite, got {bad!r}$"):
+            fitness_map(bad)
+
     @given(st.floats(allow_nan=False, allow_infinity=False))
     @example(0.0)
     @example(-0.0)
@@ -747,6 +752,16 @@ class TestVariantConfig:
         with pytest.raises(ConfigurationError):
             VariantConfig(sn_min=11)
 
+    @pytest.mark.parametrize("sizes,named", [
+        (dict(sn_min=40, sn_max=20), "got sn_min=40, sn_max=20"),
+        (dict(sn_min=11), "got sn_min=11, sn_max=100"),
+        (dict(sn_min=2, sn_max=8), "got sn_min=2, sn_max=8"),
+    ])
+    def test_bad_colony_limits_are_named(self, sizes, named):
+        # both refusals said only "sn_min/sn_max must be even with 4 <= sn_min <= sn_max"
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            VariantConfig(**sizes)
+
     @pytest.mark.parametrize("strategy", ("sac", "sac1", "sac2"))
     def test_adaptive_colony_must_start_within_sn_max(self, strategy):
         # 150 sources would be evaluated, then 50 dropped at the first resize
@@ -785,6 +800,10 @@ class TestTerminationRule:
     (VariantConfig, "sn_max", "100"),
     (TerminationRule, "max_nfe", 1e5),
     (TerminationRule, "max_nfe", None),
+    # a Python bool was stored as 1 or 0, where numpy's was refused
+    (VariantConfig, "limit", True),
+    (VariantConfig, "initial_colony", np.True_),
+    (TerminationRule, "max_nfe", True),
 ])
 def test_count_fields_refuse_a_non_integer(owner, field, value):
     with pytest.raises(ConfigurationError,
@@ -797,6 +816,9 @@ def test_count_fields_refuse_a_non_integer(owner, field, value):
     (VariantConfig, "c_factor", None, "c_factor must be a real number, got None"),
     (TerminationRule, "accuracy", "1e-8", "accuracy must be a real number, got '1e-8'"),
     (TerminationRule, "target", "0", "target must be a real number, got '0'"),
+    (TerminationRule, "target", True, "target must be a real number, got True"),
+    (VariantConfig, "c_factor", False, "c_factor must be a real number, got False"),
+    (TerminationRule, "accuracy", True, "accuracy must be a real number, got True"),
     (TerminationRule, "target", math.nan, "target must be finite, got nan"),
     (TerminationRule, "target", -math.inf, "target must be finite, got -inf"),
     (VariantConfig, "adaptive_sizing", "no", "adaptive_sizing must be a bool or None, got 'no'"),

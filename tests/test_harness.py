@@ -161,6 +161,9 @@ class TestRunBatches:
         (dict(runs=2.5), "runs must be an integer, got 2.5"),
         (dict(base_seed=0.5), "base_seed must be an integer, got 0.5"),
         (dict(jobs=1.5), "jobs must be an integer, got 1.5"),
+        (dict(runs=True), "runs must be an integer, got True"),
+        (dict(base_seed=True), "base_seed must be an integer, got True"),
+        (dict(jobs=True), "jobs must be an integer, got True"),
         (dict(base_seed=-2, runs=3), "base_seed must be >= 0, got -2"),
     ])
     def test_bad_count_or_seed_is_refused_before_any_run(self, monkeypatch, args, named):
@@ -256,6 +259,11 @@ class TestAccelerationRate:
     def test_zero_compared_nfe_rejected(self):
         with pytest.raises(ValueError):
             acceleration_rate(0, 100)
+
+    @pytest.mark.parametrize("compared", [0, -3.5])
+    def test_non_positive_compared_nfe_is_named(self, compared):
+        with pytest.raises(ValueError, match=f"compared NFE must be positive, got {compared!r}$"):
+            acceleration_rate(compared, 5)
 
     def test_full_reduction_is_100(self):
         assert acceleration_rate(500, 0) == 100.0

@@ -292,6 +292,8 @@ class TestLennardJones:
     @pytest.mark.parametrize("fields,named", [
         (dict(n_atoms=2.5), "n_atoms must be an integer, got 2.5"),
         (dict(n_atoms=3.0), "n_atoms must be an integer, got 3.0"),
+        (dict(n_atoms=True), "n_atoms must be an integer, got True"),
+        (dict(box_half_width=True), "box_half_width must be a real number, got True"),
         (dict(box_half_width=math.inf), "box_half_width must be finite and > 0, got inf"),
         (dict(box_half_width=math.nan), "box_half_width must be finite and > 0, got nan"),
         (dict(box_half_width=0.0), "box_half_width must be finite and > 0, got 0.0"),
@@ -880,6 +882,9 @@ class TestRegistry:
         ("sphere", dict(dimension=2.5), "dimension must be an integer, got 2.5"),
         ("rastrigin", dict(dimension="10"), "dimension must be an integer, got '10'"),
         ("lennard_jones", dict(n_atoms=3.0), "n_atoms must be an integer, got 3.0"),
+        # a Python bool built a 1-D sphere, where numpy's was refused
+        ("sphere", dict(dimension=True), "dimension must be an integer, got True"),
+        ("lennard_jones", dict(n_atoms=np.True_), "n_atoms must be an integer, got np.True_"),
     ])
     def test_non_integer_size_raises_and_names_it(self, name, kwargs, named):
         # these escaped as numpy's "expected a sequence of integers" TypeError
