@@ -131,7 +131,7 @@ class Colony:
     memory, also such a list, may share it. `fitness[i]`, `trials[i]` (failed
     attempts in a row; null moves count), `gene[i]` (proposed source count,
     None unless adaptive) and `memo[i]` hold the rest. The memo is what the
-    objective's `start`/`move` hooks keep about the position, or, for an
+    objective's `start`/`settle` hooks keep about the position, or, for an
     objective without them, the position as the 1-d array it is evaluated on
     (also never written in place). The best objective is in minimization
     sense. The box limits are Python floats. The colony only stores: the
@@ -169,17 +169,21 @@ def selection_probabilities(colony: Colony) -> np.ndarray:
 
 
 def _hooks(evaluate):
-    """The objective's hooks `(start, move)`, or `(None, None)` unless it has both.
+    """The objective's hooks `(start, move, settle)`, or `(None, None, None)`
+    unless it has all three.
 
-    The hook contract: `start(x) -> (f, memo)` evaluates a fresh point and
-    `move(memo, j, v) -> (f, memo)` the memo's own point with coordinate j set
-    to the float v. Each f is `evaluate`'s value at that point, bit for bit,
-    so a run gives the same result with or without the hooks; the memo `move`
-    returns is the one `start` would give at the moved point, and `move`
-    leaves the memo it is given as it was, because a losing candidate keeps
-    its source's memo."""
-    start, move = getattr(evaluate, "start", None), getattr(evaluate, "move", None)
-    return (None, None) if start is None or move is None else (start, move)
+    The hook contract. `start(x) -> (f, memo)` evaluates a fresh point.
+    `move(memo, j, v) -> (low, step)` begins the evaluation of the memo's own
+    point with coordinate j set to the float v: `low` is nan or a float no
+    greater than f at the moved point, finite only where f is finite.
+    `settle(memo, step) -> (f, memo)` finishes it: f at the moved point and
+    the memo `start` would give there. Each f is `evaluate`'s value at its
+    point, bit for bit, so a run gives the same result with or without the
+    hooks. Neither `move` nor `settle` changes the memo it is given, because
+    a losing candidate keeps its source's memo; a candidate that `low` shows
+    to lose is never settled (`_phase`)."""
+    hooks = tuple(getattr(evaluate, name, None) for name in ("start", "move", "settle"))
+    return (None, None, None) if None in hooks else hooks
 
 
 def _keep_best(colony, problem, f, position):
@@ -221,15 +225,28 @@ def _phase(colony, config, problem, rng, placements):
     it draws nothing and reads genes[i], genes[b] and phi, which nothing
     before that changes.
 
-    With the problem's `move` hook the objective gets only (j, value);
-    without it, the source's memo array is copied and set at j. The
-    candidate's position list is built only when it wins, becomes the best or
-    is non-finite (`_keep_best` then keeps it or stops the run). A null move,
-    the value equal to the incumbent's own x_ij (a step clamped back onto its
-    bound, an elitist move in a colony collapsed onto the best), is counted
-    but fails: the incumbent gains a trial, so it can still be scouted. It is
-    still passed to `move`, once, like every counted evaluation; a hook may
-    answer it from its memo (`problems.OnFloats` does).
+    With the problem's hooks the objective gets only (j, value), through one
+    `move` per counted evaluation; without them, the source's memo array is
+    copied and set at j. A null move, the value equal to the incumbent's own
+    x_ij (a step clamped back onto its bound, an elitist move in a colony
+    collapsed onto the best), is counted but fails: the incumbent gains a
+    trial, so it can still be scouted. It is still passed to `move`, once,
+    like every counted evaluation; a hook may answer it from its memo
+    (`problems.OnFloats` does).
+
+    Two kinds of hooked candidate are sure losers, counted and given a trial
+    without `settle`, because the settled path would find just that. One is
+    a null move with v != 0.0, whose bits are then x_ij's: its value is its
+    incumbent's, which is finite and no better than the best so far. The
+    other, on a minimization problem, has a bound `low` that is finite, at
+    least the best objective so far, and maps to a fitness below the
+    incumbent's: its value f is finite and f >= low, and the fitness map, as
+    computed in floats, never increases with f, so the candidate can neither
+    win nor set a new best. Every other candidate is settled; on a
+    maximization problem the negated low bounds f from the wrong side, so
+    there only null moves go unsettled. The candidate's position list is
+    built only when it wins, becomes the best or is non-finite (`_keep_best`
+    then keeps it or stops the run).
 
     The phase's constants are bound once, and the best so far and the NFE
     count are kept in locals. The count is written back to the colony before
@@ -250,7 +267,7 @@ def _phase(colony, config, problem, rng, placements):
     dimension = len(lower)
     gene_lo, gene_hi = float(config.sn_min), float(config.sn_max)
     evaluate = problem.evaluate
-    move = _hooks(evaluate)[1]
+    _, move, settle = _hooks(evaluate)
     maximize = problem.direction != "minimize"
     inf = math.inf
     best_objective, best_position = colony.best_objective, colony.best_position
@@ -286,7 +303,15 @@ def _phase(colony, config, problem, rng, placements):
                 memo[j] = v
                 f = evaluate(memo)
             else:
-                f, memo = move(memos[i], j, v)
+                low, step = move(memos[i], j, v)
+                if ((v == x and v != 0.0)  # a null move: its incumbent's value
+                        or (not maximize and best_objective <= low < inf
+                            and (1.0 / (1.0 + low) if low >= 0.0 else 1.0 - low)
+                            < fitness[i])):
+                    nfe += 1  # a sure loser: counted, a trial, no settle
+                    trials[i] += 1
+                    continue
+                f, memo = settle(memos[i], step)
             if maximize:
                 f = -f
             nfe += 1

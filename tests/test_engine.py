@@ -53,8 +53,9 @@ def make_colony(positions, objectives=None, genes=None):
 
 
 class MoveRecorder:
-    """An objective with `start`/`move` hooks: each move records its (j, v) in
-    `seen` and gives the objective -1e300, better than every source's."""
+    """An objective with `start`/`move`/`settle` hooks: each move records its
+    (j, v) in `seen` and gives no bound, and `settle` gives the objective
+    -1e300, better than every source's."""
 
     def __init__(self):
         self.seen = []
@@ -64,7 +65,10 @@ class MoveRecorder:
 
     def move(self, memo, j, v):
         self.seen.append((j, v))
-        return -1e300, memo
+        return math.nan, memo
+
+    def settle(self, memo, step):
+        return -1e300, step
 
 
 def proposed(i, colony, rng, config):
@@ -572,7 +576,10 @@ class FlakySphere:
 
 
 class HookedFlakySphere(FlakySphere):
-    """`FlakySphere` with `start`/`move` hooks whose memo is the point as a list."""
+    """`FlakySphere` with `start`/`move`/`settle` hooks whose memo is the point
+    as a list. Like `OnFloats`, `move` gives the value itself as its low, the
+    bad one too: the engine must settle a nan or an infinite low, so that it
+    stops the run."""
 
     def start(self, x):
         return self.value(x.tolist()), x.tolist()
@@ -580,7 +587,12 @@ class HookedFlakySphere(FlakySphere):
     def move(self, memo, j, v):
         point = memo.copy()
         point[j] = v
-        return self.value(point), point
+        value = self.value(point)
+        return value, (value, point)
+
+    @staticmethod
+    def settle(memo, step):
+        return step
 
 
 class TestPhaseLoop:
@@ -907,7 +919,7 @@ class TestRun:
     def test_non_finite_move_stops_with_the_same_named_error(self, k, bad, direction):
         class FlakyMoves:
             """Sphere with hooks whose memo is the point as a list; the move at
-            evaluation k returns `bad`."""
+            evaluation k gives `bad` as its low and its value."""
 
             def __init__(self):
                 self.calls = 0
@@ -924,7 +936,12 @@ class TestRun:
                 self.calls += 1
                 self.last = point = memo.copy()
                 point[j] = v
-                return (bad if self.calls == k else math.fsum(c * c for c in point)), point
+                f = bad if self.calls == k else math.fsum(c * c for c in point)
+                return f, (f, point)
+
+            @staticmethod
+            def settle(memo, step):
+                return step
 
         flaky = FlakyMoves()
         problem = Problem(name="flaky", dimension=2, bounds=Bounds.cube(-1, 1, 2),
@@ -1075,8 +1092,37 @@ class Negated:
         return -f, memo
 
     def move(self, memo, j, v):
-        f, memo = self.inner.move(memo, j, v)
+        # negated, a lower bound bounds from above: no bound
+        return math.nan, self.inner.move(memo, j, v)[1]
+
+    def settle(self, memo, step):
+        f, memo = self.inner.settle(memo, step)
         return -f, memo
+
+
+class NoBound:
+    """`inner`'s objective and hooks, except that `move` gives no bound (a nan
+    low), so the engine settles every candidate."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __call__(self, x):
+        return self.inner(x)
+
+    def start(self, x):
+        return self.inner.start(x)
+
+    def move(self, memo, j, v):
+        return math.nan, self.inner.move(memo, j, v)[1]
+
+    def settle(self, memo, step):
+        return self.inner.settle(memo, step)
+
+
+def _tiny(c):
+    """1e-17 (1 + c0^2): near the origin every value maps to fitness 1.0."""
+    return 1e-17 * (1.0 + c[0] * c[0])
 
 
 class Sphere:
@@ -1091,7 +1137,7 @@ class CountingHooks:
 
     def __init__(self, inner):
         self.inner = inner
-        self.calls = dict.fromkeys(("__call__", "start", "move"), 0)
+        self.calls = dict.fromkeys(("__call__", "start", "move", "settle"), 0)
 
     def __call__(self, x):
         self.calls["__call__"] += 1
@@ -1104,6 +1150,23 @@ class CountingHooks:
     def move(self, memo, j, v):
         self.calls["move"] += 1
         return self.inner.move(memo, j, v)
+
+    def settle(self, memo, step):
+        self.calls["settle"] += 1
+        return self.inner.settle(memo, step)
+
+
+class CountingNullMoves(CountingHooks):
+    """`CountingHooks` around an `OnFloats`, counting its null moves too:
+    `c[j] == v` with `v != 0.0`."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.null_moves = 0
+
+    def move(self, memo, j, v):
+        self.null_moves += memo[0][j] == v and v != 0.0
+        return super().move(memo, j, v)
 
 
 def _cell(problem, *args):
@@ -1135,8 +1198,8 @@ class TestIncrementalEvaluation:
     @pytest.mark.parametrize("problem,seed", HOOKED_RUNS)
     def test_run_equals_the_full_path(self, problem, seed, strategy):
         full = dataclasses.replace(problem, evaluate=lambda x: problem.evaluate(x))
-        assert _hooks(problem.evaluate)[1] is not None
-        assert _hooks(full.evaluate) == (None, None)
+        assert None not in _hooks(problem.evaluate)
+        assert _hooks(full.evaluate) == (None, None, None)
         # scouts fire, and the adaptive strategies grow and shrink the colony
         config = VariantConfig(strategy=strategy, **SCOUTING)
         termination = TerminationRule(max_nfe=3000)
@@ -1147,35 +1210,121 @@ class TestIncrementalEvaluation:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_design_hooks_are_called_once_per_evaluation(self, strategy, name):
         """The engine calls `start` or `move` once per counted evaluation, null
-        moves included; `OnFloats` answers the null moves without calling
-        `fn`, which gas_production, with its optimum on a bound, is full of."""
+        moves included, and `settle` at most once per `move`; `OnFloats`
+        answers the null moves without calling `fn`, which gas_production,
+        with its optimum on a bound, is full of."""
         problem = make_problem(name)
         fn = CountingFn(problem.evaluate.fn)
-        hooks = CountingHooks(OnFloats(fn))
+        hooks = CountingNullMoves(OnFloats(fn))
         config = VariantConfig(strategy=strategy, **SCOUTING)
         termination = TerminationRule(max_nfe=3000)
         r = run(dataclasses.replace(problem, evaluate=hooks), config, termination, seed=7)
         assert_same_result(r, run(problem, config, termination, seed=7))
         assert hooks.calls["__call__"] == 0
         assert hooks.calls["start"] + hooks.calls["move"] == r.nfe
+        assert hooks.calls["settle"] <= hooks.calls["move"]
+        if problem.direction == "maximize":  # no candidate is decided by its bound
+            assert hooks.calls["settle"] == hooks.calls["move"] - hooks.null_moves
         assert fn.calls <= r.nfe
         if name == "gas_production":
             assert fn.calls < r.nfe
 
-    @pytest.mark.parametrize("hook", ("start", "move"))
-    def test_one_hook_alone_takes_the_full_path(self, hook):
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("problem", [_cell(make_problem("rastrigin", dim)) for dim in (5, 30)]
+                             + [_cell(make_problem("lennard_jones", n_atoms=atoms))
+                                for atoms in (3, 13)])
+    def test_run_equals_the_run_that_settles_every_candidate(self, problem, strategy):
+        """Deciding a candidate by its bound skips `settle` and nothing else:
+        the run is the one that settles every candidate, bit for bit."""
+        settled = dataclasses.replace(problem, evaluate=NoBound(problem.evaluate))
+        config = VariantConfig(strategy=strategy, **SCOUTING)
+        termination = TerminationRule(max_nfe=3000)
+        assert_same_result(run(problem, config, termination, seed=11),
+                           run(settled, config, termination, seed=11))
+
+    @staticmethod
+    def tiny_colony(hooks, sources=([0.0, 0.0], [3.0, 0.0]), direction="minimize"):
+        """`sources` of `_tiny` through `hooks`, in the box [-10, 10]^2, the
+        first the best; and the problem."""
+        problem = Problem("tiny", 2, Bounds.cube(-10, 10, 2), hooks, direction)
+        colony = Colony(problem.bounds)
+        for i, x in enumerate(sources):
+            f, memo = hooks.start(np.array(x))
+            colony.put(i, x, -f if direction == "maximize" else f, None, memo)
+        best = _tiny(sources[0])
+        colony.best_position = colony.sources[0]
+        colony.best_objective = -best if direction == "maximize" else best
+        return colony, problem
+
+    def test_a_tie_in_fitness_is_settled_and_wins(self):
+        """A candidate worse than its incumbent whose fitness rounds to the
+        incumbent's is no sure loser: it is settled, and the tie wins."""
+        hooks = CountingHooks(OnFloats(_tiny))
+        colony, problem = self.tiny_colony(hooks)
+        rng = ScriptedRng([index_draw(0, 2), index_draw(1, 2), real_draw(-1.0 / 3.0, -1, 1)])
+        _phase(colony, BASIC, problem, rng, [0])
+        assert rng.used_up()
+        v = colony.sources[0][0]
+        assert v != 0.0 and colony.sources[0] == [v, 0.0]
+        f = _tiny([v, 0.0])
+        assert f > colony.best_objective == _tiny([0.0, 0.0])
+        assert fitness_map(f) == fitness_map(colony.best_objective) == colony.fitness[0]
+        assert hooks.calls["move"] == hooks.calls["settle"] == 1
+        assert colony.trials[0] == 0 and colony.nfe == 1
+        assert colony.best_position == [0.0, 0.0]
+
+    def test_a_sure_loser_is_not_settled(self):
+        """A candidate whose low maps to a fitness below its incumbent's and
+        is no better than the best is counted and gains a trial, unsettled."""
+        hooks = CountingHooks(OnFloats(_tiny))
+        colony, problem = self.tiny_colony(hooks)
+        # source 1 moves away from the origin: 3 + 0.5 * (3 - 0) = 4.5
+        rng = ScriptedRng([index_draw(0, 2), index_draw(0, 2), real_draw(0.5, -1, 1)])
+        _phase(colony, BASIC, problem, rng, [1])
+        assert rng.used_up()
+        assert hooks.calls["move"] == 1 and hooks.calls["settle"] == 0
+        assert colony.sources[1] == [3.0, 0.0] and colony.trials[1] == 1
+        assert colony.nfe == 1
+
+    @pytest.mark.parametrize("direction", ("minimize", "maximize"))
+    def test_a_null_move_is_not_settled(self, direction):
+        """A candidate with x_ij's own nonzero value is its incumbent's point:
+        counted, a trial, unsettled, in either sense."""
+        hooks = CountingHooks(OnFloats(_tiny))
+        colony, problem = self.tiny_colony(hooks, ([1.0, 2.0], [3.0, 2.0]), direction)
+        # coordinate 1, where both sources are 2.0: 2 + phi * (2 - 2) = 2
+        rng = ScriptedRng([index_draw(1, 2), index_draw(1, 2), real_draw(0.5, -1, 1)])
+        _phase(colony, BASIC, problem, rng, [0])
+        assert rng.used_up()
+        assert hooks.calls["move"] == 1 and hooks.calls["settle"] == 0
+        assert colony.sources[0] == [1.0, 2.0] and colony.trials[0] == 1
+        assert colony.nfe == 1
+
+    @staticmethod
+    def check_full_path(hooks):
+        """An objective with only the named hooks, each failing if called,
+        gives the run of the plain objective."""
         def unused(*args):
-            raise AssertionError(f"the lone {hook} hook was called")
+            raise AssertionError(f"a hook of {hooks} was called")
 
         lone = Sphere()
-        setattr(lone, hook, unused)
-        assert _hooks(lone) == (None, None)
+        for hook in hooks:
+            setattr(lone, hook, unused)
+        assert _hooks(lone) == (None, None, None)
         problem = make_problem("sphere", 4)
         config = VariantConfig(strategy="sac1", **SCOUTING)
         termination = TerminationRule(max_nfe=3000)
         assert_same_result(run(dataclasses.replace(problem, evaluate=lone), config,
                                termination, seed=4),
                            run(problem, config, termination, seed=4))
+
+    @pytest.mark.parametrize("hook", ("start", "move", "settle"))
+    def test_one_hook_alone_takes_the_full_path(self, hook):
+        self.check_full_path((hook,))
+
+    @pytest.mark.parametrize("missing", ("start", "move", "settle"))
+    def test_two_hooks_without_the_third_take_the_full_path(self, missing):
+        self.check_full_path(tuple(h for h in ("start", "move", "settle") if h != missing))
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("problem", MEMO_COLUMNS)

@@ -4,6 +4,7 @@ import math
 import pickle
 import re
 import struct
+import sys
 import warnings
 from fractions import Fraction
 
@@ -53,17 +54,19 @@ def _memo_bits(memo, shared):
 
 
 def check_hooks(f, x, moves):
-    """Check the `start`/`move` contract of `engine._hooks` on the objective f,
-    from the point x through each move (j, v) in turn, by the bits of every
-    value and memo: `start`'s value is `f(x)`'s; each move's value is f's at
-    the moved point, it leaves the memo it is given as it was, and its memo
-    is the one `start` gives at the moved point. An `OnFloats` memo is also
-    `(c, value)`, c the point as a list, and a move gives back the very memo
-    it is given exactly on a null move, `c[j] == v` with `v != 0.0`."""
+    """Check the `start`/`move`/`settle` contract of `engine._hooks` on the
+    objective f, from the point x through each move (j, v) in turn, by the
+    bits of every value and memo: `start`'s value is `f(x)`'s; each move's
+    `low` is nan or no greater than f at the moved point, and finite only
+    where that value is; `settle` gives f's value at the moved point and the
+    memo `start` gives there; neither step changes the memo it is given. An
+    `OnFloats` memo is also `(c, value)`, c the point as a list, its low is
+    the value itself, and `settle` gives back the very memo it is given
+    exactly on a null move, `c[j] == v` with `v != 0.0`."""
     on_floats = isinstance(f, OnFloats)
     value, memo = f.start(x)
     # the Lennard-Jones partner table, shared by every memo
-    shared = memo[-1] if isinstance(f, LennardJones) else None
+    shared = memo[4] if isinstance(f, LennardJones) else None
 
     def bits(memo):
         return _memo_bits(memo, shared)
@@ -77,12 +80,19 @@ def check_hooks(f, x, moves):
         v = x.item(j)
         null = on_floats and memo[0][j] == v and v != 0.0
         kept = bits(memo)
-        value, new_memo = f.move(memo, j, v)
-        assert _bits(value) == _bits(f(x)), "move's value is not f's"
+        low, step = f.move(memo, j, v)
         # a losing step keeps the old memo
         assert bits(memo) == kept, "move changed the memo it was given"
-        assert bits(new_memo) == bits(f.start(x)[1]), "move's memo is not start's"
+        value, new_memo = f.settle(memo, step)
+        assert bits(memo) == kept, "settle changed the memo it was given"
+        assert _bits(value) == _bits(f(x)), "settle's value is not f's"
+        assert type(low) is float, "move's low is not a float"
+        assert math.isnan(low) or low <= value, "move's low is above the value"
+        assert math.isfinite(value) or not math.isfinite(low), \
+            "a finite low for a value that is not finite"
+        assert bits(new_memo) == bits(f.start(x)[1]), "settle's memo is not start's"
         if on_floats:
+            assert _bits(low) == _bits(value), "the low is not the value"
             assert (new_memo is memo) == null, "only a null move gives back its memo"
             assert bits(new_memo) == bits((x.tolist(), value)), "the memo is not (c, value)"
         memo = new_memo
@@ -438,7 +448,8 @@ class TestLennardJonesMoves:
         f = LennardJones(n)
         onto = x.copy()
         onto[last] = z0
-        assert f.move(f.start(x)[1], last, onto.item(last))[0] >= LJ_PENALTY
+        memo = f.start(x)[1]
+        assert f.settle(memo, f.move(memo, last, onto.item(last))[1])[0] >= LJ_PENALTY
 
     @pytest.mark.parametrize("n", (2, 13))
     def test_move_to_the_squared_distance_floor(self, n):
@@ -459,7 +470,9 @@ class TestLennardJonesMoves:
         memo = f.start(x)[1]
         x[4] = math.nan
         assert math.isnan(f(x))
-        assert math.isnan(f.move(memo, 4, math.nan)[0])
+        low, step = f.move(memo, 4, math.nan)
+        assert math.isnan(low)
+        assert math.isnan(f.settle(memo, step)[0])
 
     @pytest.mark.parametrize("n", LJ_ATOMS)
     def test_stated_r2_grouping_equals_einsum(self, n):
@@ -521,7 +534,92 @@ class TestRastriginMoves:
         # each term is finite, but their sum is not: math.fsum raises there
         assert Rastrigin()(np.array([1e154, 1e154])) == math.inf
         f = Rastrigin()
-        assert f.move(f.start(np.array([1e154, 0.0]))[1], 1, 1e154)[0] == math.inf
+        memo = f.start(np.array([1e154, 0.0]))[1]
+        low, step = f.move(memo, 1, 1e154)
+        assert math.isnan(low)
+        assert f.settle(memo, step)[0] == math.inf
+
+
+# Lennard-Jones atoms on a unit lattice: pairs that coincide (the penalty,
+# 1e30) next to pairs at unit distance (-1) and at sqrt(2), sqrt(3), ...;
+# the moves also bring an atom to within 1e-7 of a lattice point, below the
+# squared-distance floor.
+_LATTICE = st.sampled_from([-1.0, 0.0, 1.0])
+_NEAR_LATTICE = st.one_of(_LATTICE, st.sampled_from([1e-7, -1e-7, 1.0 + 1e-7, 0.5, 2.0]))
+# Rastrigin coordinates whose terms nearly cancel the 10*D: within 1e-3 of
+# zero, where each term is -10 plus about 200 c^2, and the integers, where
+# it is c^2 - 10.
+_NEAR_ZERO = st.one_of(st.floats(-1e-3, 1e-3),
+                       st.sampled_from([0.0, -0.0, 5e-324, 1e-9, -1e-9]),
+                       st.integers(-5, 5).map(float))
+# Rastrigin coordinates whose squares reach the float range: the sum of two
+# or three such terms may round past it, or a term may itself be infinite.
+_HUGE = st.one_of(st.floats(1e145, 1.35e154), st.floats(1e154, 1e155),
+                  st.sampled_from([0.0, math.sqrt(sys.float_info.max)]))
+# any coordinate, nan often
+_MAYBE_NAN = st.one_of(st.floats(-10.0, 10.0), st.just(math.nan))
+
+
+def _case(sizes, coordinate, move_to=None):
+    """A size n from `sizes`, a start point of n coordinates and one to
+    five moves (j, v), each drawn by `coordinate` (the moves' values by
+    `move_to`, if given)."""
+    move_to = coordinate if move_to is None else move_to
+    return sizes.flatmap(lambda n: st.tuples(
+        st.lists(coordinate, min_size=n, max_size=n),
+        st.lists(st.tuples(st.integers(0, n - 1), move_to), min_size=1, max_size=5)))
+
+
+class TestMoveBounds:
+    """`move`'s low stays at or below the settled value, and is finite only
+    where the value is, on the inputs most likely to break the rounding
+    bound of `problems._TWO_U`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_case(st.sampled_from((2, 3, 4, 5, 13)).map(lambda n: 3 * n), _LATTICE,
+                 _NEAR_LATTICE))
+    def test_coincident_atoms_next_to_unit_pairs(self, case):
+        coords, moves = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check_hooks(LennardJones(len(coords) // 3), np.array(coords), moves)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_case(st.integers(1, 60), _NEAR_ZERO))
+    def test_rastrigin_terms_that_nearly_cancel(self, case):
+        coords, moves = case
+        check_hooks(Rastrigin(), np.array(coords), moves)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_case(st.integers(1, 3), _HUGE))
+    def test_rastrigin_sums_near_the_float_range(self, case):
+        coords, moves = case
+        check_hooks(Rastrigin(), np.array(coords), moves)
+
+    def test_a_sum_that_rounds_past_the_float_range_is_not_bounded(self):
+        x, (j, v) = rastrigin_overflow_window()
+        f = Rastrigin()
+        value, memo = f.start(x)
+        assert math.isfinite(value)
+        low, step = f.move(memo, j, v)
+        assert math.isnan(low)
+        assert f.settle(memo, step)[0] == math.inf
+        moved = x.copy()
+        moved[j] = v
+        assert f(moved) == math.inf
+        check_hooks(f, x, [(j, v)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(_case(st.integers(1, 30), _MAYBE_NAN))
+    def test_rastrigin_nan_coordinates(self, case):
+        coords, moves = case
+        check_hooks(Rastrigin(), np.array(coords), moves)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_case(st.sampled_from((2, 3, 4, 13)).map(lambda n: 3 * n), _MAYBE_NAN))
+    def test_lennard_jones_nan_coordinates(self, case):
+        coords, moves = case
+        check_hooks(LennardJones(len(coords) // 3), np.array(coords), moves)
 
 
 DESIGNS = ("gas_production", "air_heater", "gear_train", "gas_compressor")
@@ -680,7 +778,7 @@ class TestDesignsOnFloats:
             assert repr(f(np.array(point))) == repr(expected)
             memo = f.start(np.array([12.0] * 4))[1]
             for j, v in enumerate(point):
-                value, memo = f.move(memo, j, v)
+                value, memo = f.settle(memo, f.move(memo, j, v)[1])
             assert repr(value) == repr(expected)
 
 
@@ -718,9 +816,10 @@ class TestOnFloatsMemo:
             kept = list(memo[0])
             fn.calls = 0
             for j in range(p.dimension):
-                got, new_memo = f.move(memo, j, x.item(j))
+                low, step = f.move(memo, j, x.item(j))
+                got, new_memo = f.settle(memo, step)
                 assert new_memo is memo
-                assert _bits(got) == _bits(value)
+                assert _bits(got) == _bits(value) == _bits(low)
             assert fn.calls == 0
             assert memo[0] == kept
 
@@ -738,8 +837,10 @@ class TestOnFloatsMemo:
         f = OnFloats(fn)
         memo = f.start(np.array([old, 5.0]))[1]
         fn.calls = 0
-        value, new_memo = f.move(memo, 0, v)
+        low, step = f.move(memo, 0, v)
+        value, new_memo = f.settle(memo, step)
         assert fn.calls == 1
+        assert _bits(low) == _bits(value)
         assert new_memo is not memo and new_memo[0] is not memo[0]
         assert _bits(value) == _bits(f(np.array([v, 5.0])))
         assert new_memo[0][1] == 5.0 and _bits(new_memo[0][0]) == _bits(v)
@@ -756,28 +857,54 @@ class WritesItsMemo(Rastrigin):
     """A `move` that sets the new term in the memo it is given as well."""
 
     def move(self, memo, j, v):
-        value, terms = super().move(memo, j, v)
-        memo[j] = terms[j]
-        return value, terms
+        low, step = super().move(memo, j, v)
+        memo[0][j] = step[1]
+        return low, step
+
+
+class SettleWritesItsMemo(Rastrigin):
+    """A `settle` that sets the new term in the memo it is given as well."""
+
+    def settle(self, memo, step):
+        memo[0][step[0]] = step[1]
+        return super().settle(memo, step)
 
 
 class OneUlpOff(Rastrigin):
-    """A `move` whose value is one ulp above `__call__`'s."""
+    """A `settle` whose value is one ulp above `__call__`'s."""
+
+    def settle(self, memo, step):
+        value, new_memo = super().settle(memo, step)
+        return math.nextafter(value, math.inf), new_memo
+
+
+class LowAboveValue(Rastrigin):
+    """A `move` whose low is one ulp above the value it bounds."""
 
     def move(self, memo, j, v):
-        value, terms = super().move(memo, j, v)
-        return math.nextafter(value, math.inf), terms
+        step = super().move(memo, j, v)[1]
+        return math.nextafter(self.settle(memo, step)[0], math.inf), step
+
+
+class NoOverflowGuard(Rastrigin):
+    """A `move` whose low is `total + (t - b)` less a wide margin: a true
+    bound, but finite even where the exact sum rounds past the float range."""
+
+    def move(self, memo, j, v):
+        terms, total = memo
+        step = super().move(memo, j, v)[1]
+        return 10.0 * len(terms) + (total + (step[1] - terms[j])) - 1e295, step
 
 
 class ZeroSignLost(LennardJones):
-    """A `move` that stores a coordinate moved to 0.0 as -0.0 in its new memo:
-    equal to `start`'s memo under `==`, but not in its bits."""
+    """A `settle` that stores a coordinate moved to 0.0 as -0.0 in its new
+    memo: equal to `start`'s memo under `==`, but not in its bits."""
 
-    def move(self, memo, j, v):
-        value, new_memo = super().move(memo, j, v)
-        k, axis = divmod(j, 3)
+    def settle(self, memo, step):
+        value, new_memo = super().settle(memo, step)
+        k, axis, v, _ = step
         if v == 0.0:
-            new_memo[axis][k] = -0.0  # the moved axis's list is the move's own copy
+            new_memo[axis][k] = -0.0  # the moved axis's list is the settle's own copy
         return value, new_memo
 
 
@@ -791,6 +918,16 @@ class FreshNullMove(OnFloats):
         return value, (c, value)
 
 
+def rastrigin_overflow_window():
+    """A Rastrigin point and a move (j, v) whose exact sum rounds past the
+    float range while the point's value and `total + (t - b)` stay finite:
+    the terms are MAX - ulp, 1.3 ulp and -10 (MAX the largest float, ulp its
+    spacing there), and the move makes the last one 0.3 ulp."""
+    ulp = math.ulp(sys.float_info.max)
+    x = np.array([math.sqrt(sys.float_info.max), math.sqrt(1.3 * ulp), 0.0])
+    return x, (2, math.sqrt(0.3 * ulp))
+
+
 class TestHookContract:
     """`check_hooks` fails on each way a hook can break the contract, and
     every registered hooked objective pickles with its hooks."""
@@ -798,12 +935,19 @@ class TestHookContract:
     @pytest.mark.parametrize("good,broken,x,move,fails", [
         (Rastrigin(), WritesItsMemo(), [0.5, -1.25, 3.0], (1, 2.0),
          "move changed the memo it was given"),
-        (Rastrigin(), OneUlpOff(), [0.5, -1.25, 3.0], (1, 2.0), "move's value is not f's"),
+        (Rastrigin(), SettleWritesItsMemo(), [0.5, -1.25, 3.0], (1, 2.0),
+         "settle changed the memo it was given"),
+        (Rastrigin(), OneUlpOff(), [0.5, -1.25, 3.0], (1, 2.0), "settle's value is not f's"),
+        (Rastrigin(), LowAboveValue(), [0.5, -1.25, 3.0], (1, 2.0),
+         "move's low is above the value"),
+        (Rastrigin(), NoOverflowGuard(), *rastrigin_overflow_window(),
+         "a finite low for a value that is not finite"),
         (LennardJones(3), ZeroSignLost(3), list(range(9)), (4, 0.0),
-         "move's memo is not start's"),
+         "settle's memo is not start's"),
         (OnFloats(_gas_production), FreshNullMove(_gas_production), [20.0, 400.0],
          (0, 20.0), "only a null move gives back its memo"),
-    ], ids=["writes-its-memo", "one-ulp-off", "zero-sign-lost", "fresh-null-move"])
+    ], ids=["writes-its-memo", "settle-writes-its-memo", "one-ulp-off", "low-above-value",
+            "no-overflow-guard", "zero-sign-lost", "fresh-null-move"])
     def test_check_hooks_fails_on_a_broken_hook(self, good, broken, x, move, fails):
         x = np.array(x, dtype=float)
         check_hooks(good, x, [move])
