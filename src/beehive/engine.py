@@ -208,8 +208,9 @@ def _phase(colony, config, problem, rng, placements):
 
     Draw order: dimension j; partner a != i; for sac1 only, partner b not in
     {i, a}; phi in [-1, 1); for gbest only, psi in [0, C). Each draw is one
-    u = random(): an index in {0, ..., n-1} is int(u * n), which is below n
-    for every u < 1 and n <= 2**53, and a real in [lo, hi) is lo + (hi - lo) * u.
+    u = random(): an index in {0, ..., n-1} is floor(u * n), by `math.floor`,
+    which is int(u * n) for u * n >= 0 at a lower cost and is below n for
+    every u < 1 and n <= 2**53; a real in [lo, hi) is lo + (hi - lo) * u.
     The coordinate becomes
 
     - basic, sac: x_ij + phi * (x_ij - x_aj)
@@ -254,6 +255,7 @@ def _phase(colony, config, problem, rng, placements):
     ends, however it ends.
     """
     rand = rng.random
+    floor = math.floor
     strategy = config.strategy
     two_partners = strategy == "sac1"
     sac2, gbest = strategy == "sac2", strategy == "gbest"
@@ -274,14 +276,14 @@ def _phase(colony, config, problem, rng, placements):
     nfe = colony.nfe
     try:
         for i in placements:
-            j = int(rand() * dimension)
+            j = floor(rand() * dimension)
             a = i
             while a == i:
-                a = int(rand() * n)
+                a = floor(rand() * n)
             b = a  # the partner the gene moves against
             if two_partners:
                 while b == i or b == a:
-                    b = int(rand() * n)
+                    b = floor(rand() * n)
             phi = -1.0 + 2.0 * rand()
             row = sources[i]
             x = row[j]
@@ -351,7 +353,8 @@ def _new_source(colony, config, problem, rng, i):
     pos = random_position(problem.bounds, rng)
     gene = None
     if config.adaptive_sizing:
-        gene = float(config.sn_min + int(rng.random() * (config.sn_max - config.sn_min + 1)))
+        gene = float(config.sn_min
+                     + math.floor(rng.random() * (config.sn_max - config.sn_min + 1)))
     start = _hooks(problem.evaluate)[0]
     f, memo = start(pos) if start else (problem.evaluate(pos), pos)
     if problem.direction != "minimize":

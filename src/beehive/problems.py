@@ -4,9 +4,10 @@ All problems expose the same `Problem` record. Objectives are evaluated in the
 user's optimization sense; `evaluate_min` gives the minimization-sense value the
 optimizer works in (maximization problems are negated).
 
-`Rastrigin`, `LennardJones` and `OnFloats`, the wrapper of the four fixed-size
-designs, carry the engine's `start`/`move`/`settle` hooks (the contract is
-stated in `engine._hooks`). The designs are functions of a list of Python
+`Sphere`, `Rastrigin`, `LennardJones` and `OnFloats`, the wrapper of the four
+fixed-size designs, carry the engine's `start`/`move`/`settle` hooks (the
+contract is stated in `engine._hooks`); Griewank, Ackley and Schaffer are
+plain functions of the array. The designs are functions of a list of Python
 floats and give nan off their real domain.
 """
 from __future__ import annotations
@@ -54,6 +55,31 @@ _TWO_PI = 2.0 * math.pi
 # about 2 L m. fsum rounds S' to the nearest float, so low, a float, is also
 # at most the value. A nan among the terms or in `total` gives a nan low, and
 # an infinite one a nan or -inf low (inf - inf, or an infinite bound).
+#
+# The bound `low` that `Sphere.move` gives (Higham 2002, section 3.1). The
+# memo keeps total = fl(x.x), the BLAS dot product of the D coordinates in
+# whatever order and blocking it takes, with or without fused multiply-adds.
+# For every such order |fl(x.x) - S| <= g S + D e, where S is the exact sum of
+# the squares, g = D u / (1 - D u) and e = 2**-1022 bounds the error of a
+# product that underflows, even one flushed to zero (a sum of subnormals is
+# exact). The moved point's exact sum is S' = S + v^2 - x_j^2, and its value
+# is at least S' - g S' - D e. The move rounds t = v*v, b = x_j*x_j and
+# c = total + (t - b), each within u of its exact result (plus e for a
+# product); so, to first order in u, S' >= c - (g + u) total - 3 u (t + b)
+# - (D + 2) e, and since g S' <= g (total + t + b) to first order, the value
+# is at least
+#
+#     c - (2 D + 1) u total - (D + 3) u (t + b) - (2 D + 2) e.
+#
+#     low = c - ((total + t + b) (D + 4) 2u + 1e-300)
+#
+# lies below that: the relative part exceeds the first-order terms by at
+# least 6 u (total + t + b), which covers the second-order terms and the
+# rounding of the slack and of low itself, for any D below 2**20; and 1e-300
+# covers (2 D + 3) e there. Every product is at least 0, so no partial sum of
+# the moved dot product is above S' (1 + g): a low below 1e300 means a finite
+# value, and a larger low is withheld as nan. A nan or an infinity in total,
+# t or b gives a nan low (inf - inf).
 _TWO_U = 2.0 ** -52
 
 
@@ -102,8 +128,42 @@ class Problem:
 # Benchmark functions
 # ---------------------------------------------------------------------------
 
-def _sphere(x):
-    return float(x.dot(x))
+@dataclass(frozen=True)
+class Sphere:
+    """The sphere function, sum(x_i^2), as `x.dot(x)`: the BLAS dot product.
+
+    Its hooks (`engine._hooks`) keep that value and bound a one-coordinate
+    move first. The memo is `(x, total)`: the position array, never written
+    in place, and its value. `move` computes
+    `total + (v*v - x_j*x_j)` and returns it less the rounding slack stated
+    above `_TWO_U`, withheld as nan from 1e300 up, with the step `(j, v)`.
+    `settle` copies x, sets coordinate j and takes the dot product: the path
+    of an objective without hooks. A module-level callable, so a `Problem`
+    that uses it pickles into worker processes.
+    """
+
+    def __call__(self, x):
+        return float(x.dot(x))
+
+    def start(self, x):
+        total = float(x.dot(x))
+        return total, (x, total)
+
+    @staticmethod
+    def move(memo, j, v):
+        x, total = memo
+        c = x.item(j)
+        t, b = v * v, c * c
+        low = (total + (t - b)) - ((total + t + b) * ((len(x) + 4) * _TWO_U) + 1e-300)
+        return (low if low < 1e300 else math.nan), (j, v)
+
+    @staticmethod
+    def settle(memo, step):
+        j, v = step
+        x = memo[0].copy()
+        x[j] = v
+        total = float(x.dot(x))
+        return total, (x, total)
 
 
 @functools.lru_cache(maxsize=None)
@@ -189,7 +249,7 @@ def _schaffer(x):
 # `beehive bench benchmarks` runs, the first being the default). All have
 # their minimum 0 at the origin.
 _BENCHMARKS = {
-    "sphere": (_sphere, 5.12, (30, 60)),
+    "sphere": (Sphere(), 5.12, (30, 60)),
     "griewank": (_griewank, 600.0, (30, 60)),
     "ackley": (_ackley, 32.0, (30, 60)),
     "rastrigin": (Rastrigin(), 5.12, (30, 60)),

@@ -7,7 +7,7 @@ from beehive.core import RngStream
 class ScriptedRng(RngStream):
     """Deterministic stand-in: hands out preset raw `random()` draws in call order.
 
-    The engine turns each raw draw u into an index int(n * u) or a real
+    The engine turns each raw draw u into an index floor(n * u) or a real
     lo + (hi - lo) * u; `index_draw` and `real_draw` give the u for a wanted
     index or real.
     """
@@ -23,7 +23,7 @@ class ScriptedRng(RngStream):
 
 
 def index_draw(k: int, n: int) -> float:
-    """The raw draw that int(n * u) maps to index k of n."""
+    """The raw draw that floor(n * u) maps to index k of n."""
     return (k + 0.5) / n
 
 

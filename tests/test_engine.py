@@ -27,10 +27,10 @@ from beehive.engine import (
     scout_phase,
     selection_probabilities,
 )
-from beehive.problems import OnFloats, Problem, Rastrigin, make_problem
+from beehive.problems import LennardJones, OnFloats, Problem, Rastrigin, make_problem
 from conftest import ScriptedRng, in_box, index_draw, real_draw
 from test_golden import SCOUTING
-from test_problems import DESIGNS, CountingFn
+from test_problems import DESIGNS, CountingFn, _memo_bits
 
 
 def make_colony(positions, objectives=None, genes=None):
@@ -289,10 +289,15 @@ class TestCandidateOperators:
         assert all(proposed(0, colony, rng, BASIC)[0] == 0 for _ in range(100))
 
     def test_index_draw_stays_below_n(self):
-        # int(u * n) < n for the largest u below 1, so no draw needs clamping
-        u = math.nextafter(1.0, 0.0)
-        sizes = list(range(1, 100_000)) + [2**k + d for k in range(17, 54) for d in (-1, 0, 1)]
-        assert all(int(u * n) < n for n in sizes if n <= 2**53)
+        # the engine's draw, math.floor(u * n), is below n for the largest u
+        # below 1, so no draw needs clamping, and it is the integer int(u * n)
+        # gives, for that u and others
+        sizes = [n for n in list(range(1, 100_000))
+                 + [2**k + d for k in range(17, 54) for d in (-1, 0, 1)] if n <= 2**53]
+        top = math.nextafter(1.0, 0.0)
+        assert all(math.floor(top * n) < n for n in sizes)
+        for u in (0.0, 5e-324, 0.25, 1.0 / 3.0, 0.5, 0.7, top):
+            assert all(math.floor(u * n) == int(u * n) for n in sizes)
 
     def test_phi_spans_minus_one_to_one(self):
         # x_i - x_a = 1, so the basic move puts x_i + phi in [0, 2)
@@ -637,24 +642,31 @@ class TestPhaseLoop:
             phase(colony, BASIC, problem, RngStream(2))
         assert colony.nfe == 10 + 3  # the evaluations that returned
 
+    @staticmethod
+    def memo_arrays(memos):
+        """The position arrays among `memos`: the memo itself for an objective
+        without hooks, its first item for sphere's `(x, total)`."""
+        return [m if isinstance(m, np.ndarray) else m[0] for m in memos
+                if isinstance(m, np.ndarray) or isinstance(m[0], np.ndarray)]
+
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    @pytest.mark.parametrize("name", ("sphere", "rastrigin"))
+    @pytest.mark.parametrize("name", ("griewank", "sphere", "rastrigin"))
     def test_a_phase_never_writes_a_position_in_place(self, name, strategy):
-        """Every source and best-memory list, and without hooks every memo
-        array, holds its old values after the employed and onlooker phases."""
+        """Every source and best-memory list, and every memo array (griewank's
+        memo, which has no hooks, and the position in sphere's), holds its old
+        values after the employed and onlooker phases."""
         problem = make_problem(name, 5)
         config = VariantConfig(strategy=strategy, initial_colony=12, sn_min=6, sn_max=12)
         rng = RngStream(8)
         colony = Colony(problem.bounds)
         for i in range(6):
             _new_source(colony, config, problem, rng, i)
-        arrays = [m for m in colony.memo if isinstance(m, np.ndarray)]
-        assert len(arrays) == (6 if name == "sphere" else 0)
+        assert len(self.memo_arrays(colony.memo)) == (0 if name == "rastrigin" else 6)
         replaced = 0
         for _ in range(20):
             sources = list(colony.sources)
             lists = [(x, x.copy()) for x in sources + [colony.best_position]]
-            memos = [(m, m.tobytes()) for m in colony.memo if isinstance(m, np.ndarray)]
+            memos = [(m, m.tobytes()) for m in self.memo_arrays(colony.memo)]
             employed_phase(colony, config, problem, rng)
             onlooker_phase(colony, config, problem, rng)
             for x, old in lists:
@@ -1178,21 +1190,22 @@ def _cell(problem, *args):
 # every hooked objective, and Rastrigin posed as a maximization, with the
 # seed of its run
 HOOKED_RUNS = (
-    [_cell(make_problem("rastrigin", dim), dim) for dim in (3, 10, 30, 130)]
+    [_cell(make_problem("sphere", dim), dim) for dim in (5, 30)]
+    + [_cell(make_problem("rastrigin", dim), dim) for dim in (3, 10, 30, 130)]
     + [_cell(make_problem("lennard_jones", n_atoms=atoms), atoms) for atoms in (3, 4, 13)]
     + [_cell(make_problem(name), len(name)) for name in DESIGNS]
     + [_cell(dataclasses.replace(make_problem("rastrigin", 10), evaluate=Negated(Rastrigin()),
                                  direction="maximize"), 10)])
-# the hooked objectives, and sphere, which has no hooks
-MEMO_COLUMNS = [_cell(p) for p in (make_problem("rastrigin", 10),
+# the hooked objectives, and griewank, which has no hooks
+MEMO_COLUMNS = [_cell(p) for p in (make_problem("sphere", 10), make_problem("rastrigin", 10),
                                    make_problem("lennard_jones", n_atoms=13),
-                                   *map(make_problem, DESIGNS), make_problem("sphere", 10))]
+                                   *map(make_problem, DESIGNS), make_problem("griewank", 10))]
 
 
 class TestIncrementalEvaluation:
-    """The `start`/`move` hooks of Rastrigin, Lennard-Jones and the four
-    fixed-size designs give the run that the full path gives; a plain function
-    around `evaluate` hides the hooks, so it takes that path."""
+    """The `start`/`move`/`settle` hooks of sphere, Rastrigin, Lennard-Jones
+    and the four fixed-size designs give the run that the full path gives; a
+    plain function around `evaluate` hides the hooks, so it takes that path."""
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("problem,seed", HOOKED_RUNS)
@@ -1230,7 +1243,8 @@ class TestIncrementalEvaluation:
             assert fn.calls < r.nfe
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    @pytest.mark.parametrize("problem", [_cell(make_problem("rastrigin", dim)) for dim in (5, 30)]
+    @pytest.mark.parametrize("problem", [_cell(make_problem(name, dim))
+                                         for name in ("sphere", "rastrigin") for dim in (5, 30)]
                              + [_cell(make_problem("lennard_jones", n_atoms=atoms))
                                 for atoms in (3, 13)])
     def test_run_equals_the_run_that_settles_every_candidate(self, problem, strategy):
@@ -1303,7 +1317,7 @@ class TestIncrementalEvaluation:
     @staticmethod
     def check_full_path(hooks):
         """An objective with only the named hooks, each failing if called,
-        gives the run of the plain objective."""
+        gives the run of the registered sphere, which has all three."""
         def unused(*args):
             raise AssertionError(f"a hook of {hooks} was called")
 
@@ -1337,6 +1351,9 @@ class TestIncrementalEvaluation:
         rng = RngStream(5)
         colony = Colony(problem.bounds)
         start = getattr(problem.evaluate, "start", None)
+        # the Lennard-Jones partner table, shared by every memo and not walked
+        shared = (start(np.zeros(problem.dimension))[1][4]
+                  if isinstance(problem.evaluate, LennardJones) else None)
         phases = [employed_phase, onlooker_phase, scout_phase]
         if config.adaptive_sizing:
             phases.append(adapt_colony_size)
@@ -1353,4 +1370,4 @@ class TestIncrementalEvaluation:
                     if start is None:
                         assert memo.tobytes() == point.tobytes()
                     else:
-                        assert memo == start(point)[1]
+                        assert _memo_bits(memo, shared) == _memo_bits(start(point)[1], shared)

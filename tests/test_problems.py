@@ -24,6 +24,7 @@ from beehive.problems import (
     OnFloats,
     Problem,
     Rastrigin,
+    Sphere,
     _gas_production,
     _griewank,
     make_lennard_jones,
@@ -40,16 +41,18 @@ def _bits(f):
 
 
 def _memo_bits(memo, shared):
-    """`memo`, a float, a list of floats or a tuple of memos, with every float
-    as its bytes, so that `==` compares bits; a fresh object, so it also
-    serves as a snapshot. `shared`, a read-only table every memo holds, is
-    kept as it is, neither copied nor walked."""
+    """`memo`, a float, a list of floats, a float array or a tuple of memos,
+    with every float as its bytes, so that `==` compares bits; a fresh
+    object, so it also serves as a snapshot. `shared`, a read-only table
+    every memo holds, is kept as it is, neither copied nor walked."""
     if memo is shared:
         return memo
     if isinstance(memo, tuple):
         return tuple(_memo_bits(m, shared) for m in memo)
     if isinstance(memo, list):
         return [struct.pack(f"<{len(memo)}d", *memo)]
+    if isinstance(memo, np.ndarray):
+        return [memo.dtype.str, memo.shape, memo.tobytes()]
     return _bits(memo)
 
 
@@ -405,9 +408,47 @@ class TestLennardJonesKernelMatchesLoop:
         assert LennardJones(n)(x) == lj_reference(n, x)
 
 
+def _coordinate_lists(n, lo, hi, *value_sets):
+    """Lists of n coordinates, each, with equal odds, a float from lo up to
+    hi or one of the values of a set in `value_sets`: the value classes of a
+    `st.one_of` of `st.floats(lo, hi)` and `st.sampled_from`s. A list is
+    decoded from one byte string, 8 bytes a coordinate, which Hypothesis
+    draws and shrinks as one choice: drawn element by element, a one_of list
+    of 1 to 200 coordinates took about 23 ms an example, the byte string
+    under 2 ms."""
+    classes = 1 + len(value_sets)
+
+    def decode(data):
+        coords = []
+        for (r,) in struct.iter_unpack("<Q", data):
+            kind, r = r % classes, r // classes
+            if kind:
+                values = value_sets[kind - 1]
+                coords.append(values[r % len(values)])
+            else:
+                coords.append(lo + (hi - lo) * ((r % 2**53) * 2.0**-53))
+        return coords
+
+    return st.binary(min_size=8 * n, max_size=8 * n).map(decode)
+
+
+def _lists_of(coordinate):
+    """Lists of n coordinates, for `_case`, each drawn by `coordinate`."""
+    return lambda n: st.lists(coordinate, min_size=n, max_size=n)
+
+
+def _case(sizes, coords, move_to):
+    """A size n from `sizes`, a start point of n coordinates drawn by
+    `coords(n)` and one to five moves (j, v), each value drawn by `move_to`."""
+    return sizes.flatmap(lambda n: st.tuples(
+        coords(n),
+        st.lists(st.tuples(st.integers(0, n - 1), move_to), min_size=1, max_size=5)))
+
+
 # Lennard-Jones coordinates: anywhere in a box wide enough for 130 atoms,
 # plus a few values that often put two atoms on top of each other.
-_LJ_COORDS = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([-1.0, -0.0, 0.0, 1.0]))
+_LJ_SPECIAL = (-1.0, -0.0, 0.0, 1.0)
+_LJ_COORDS = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(_LJ_SPECIAL))
 
 
 class TestLennardJonesMoves:
@@ -415,10 +456,8 @@ class TestLennardJonesMoves:
     Lennard-Jones runs evaluate every candidate through `move`."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(LJ_ATOMS + (13,) * 4).flatmap(lambda n: st.tuples(
-        st.lists(_LJ_COORDS, min_size=3 * n, max_size=3 * n),
-        st.lists(st.tuples(st.integers(0, 3 * n - 1), _LJ_COORDS),
-                 min_size=1, max_size=5))))
+    @given(_case(st.sampled_from(LJ_ATOMS + (13,) * 4).map(lambda n: 3 * n),
+                 lambda n: _coordinate_lists(n, -10.0, 10.0, _LJ_SPECIAL), _LJ_COORDS))
     def test_moves_match_the_full_evaluation(self, case):
         coords, moves = case
         with warnings.catch_warnings():
@@ -493,12 +532,20 @@ class TestLennardJonesMoves:
 
 # Rastrigin coordinates: anywhere in the box, plus the bounds, integers,
 # half-integers and both zeros, where the cosine term is exact or extreme.
+_BOX_SPECIAL = (-5.12, 5.12, -0.0, 0.0)
+_INTEGERS = tuple(float(k) for k in range(-5, 6))
+_HALVES = tuple(k / 2.0 for k in range(-10, 11))
 _RASTRIGIN_COORDS = st.one_of(
     st.floats(-5.12, 5.12),
-    st.sampled_from([-5.12, 5.12, -0.0, 0.0]),
-    st.integers(-5, 5).map(float),
-    st.integers(-10, 10).map(lambda k: k / 2.0),
+    st.sampled_from(_BOX_SPECIAL),
+    st.sampled_from(_INTEGERS),
+    st.sampled_from(_HALVES),
 )
+
+
+def _box_lists(n):
+    """Lists of n coordinates from the value classes of `_RASTRIGIN_COORDS`."""
+    return _coordinate_lists(n, -5.12, 5.12, _BOX_SPECIAL, _INTEGERS, _HALVES)
 
 
 class TestRastriginMoves:
@@ -507,10 +554,7 @@ class TestRastriginMoves:
 
     # D from 1 to 200; up to five moves in a row from one start
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 200).flatmap(lambda n: st.tuples(
-        st.lists(_RASTRIGIN_COORDS, min_size=n, max_size=n),
-        st.lists(st.tuples(st.integers(0, n - 1), _RASTRIGIN_COORDS),
-                 min_size=1, max_size=5))))
+    @given(_case(st.integers(1, 200), _box_lists, _RASTRIGIN_COORDS))
     def test_moves_match_the_full_evaluation(self, case):
         coords, moves = case
         check_hooks(Rastrigin(), np.array(coords), moves)
@@ -540,6 +584,36 @@ class TestRastriginMoves:
         assert f.settle(memo, step)[0] == math.inf
 
 
+class TestSphereMoves:
+    """`Sphere.start`/`settle` must give `__call__`'s bits, the BLAS dot
+    product, and `move`'s low must bound it: seeded sphere runs evaluate
+    every candidate through the hooks."""
+
+    # D from 1 to 200, across the dot product's unrolled and remainder loops
+    @settings(max_examples=300, deadline=None)
+    @given(_case(st.integers(1, 200), _box_lists, _RASTRIGIN_COORDS))
+    def test_moves_match_the_full_evaluation(self, case):
+        coords, moves = case
+        check_hooks(Sphere(), np.array(coords), moves)
+
+    @pytest.mark.parametrize("n", (1, 2, 15, 16, 17, 30, 31, 32, 33, 60, 130, 200))
+    def test_every_coordinate(self, n):
+        rng = np.random.default_rng(500 + n)
+        x = rng.uniform(-5.12, 5.12, n)
+        check_hooks(Sphere(), x, [(j, rng.uniform(-5.12, 5.12)) for j in range(n)])
+
+    def test_the_memo_holds_the_position_array(self):
+        f = Sphere()
+        x = np.array([1.0, -2.0, 0.5])
+        value, memo = f.start(x)
+        assert memo[0] is x and _bits(memo[1]) == _bits(value) == _bits(5.25)
+        low, step = f.move(memo, 1, 3.0)
+        assert step == (1, 3.0) and low <= 10.25
+        value, new_memo = f.settle(memo, step)
+        assert value == 10.25 and new_memo[0].tolist() == [1.0, 3.0, 0.5]
+        assert x.tolist() == [1.0, -2.0, 0.5]
+
+
 # Lennard-Jones atoms on a unit lattice: pairs that coincide (the penalty,
 # 1e30) next to pairs at unit distance (-1) and at sqrt(2), sqrt(3), ...;
 # the moves also bring an atom to within 1e-7 of a lattice point, below the
@@ -558,16 +632,23 @@ _HUGE = st.one_of(st.floats(1e145, 1.35e154), st.floats(1e154, 1e155),
                   st.sampled_from([0.0, math.sqrt(sys.float_info.max)]))
 # any coordinate, nan often
 _MAYBE_NAN = st.one_of(st.floats(-10.0, 10.0), st.just(math.nan))
-
-
-def _case(sizes, coordinate, move_to=None):
-    """A size n from `sizes`, a start point of n coordinates and one to
-    five moves (j, v), each drawn by `coordinate` (the moves' values by
-    `move_to`, if given)."""
-    move_to = coordinate if move_to is None else move_to
-    return sizes.flatmap(lambda n: st.tuples(
-        st.lists(coordinate, min_size=n, max_size=n),
-        st.lists(st.tuples(st.integers(0, n - 1), move_to), min_size=1, max_size=5)))
+# Sphere coordinates whose squares underflow: near 1e-160 a square is
+# subnormal, and 5e-324 squares to zero.
+_TINY_SPECIAL = (1e-160, -1e-160, 1.5e-154, 5e-324, 0.0, -0.0)
+_TINY = st.one_of(st.floats(-2e-160, 2e-160), st.sampled_from(_TINY_SPECIAL))
+# Sphere coordinates whose squares reach the float range: a sum of two may
+# round past it, and the square of one above sqrt(MAX) is itself infinite.
+_SQRT_MAX = math.sqrt(sys.float_info.max)
+_HUGE_SPECIAL = (1e154, -1e154, _SQRT_MAX, -_SQRT_MAX, 1.35e154, 0.0)
+_NEAR_OVERFLOW = st.one_of(st.floats(-1.35e154, 1.35e154), st.sampled_from(_HUGE_SPECIAL))
+# Sphere coordinates that are nan or an infinity, or ordinary
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+_ANY_SPHERE = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(_NON_FINITE))
+# Sphere coordinates where the dot product loses most: 1e-8 squares to just
+# under half an ulp of 1, so the summation order decides whether each square
+# of 1e-8 added after a 1 is kept.
+_LOST = (1.0, -1.0, 1e-8, -1e-8, 0.0)
+_LOSSY = st.sampled_from(_LOST)
 
 
 class TestMoveBounds:
@@ -576,7 +657,7 @@ class TestMoveBounds:
     bound of `problems._TWO_U`."""
 
     @settings(max_examples=200, deadline=None)
-    @given(_case(st.sampled_from((2, 3, 4, 5, 13)).map(lambda n: 3 * n), _LATTICE,
+    @given(_case(st.sampled_from((2, 3, 4, 5, 13)).map(lambda n: 3 * n), _lists_of(_LATTICE),
                  _NEAR_LATTICE))
     def test_coincident_atoms_next_to_unit_pairs(self, case):
         coords, moves = case
@@ -585,13 +666,13 @@ class TestMoveBounds:
             check_hooks(LennardJones(len(coords) // 3), np.array(coords), moves)
 
     @settings(max_examples=200, deadline=None)
-    @given(_case(st.integers(1, 60), _NEAR_ZERO))
+    @given(_case(st.integers(1, 60), _lists_of(_NEAR_ZERO), _NEAR_ZERO))
     def test_rastrigin_terms_that_nearly_cancel(self, case):
         coords, moves = case
         check_hooks(Rastrigin(), np.array(coords), moves)
 
     @settings(max_examples=200, deadline=None)
-    @given(_case(st.integers(1, 3), _HUGE))
+    @given(_case(st.integers(1, 3), _lists_of(_HUGE), _HUGE))
     def test_rastrigin_sums_near_the_float_range(self, case):
         coords, moves = case
         check_hooks(Rastrigin(), np.array(coords), moves)
@@ -610,16 +691,83 @@ class TestMoveBounds:
         check_hooks(f, x, [(j, v)])
 
     @settings(max_examples=100, deadline=None)
-    @given(_case(st.integers(1, 30), _MAYBE_NAN))
+    @given(_case(st.integers(1, 30), _lists_of(_MAYBE_NAN), _MAYBE_NAN))
     def test_rastrigin_nan_coordinates(self, case):
         coords, moves = case
         check_hooks(Rastrigin(), np.array(coords), moves)
 
     @settings(max_examples=100, deadline=None)
-    @given(_case(st.sampled_from((2, 3, 4, 13)).map(lambda n: 3 * n), _MAYBE_NAN))
+    @given(_case(st.sampled_from((2, 3, 4, 13)).map(lambda n: 3 * n), _lists_of(_MAYBE_NAN),
+                 _MAYBE_NAN))
     def test_lennard_jones_nan_coordinates(self, case):
         coords, moves = case
         check_hooks(LennardJones(len(coords) // 3), np.array(coords), moves)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_case(st.integers(1, 40),
+                 lambda n: _coordinate_lists(n, -2e-160, 2e-160, _TINY_SPECIAL), _TINY))
+    def test_sphere_products_that_underflow(self, case):
+        coords, moves = case
+        check_hooks(Sphere(), np.array(coords), moves)
+
+    # numpy warns when a dot product overflows, as `x.dot(x)` does anywhere
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(_case(st.integers(1, 4),
+                 lambda n: _coordinate_lists(n, -1.35e154, 1.35e154, _HUGE_SPECIAL),
+                 _NEAR_OVERFLOW))
+    def test_sphere_squares_near_the_float_range(self, case):
+        coords, moves = case
+        check_hooks(Sphere(), np.array(coords), moves)
+
+    def test_a_sphere_low_near_the_float_range_is_withheld(self):
+        # the moved value, 1.0004e308, is finite, but a low of 1e300 or more is nan
+        x = np.array([1e154, 1e152])
+        f = Sphere()
+        value, memo = f.start(x)
+        low, step = f.move(memo, 1, 2e152)
+        assert math.isnan(low)
+        assert f.settle(memo, step)[0] == 1.0004e308
+        check_hooks(f, x, [(1, 2e152), (0, 0.0), (1, 0.0)])
+        assert f.move(f.start(np.array([1e149, 0.0]))[1], 1, 3e149)[0] < 1e300
+
+    @settings(max_examples=100, deadline=None)
+    @given(_case(st.sampled_from((1, 2, 5, 30)),
+                 lambda n: _coordinate_lists(n, 0.0, 0.0, (0.0, -0.0)),
+                 st.sampled_from((0.0, -0.0, 5e-324, 1.0))))
+    def test_sphere_at_the_zero_point(self, case):
+        coords, moves = case
+        check_hooks(Sphere(), np.array(coords), moves)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_case(st.integers(1, 30), lambda n: _coordinate_lists(n, -10.0, 10.0, _NON_FINITE),
+                 _ANY_SPHERE))
+    def test_sphere_nan_and_inf_coordinates(self, case):
+        coords, moves = case
+        check_hooks(Sphere(), np.array(coords), moves)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_case(st.sampled_from((1, 130)),
+                 lambda n: _coordinate_lists(n, -5.12, 5.12, _LOST, _BOX_SPECIAL),
+                 st.one_of(_RASTRIGIN_COORDS, _LOSSY)))
+    def test_sphere_one_and_130_coordinates(self, case):
+        coords, moves = case
+        check_hooks(Sphere(), np.array(coords), moves)
+
+    # _LOST twice: two coordinates in three are 1s, 1e-8s or zeros
+    @settings(max_examples=200, deadline=None)
+    @given(_case(st.integers(1, 40), lambda n: _coordinate_lists(n, -1.0, 1.0, _LOST, _LOST),
+                 _LOSSY))
+    def test_sphere_squares_lost_to_a_large_one(self, case):
+        coords, moves = case
+        check_hooks(Sphere(), np.array(coords), moves)
+
+    @pytest.mark.parametrize("n", (2, 3, 9, 15, 16, 17, 33, 130))
+    def test_sphere_move_onto_a_large_square(self, n):
+        # from squares of 1e-8 alone, summed with little loss, coordinate 0
+        # moves to 1, which the dot product adds before some or all of them
+        x = np.array([0.0] + [1e-8] * (n - 1))
+        check_hooks(Sphere(), x, [(0, 1.0), (0, 0.0), (n - 1, 1.0), (0, -1.0)])
 
 
 DESIGNS = ("gas_production", "air_heater", "gear_train", "gas_compressor")
@@ -849,7 +997,7 @@ class TestOnFloatsMemo:
 
 
 # every registered objective with hooks, and the type of its `evaluate`
-HOOKED = {"rastrigin": Rastrigin, "lennard_jones": LennardJones,
+HOOKED = {"sphere": Sphere, "rastrigin": Rastrigin, "lennard_jones": LennardJones,
           **dict.fromkeys(DESIGNS, OnFloats)}
 
 
@@ -908,6 +1056,18 @@ class ZeroSignLost(LennardJones):
         return value, new_memo
 
 
+class WritesItsArray(Sphere):
+    """A `settle` that moves the memo's own position array in place."""
+
+    @staticmethod
+    def settle(memo, step):
+        x, _ = memo
+        j, v = step
+        x[j] = v
+        total = float(x.dot(x))
+        return total, (x, total)
+
+
 class FreshNullMove(OnFloats):
     """An `OnFloats` whose `move` answers a null move with a new memo."""
 
@@ -937,6 +1097,8 @@ class TestHookContract:
          "move changed the memo it was given"),
         (Rastrigin(), SettleWritesItsMemo(), [0.5, -1.25, 3.0], (1, 2.0),
          "settle changed the memo it was given"),
+        (Sphere(), WritesItsArray(), [0.5, -1.25, 3.0], (1, 2.0),
+         "settle changed the memo it was given"),
         (Rastrigin(), OneUlpOff(), [0.5, -1.25, 3.0], (1, 2.0), "settle's value is not f's"),
         (Rastrigin(), LowAboveValue(), [0.5, -1.25, 3.0], (1, 2.0),
          "move's low is above the value"),
@@ -946,7 +1108,8 @@ class TestHookContract:
          "settle's memo is not start's"),
         (OnFloats(_gas_production), FreshNullMove(_gas_production), [20.0, 400.0],
          (0, 20.0), "only a null move gives back its memo"),
-    ], ids=["writes-its-memo", "settle-writes-its-memo", "one-ulp-off", "low-above-value",
+    ], ids=["writes-its-memo", "settle-writes-its-memo", "writes-its-array", "one-ulp-off",
+            "low-above-value",
             "no-overflow-guard", "zero-sign-lost", "fresh-null-move"])
     def test_check_hooks_fails_on_a_broken_hook(self, good, broken, x, move, fails):
         x = np.array(x, dtype=float)
