@@ -5,6 +5,7 @@ from .engine import (
     STRATEGIES,
     RunResult,
     TerminationRule,
+    Trace,
     VariantConfig,
     fitness_map,
     run,
@@ -33,6 +34,7 @@ __all__ = [
     "STRATEGIES",
     "RunResult",
     "TerminationRule",
+    "Trace",
     "VariantConfig",
     "fitness_map",
     "run",

@@ -9,7 +9,9 @@ own position; out-of-box values are clamped to the violated bound.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -102,15 +104,75 @@ class TerminationRule:
         return self.target is not None and abs(best_objective - self.target) < self.accuracy
 
 
+class Trace(Sequence):
+    """A read-only sequence of `(nfe, best)` pairs, an int and a float, held in
+    one `array('q')` and one `array('d')`: 16 bytes a pair, where a tuple of
+    pairs takes about 103.
+
+    It stands in for the tuple of the same pairs: it indexes and iterates as
+    such tuples, equals and hashes as that tuple (and equals nothing else that
+    the tuple would not, so not a list) and has its repr. A slice is a Trace.
+    The floats keep their bits, -0.0 included, and a Trace pickles as its two
+    arrays.
+    """
+
+    __slots__ = ("_nfe", "_best")
+
+    def __init__(self, pairs=()):
+        self._nfe, self._best = array("q"), array("d")
+        for nfe, best in pairs:
+            self._nfe.append(nfe)
+            self._best.append(best)
+
+    @classmethod
+    def _of(cls, nfe, best):
+        """The Trace over the two arrays themselves, not copies."""
+        trace = cls.__new__(cls)
+        trace._nfe, trace._best = nfe, best
+        return trace
+
+    def __len__(self):
+        return len(self._nfe)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Trace._of(self._nfe[index], self._best[index])
+        return self._nfe[index], self._best[index]
+
+    def __iter__(self):
+        return zip(self._nfe, self._best)
+
+    def __eq__(self, other):
+        if isinstance(other, Trace):
+            return self._nfe == other._nfe and self._best == other._best
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return Trace._of, (self._nfe, self._best)
+
+
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of a single seeded run, reported in the user's optimization sense."""
+    """Outcome of a single seeded run, reported in the user's optimization sense.
+
+    `trace` holds the NFE count and the best objective so far after the
+    initial sources and after each cycle, and at a mid-cycle stop: a `Trace`
+    from `run`, or any sequence of such pairs in a hand-built result.
+    """
 
     best_objective: float
     best_position: np.ndarray
     nfe: int
     cycles: int
-    trace: tuple[tuple[int, float], ...]  # (nfe, best_objective) per cycle
+    trace: Sequence[tuple[int, float]]  # (nfe, best_objective) per cycle
     seed: int
 
 
@@ -437,7 +499,7 @@ def run(problem: Problem, config: VariantConfig, termination: TerminationRule,
     if config.adaptive_sizing:
         phases += (adapt_colony_size,)
     cycles = 0
-    trace = [(colony.nfe, colony.best_objective)]
+    nfes, bests = array("q", [colony.nfe]), array("d", [colony.best_objective])
     while not termination.reached(colony.best_objective) and colony.nfe < termination.max_nfe:
         for phase in phases:
             phase(colony, config, problem, rng)
@@ -445,17 +507,20 @@ def run(problem: Problem, config: VariantConfig, termination: TerminationRule,
                 break  # mid-cycle: the cycle is not counted
         else:
             cycles += 1
-        trace.append((colony.nfe, colony.best_objective))
+        nfes.append(colony.nfe)
+        bests.append(colony.best_objective)
 
     best_position = np.array(colony.best_position)
     if problem.integrality is not None:
         mask = problem.integrality
         best_position[mask] = np.floor(best_position[mask] + 0.5)
+    if problem.direction == "maximize":
+        bests = array("d", map(problem.to_user_sense, bests))
     return RunResult(
         best_objective=problem.to_user_sense(colony.best_objective),
         best_position=best_position,
         nfe=colony.nfe,
         cycles=cycles,
-        trace=tuple((n, problem.to_user_sense(f)) for n, f in trace),
+        trace=Trace._of(nfes, bests),
         seed=seed,
     )

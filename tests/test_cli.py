@@ -306,6 +306,21 @@ class TestSweepPool:
         for name in ("stats.json", "comparison.json"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
+    def test_parallel_run_writes_the_serial_traces(self, tmp_path):
+        """Each run's trace comes back from a worker by pickle, then feeds the
+        per-run trace CSVs and the convergence CSV."""
+        for jobs in ("1", "2"):
+            code = run_cli("run", "--problem", "rastrigin", "--dim", "5", "--runs", "2",
+                           "--max-nfe", "2000", "--traces", "--jobs", jobs,
+                           "--output-dir", str(tmp_path / jobs))
+            assert code == 0
+        names = ("rastrigin_basic_trace_seed1.csv", "rastrigin_basic_trace_seed2.csv",
+                 "rastrigin_basic_convergence.csv")
+        for name in names:
+            serial = (tmp_path / "1" / name).read_bytes()
+            assert len(serial.splitlines()) > 2
+            assert serial == (tmp_path / "2" / name).read_bytes(), name
+
     @pytest.mark.parametrize("argv", [
         ("bench", "all", "--runs", "1"),
         ("compare", "--problems", "sphere,gear_train", "--variants", "basic,sac2",

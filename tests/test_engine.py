@@ -1,8 +1,11 @@
 """Candidate operators, selection, colony phases, and the full optimization loop."""
 import copy
 import dataclasses
+import gc
 import math
+import pickle
 import re
+import sys
 from bisect import bisect_right
 
 import numpy as np
@@ -15,6 +18,7 @@ from beehive.engine import (
     Colony,
     RunResult,
     TerminationRule,
+    Trace,
     VariantConfig,
     _hooks,
     _new_source,
@@ -1050,6 +1054,114 @@ class TestRun:
         bests = [f for _, f in result.trace]
         assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
         assert result.best_objective == problem.evaluate(result.best_position)
+
+
+def retained_bytes(obj):
+    """`sys.getsizeof` summed over `obj` and every object it holds, each once."""
+    seen, todo, total = set(), [obj], 0
+    while todo:
+        item = todo.pop()
+        if id(item) in seen or isinstance(item, type):
+            continue
+        seen.add(id(item))
+        total += sys.getsizeof(item)
+        todo.extend(gc.get_referents(item))
+    return total
+
+
+# a signed zero, nfe counts past 2**31 and a subnormal, none of them sorted
+TRACE_PAIRS = ((0, 3.5), (2**31 + 5, -0.0), (2**40, 5e-324), (7, -2.25), (2**62, 0.0))
+
+
+class TestTrace:
+    """`Trace`, as built from pairs and as `run` returns it, behaves as the
+    tuple of the same pairs."""
+
+    @pytest.fixture(params=["pairs", "run"])
+    def case(self, request):
+        """A Trace and the tuple of its pairs."""
+        if request.param == "pairs":
+            return Trace(TRACE_PAIRS), TRACE_PAIRS
+        trace = run(make_problem("ackley", dimension=3), VariantConfig(initial_colony=10),
+                    TerminationRule(max_nfe=400), seed=5).trace
+        assert isinstance(trace, Trace)
+        return trace, tuple(trace[i] for i in range(len(trace)))
+
+    def test_equals_the_tuple_and_not_a_list(self, case):
+        trace, pairs = case
+        assert trace == pairs and pairs == trace
+        assert not (trace != pairs or pairs != trace)
+        assert trace == Trace(pairs) and trace != Trace(pairs[:-1])
+        assert trace != list(pairs) and list(pairs) != trace
+        assert trace != pairs[:-1] and trace != pairs + ((1, 1.0),)
+
+    def test_hash_repr_and_len_are_the_tuples(self, case):
+        trace, pairs = case
+        assert hash(trace) == hash(pairs)
+        assert {pairs: "found"}[trace] == "found"
+        assert repr(trace) == repr(pairs)
+        assert len(trace) == len(pairs)
+
+    def test_indexes_as_the_tuple(self, case):
+        trace, pairs = case
+        for i in range(-len(pairs), len(pairs)):
+            assert type(trace[i]) is tuple and trace[i] == pairs[i]
+        for i in (len(pairs), -len(pairs) - 1):
+            with pytest.raises(IndexError):
+                trace[i]
+
+    @pytest.mark.parametrize("part", [slice(None), slice(1, None), slice(None, -1),
+                                      slice(None, None, -1), slice(1, 3), slice(4, 2),
+                                      slice(None, None, 2), slice(-2, None)])
+    def test_a_slice_is_a_trace_equal_to_the_tuples_slice(self, case, part):
+        trace, pairs = case
+        assert type(trace[part]) is Trace
+        assert trace[part] == pairs[part] and repr(trace[part]) == repr(pairs[part])
+
+    def test_iterates_as_int_and_float(self, case):
+        trace, pairs = case
+        assert list(trace) == list(pairs)
+        assert all(type(n) is int and type(f) is float for n, f in trace)
+
+    def test_keeps_bits(self):
+        kept = Trace(TRACE_PAIRS)
+        assert [(n, f.hex()) for n, f in kept] == [(n, f.hex()) for n, f in TRACE_PAIRS]
+        assert math.copysign(1.0, kept[1][1]) == -1.0 and kept[1][0] == 2**31 + 5
+
+    def test_pickles_as_the_same_bits(self, case):
+        trace, pairs = case
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(trace, protocol))
+            assert type(back) is Trace and back == pairs
+            assert [f.hex() for _, f in back] == [f.hex() for _, f in pairs]
+
+    def test_has_no_public_mutator(self, case):
+        trace, pairs = case
+        assert {name for name in dir(trace) if not name.startswith("_")} == {"count", "index"}
+        with pytest.raises(TypeError):
+            trace[0] = (1, 1.0)
+        with pytest.raises(AttributeError):
+            trace.extra = 1
+        assert trace == pairs
+
+    def test_maximization_trace_is_in_user_sense(self):
+        minimized = make_problem("rastrigin", 3)
+        maximized = dataclasses.replace(minimized, evaluate=Negated(Rastrigin()),
+                                        direction="maximize")
+        config, termination = VariantConfig(strategy="sac"), TerminationRule(max_nfe=2000)
+        low = run(minimized, config, termination, seed=4).trace
+        high = run(maximized, config, termination, seed=4)
+        assert type(high.trace) is Trace
+        assert high.trace[-1] == (high.nfe, high.best_objective)
+        assert [(n, f.hex()) for n, f in high.trace] == [(n, (-f).hex()) for n, f in low]
+
+    def test_a_long_run_keeps_at_most_20_bytes_a_cycle(self):
+        """10,000 cycles of 8 evaluations: a tuple of pairs holds 92 bytes a
+        cycle here, the two arrays 16 and their spare capacity."""
+        config = VariantConfig(initial_colony=8, sn_min=4, sn_max=4)
+        result = run(make_problem("sphere", 1), config, TerminationRule(max_nfe=80_000), seed=1)
+        assert len(result.trace) == 10_001
+        assert retained_bytes(result.trace) <= 20 * len(result.trace)
 
 
 class TestColonyInvariantsOverManyCycles:
