@@ -193,9 +193,9 @@ class Colony:
     memory, also such a list, may share it. `fitness[i]`, `trials[i]` (failed
     attempts in a row; null moves count), `gene[i]` (proposed source count,
     None unless adaptive) and `memo[i]` hold the rest. The memo is what the
-    objective's `start`/`settle` hooks keep about the position, or, for an
-    objective without them, the position as the 1-d array it is evaluated on
-    (also never written in place). The best objective is in minimization
+    `start`/`settle` hooks of `_hooks` keep about the position: for an
+    objective without its own, the position as the 1-d array it is evaluated
+    on (also never written in place). The best objective is in minimization
     sense. The box limits are Python floats. The colony only stores: the
     problem's objective decides how a point is evaluated.
     """
@@ -231,8 +231,10 @@ def selection_probabilities(colony: Colony) -> np.ndarray:
 
 
 def _hooks(evaluate):
-    """The objective's hooks `(start, move, settle)`, or `(None, None, None)`
-    unless it has all three.
+    """The objective's hooks `(start, move, settle)` if it has all three, else
+    those of an adapter that calls `evaluate` once per counted evaluation, in
+    `start` or in `move` (whose low is the exact value), with the position
+    array, never written in place, as the memo.
 
     The hook contract. `start(x) -> (f, memo)` evaluates a fresh point.
     `move(memo, j, v) -> (low, step)` begins the evaluation of the memo's own
@@ -245,7 +247,22 @@ def _hooks(evaluate):
     a losing candidate keeps its source's memo; a candidate that `low` shows
     to lose is never settled (`_phase`)."""
     hooks = tuple(getattr(evaluate, name, None) for name in ("start", "move", "settle"))
-    return (None, None, None) if None in hooks else hooks
+    if None not in hooks:
+        return hooks
+
+    def start(x):
+        return evaluate(x), x
+
+    def move(x, j, v):
+        y = x.copy()
+        y[j] = v
+        f = evaluate(y)
+        return f, (f, y)
+
+    def settle(memo, step):
+        return step
+
+    return start, move, settle
 
 
 def _keep_best(colony, problem, f, position):
@@ -288,16 +305,15 @@ def _phase(colony, config, problem, rng, placements):
     it draws nothing and reads genes[i], genes[b] and phi, which nothing
     before that changes.
 
-    With the problem's hooks the objective gets only (j, value), through one
-    `move` per counted evaluation; without them, the source's memo array is
-    copied and set at j. A null move, the value equal to the incumbent's own
+    The objective gets only (j, value), through one `move` of `_hooks` per
+    counted evaluation. A null move, the value equal to the incumbent's own
     x_ij (a step clamped back onto its bound, an elitist move in a colony
     collapsed onto the best), is counted but fails: the incumbent gains a
     trial, so it can still be scouted. It is still passed to `move`, once,
     like every counted evaluation; a hook may answer it from its memo
     (`problems.OnFloats` does).
 
-    Two kinds of hooked candidate are sure losers, counted and given a trial
+    Two kinds of candidate are sure losers, counted and given a trial
     without `settle`, because the settled path would find just that. One is
     a null move with v != 0.0, whose bits are then x_ij's: its value is its
     incumbent's, which is finite and no better than the best so far. The
@@ -330,8 +346,7 @@ def _phase(colony, config, problem, rng, placements):
     lower, upper = colony.lower, colony.upper
     dimension = len(lower)
     gene_lo, gene_hi = float(config.sn_min), float(config.sn_max)
-    evaluate = problem.evaluate
-    _, move, settle = _hooks(evaluate)
+    _, move, settle = _hooks(problem.evaluate)
     maximize = problem.direction != "minimize"
     inf = math.inf
     best_objective, best_position = colony.best_objective, colony.best_position
@@ -362,20 +377,15 @@ def _phase(colony, config, problem, rng, placements):
             lo, hi = lower[j], upper[j]
             v = lo if v < lo else hi if v > hi else v
 
-            if move is None:
-                memo = memos[i].copy()
-                memo[j] = v
-                f = evaluate(memo)
-            else:
-                low, step = move(memos[i], j, v)
-                if ((v == x and v != 0.0)  # a null move: its incumbent's value
-                        or (not maximize and best_objective <= low < inf
-                            and (1.0 / (1.0 + low) if low >= 0.0 else 1.0 - low)
-                            < fitness[i])):
-                    nfe += 1  # a sure loser: counted, a trial, no settle
-                    trials[i] += 1
-                    continue
-                f, memo = settle(memos[i], step)
+            low, step = move(memos[i], j, v)
+            if ((v == x and v != 0.0)  # a null move: its incumbent's value
+                    or (not maximize and best_objective <= low < inf
+                        and (1.0 / (1.0 + low) if low >= 0.0 else 1.0 - low)
+                        < fitness[i])):
+                nfe += 1  # a sure loser: counted, a trial, no settle
+                trials[i] += 1
+                continue
+            f, memo = settle(memos[i], step)
             if maximize:
                 f = -f
             nfe += 1
@@ -417,8 +427,7 @@ def _new_source(colony, config, problem, rng, i):
     if config.adaptive_sizing:
         gene = float(config.sn_min
                      + math.floor(rng.random() * (config.sn_max - config.sn_min + 1)))
-    start = _hooks(problem.evaluate)[0]
-    f, memo = start(pos) if start else (problem.evaluate(pos), pos)
+    f, memo = _hooks(problem.evaluate)[0](pos)
     if problem.direction != "minimize":
         f = -f
     colony.nfe += 1

@@ -6,9 +6,9 @@ optimizer works in (maximization problems are negated).
 
 `Sphere`, `Rastrigin`, `LennardJones` and `OnFloats`, the wrapper of the four
 fixed-size designs, carry the engine's `start`/`move`/`settle` hooks (the
-contract is stated in `engine._hooks`); Griewank, Ackley and Schaffer are
-plain functions of the array. The designs are functions of a list of Python
-floats and give nan off their real domain.
+contract is stated in `engine._hooks`); Griewank, Ackley and Schaffer, plain
+functions of the array, get the hooks of an adapter there. The designs are
+functions of a list of Python floats and give nan off their real domain.
 """
 from __future__ import annotations
 
@@ -137,8 +137,8 @@ class Sphere:
     in place, and its value. `move` computes
     `total + (v*v - x_j*x_j)` and returns it less the rounding slack stated
     above `_TWO_U`, withheld as nan from 1e300 up, with the step `(j, v)`.
-    `settle` copies x, sets coordinate j and takes the dot product: the path
-    of an objective without hooks. A module-level callable, so a `Problem`
+    `settle` copies x, sets coordinate j and takes the dot product, as the
+    adapter of `engine._hooks` would. A module-level callable, so a `Problem`
     that uses it pickles into worker processes.
     """
 
@@ -387,14 +387,6 @@ class LJConfig:
         return 2.0 * self.n_atoms ** (1.0 / 3.0)
 
 
-# Below this many pairs `LennardJones.move` gives the exact value as its low:
-# the fsum of so few energies costs less than the bound. Measured per move
-# (move plus a settle for one candidate in four): at 3 atoms, 3 pairs, the
-# exact sum was about 0.1 us faster, at 4 atoms, 6 pairs, the two tied, and
-# from 5 atoms the bound was faster, by 0.7 us at 8 atoms.
-_LJ_BOUND_PAIRS = 6
-
-
 @functools.lru_cache(maxsize=None)
 def _lj_pairs(n):
     """Pair index table for n atoms in `np.triu_indices` order: (first, second),
@@ -440,8 +432,7 @@ class LennardJones:
     Every pair energy y*y - 2*y, y = 1/r^6 > 0, is at least
     -(1 + u)/(1 - u) after rounding, so L = 1.25, unless it is nan or the
     penalty; none is above about 1e72, so the value is nan or finite, and a
-    finite low means a finite value. Below `_LJ_BOUND_PAIRS` pairs the low
-    is the exact value instead. `settle` copies the moved axis's list,
+    finite low means a finite value. `settle` copies the moved axis's list,
     sharing the other two with the memo it is given, and sums the energies.
     """
 
@@ -497,8 +488,6 @@ class LennardJones:
             b += values[p]
             values[p] = e
             a += e
-        if len(values) < _LJ_BOUND_PAIRS:
-            return math.fsum(values), (k, axis, v, values)
         m = self.n_atoms - 1
         low = (total + (a - b)) - (abs(total) + ((a + b) + 5.0 * m)) * ((m + 3) * _TWO_U)
         return low, (k, axis, v, values)

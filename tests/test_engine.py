@@ -1314,22 +1314,40 @@ MEMO_COLUMNS = [_cell(p) for p in (make_problem("sphere", 10), make_problem("ras
                                    *map(make_problem, DESIGNS), make_problem("griewank", 10))]
 
 
+def assert_adapter(evaluate):
+    """`_hooks` gives `evaluate` the three hooks of its adapter for objectives
+    without all three of their own."""
+    assert [hook.__qualname__ for hook in _hooks(evaluate)] == [
+        f"_hooks.<locals>.{name}" for name in ("start", "move", "settle")]
+
+
 class TestIncrementalEvaluation:
     """The `start`/`move`/`settle` hooks of sphere, Rastrigin, Lennard-Jones
     and the four fixed-size designs give the run that the full path gives; a
-    plain function around `evaluate` hides the hooks, so it takes that path."""
+    plain function around `evaluate` hides the hooks, so it takes that path:
+    the adapter of `_hooks`, which evaluates every candidate in full."""
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("problem,seed", HOOKED_RUNS)
     def test_run_equals_the_full_path(self, problem, seed, strategy):
-        full = dataclasses.replace(problem, evaluate=lambda x: problem.evaluate(x))
+        """The plain function is called once per counted evaluation, null
+        moves included."""
+        calls = 0
+
+        def plain(x):
+            nonlocal calls
+            calls += 1
+            return problem.evaluate(x)
+
+        full = dataclasses.replace(problem, evaluate=plain)
         assert None not in _hooks(problem.evaluate)
-        assert _hooks(full.evaluate) == (None, None, None)
+        assert_adapter(full.evaluate)
         # scouts fire, and the adaptive strategies grow and shrink the colony
         config = VariantConfig(strategy=strategy, **SCOUTING)
         termination = TerminationRule(max_nfe=3000)
-        assert_same_result(run(problem, config, termination, seed=seed),
-                           run(full, config, termination, seed=seed))
+        result = run(full, config, termination, seed=seed)
+        assert_same_result(run(problem, config, termination, seed=seed), result)
+        assert calls == result.nfe
 
     @pytest.mark.parametrize("name", DESIGNS)
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -1429,14 +1447,15 @@ class TestIncrementalEvaluation:
     @staticmethod
     def check_full_path(hooks):
         """An objective with only the named hooks, each failing if called,
-        gives the run of the registered sphere, which has all three."""
+        gets the adapter and gives the run of the registered sphere, which
+        has all three."""
         def unused(*args):
             raise AssertionError(f"a hook of {hooks} was called")
 
         lone = Sphere()
         for hook in hooks:
             setattr(lone, hook, unused)
-        assert _hooks(lone) == (None, None, None)
+        assert_adapter(lone)
         problem = make_problem("sphere", 4)
         config = VariantConfig(strategy="sac1", **SCOUTING)
         termination = TerminationRule(max_nfe=3000)
