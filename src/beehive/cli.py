@@ -312,7 +312,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="colony size (bees); food sources are half of this")
     parser.add_argument("--limit", type=_count(1), default=VariantConfig.limit,
                         help="abandonment limit")
-    parser.add_argument("--c-factor", type=_finite(), default=VariantConfig.c_factor)
+    parser.add_argument("--c-factor", type=_finite(0.0), default=VariantConfig.c_factor)
     parser.add_argument("--max-nfe", type=_count(1), default=TerminationRule.max_nfe)
     parser.add_argument("--accuracy", type=_finite(0.0), default=TerminationRule.accuracy)
     parser.add_argument("--no-adaptive", action="store_true",

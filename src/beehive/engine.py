@@ -52,8 +52,8 @@ class VariantConfig:
             raise ConfigurationError(f"unknown strategy {self.strategy!r}")
         if self.limit < 1:
             raise ConfigurationError(f"limit must be positive, got {self.limit!r}")
-        if not math.isfinite(self.c_factor):
-            raise ConfigurationError(f"c_factor must be finite, got {self.c_factor!r}")
+        if not (math.isfinite(self.c_factor) and self.c_factor >= 0.0):
+            raise ConfigurationError(f"c_factor must be finite and >= 0, got {self.c_factor!r}")
         if self.initial_colony < 8 or self.initial_colony % 2:
             raise ConfigurationError(
                 f"initial_colony must be even and >= 8, got {self.initial_colony!r}")
@@ -193,11 +193,12 @@ class Colony:
     memory, also such a list, may share it. `fitness[i]`, `trials[i]` (failed
     attempts in a row; null moves count), `gene[i]` (proposed source count,
     None unless adaptive) and `memo[i]` hold the rest. The memo is what the
-    `start`/`settle` hooks of `_hooks` keep about the position: for an
-    objective without its own, the position as the 1-d array it is evaluated
-    on (also never written in place). The best objective is in minimization
-    sense. The box limits are Python floats. The colony only stores: the
-    problem's objective decides how a point is evaluated.
+    hooks of `_hooks` keep about the position (from `start`, and from
+    `settle` or an exact `move`): for an objective without its own hooks,
+    the position as the 1-d array it is evaluated on (also never written in
+    place). The best objective is in minimization sense. The box limits are
+    Python floats. The colony only stores: the problem's objective decides
+    how a point is evaluated.
     """
 
     __slots__ = ("lower", "upper", "sources", "fitness", "trials", "gene", "memo",
@@ -231,24 +232,26 @@ def selection_probabilities(colony: Colony) -> np.ndarray:
 
 
 def _hooks(evaluate):
-    """The objective's hooks `(start, move, settle)` if it has all three, else
-    those of an adapter that calls `evaluate` once per counted evaluation, in
-    `start` or in `move` (whose low is the exact value), with the position
-    array, never written in place, as the memo.
+    """The objective's hooks `(start, move, settle)`, settle None if it has
+    `start` and `move` but no `settle`; else those of an adapter that calls
+    `evaluate` once per counted evaluation, in `start` or in `move`, with the
+    position array, never written in place, as the memo, and settle None.
 
-    The hook contract. `start(x) -> (f, memo)` evaluates a fresh point.
-    `move(memo, j, v) -> (low, step)` begins the evaluation of the memo's own
-    point with coordinate j set to the float v: `low` is nan or a float no
-    greater than f at the moved point, finite only where f is finite.
-    `settle(memo, step) -> (f, memo)` finishes it: f at the moved point and
-    the memo `start` would give there. Each f is `evaluate`'s value at its
-    point, bit for bit, so a run gives the same result with or without the
-    hooks. Neither `move` nor `settle` changes the memo it is given, because
-    a losing candidate keeps its source's memo; a candidate that `low` shows
-    to lose is never settled (`_phase`)."""
-    hooks = tuple(getattr(evaluate, name, None) for name in ("start", "move", "settle"))
-    if None not in hooks:
-        return hooks
+    The hook contract. `start(x) -> (f, memo)` evaluates a fresh point. A
+    move sets coordinate j of the memo's own point to the float v, in one of
+    two forms. Exact, with no `settle`: `move(memo, j, v) -> (f, memo)` gives
+    f at the moved point and the memo `start` would give there. Bounded:
+    `move(memo, j, v) -> (low, step)` gives `low`, nan or a float no greater
+    than f at the moved point, finite only where f is finite, and
+    `settle(memo, step) -> (f, memo)` finishes the evaluation. Each f is
+    `evaluate`'s value at its point, bit for bit, so a run gives the same
+    result with or without the hooks. Neither `move` nor `settle` changes
+    the memo it is given, because a losing candidate keeps its source's
+    memo; a bounded candidate that `low` shows to lose is never settled
+    (`_phase`)."""
+    start, move, settle = (getattr(evaluate, h, None) for h in ("start", "move", "settle"))
+    if start is not None and move is not None:
+        return start, move, settle
 
     def start(x):
         return evaluate(x), x
@@ -256,13 +259,9 @@ def _hooks(evaluate):
     def move(x, j, v):
         y = x.copy()
         y[j] = v
-        f = evaluate(y)
-        return f, (f, y)
+        return evaluate(y), y
 
-    def settle(memo, step):
-        return step
-
-    return start, move, settle
+    return start, move, None
 
 
 def _keep_best(colony, problem, f, position):
@@ -314,18 +313,19 @@ def _phase(colony, config, problem, rng, placements):
     (`problems.OnFloats` does).
 
     Two kinds of candidate are sure losers, counted and given a trial
-    without `settle`, because the settled path would find just that. One is
-    a null move with v != 0.0, whose bits are then x_ij's: its value is its
-    incumbent's, which is finite and no better than the best so far. The
-    other, on a minimization problem, has a bound `low` that is finite, at
-    least the best objective so far, and maps to a fitness below the
-    incumbent's: its value f is finite and f >= low, and the fitness map, as
-    computed in floats, never increases with f, so the candidate can neither
-    win nor set a new best. Every other candidate is settled; on a
-    maximization problem the negated low bounds f from the wrong side, so
-    there only null moves go unsettled. The candidate's position list is
-    built only when it wins, becomes the best or is non-finite (`_keep_best`
-    then keeps it or stops the run).
+    unjudged, because judging would find just that. One, of either form
+    (`_hooks`), is a null move with v != 0.0, whose bits are then x_ij's:
+    its value is its incumbent's, which is finite and no better than the
+    best so far. The other, bounded and so never settled, on a minimization
+    problem, has a bound `low` that is finite, at least the best objective
+    so far, and maps to a fitness below the incumbent's: its value f is
+    finite and f >= low, and the fitness map, as computed in floats, never
+    increases with f, so the candidate can neither win nor set a new best.
+    Every other candidate is judged on its value: an exact one on `move`'s,
+    a bounded one once settled (on a maximization problem the negated low
+    bounds f from the wrong side, so there only null moves go unsettled).
+    The candidate's position list is built only when it wins, becomes the
+    best or is non-finite (`_keep_best` then keeps it or stops the run).
 
     The phase's constants are bound once, and the best so far and the NFE
     count are kept in locals. The count is written back to the colony before
@@ -377,15 +377,18 @@ def _phase(colony, config, problem, rng, placements):
             lo, hi = lower[j], upper[j]
             v = lo if v < lo else hi if v > hi else v
 
-            low, step = move(memos[i], j, v)
-            if ((v == x and v != 0.0)  # a null move: its incumbent's value
-                    or (not maximize and best_objective <= low < inf
-                        and (1.0 / (1.0 + low) if low >= 0.0 else 1.0 - low)
-                        < fitness[i])):
-                nfe += 1  # a sure loser: counted, a trial, no settle
+            f, memo = move(memos[i], j, v)
+            if v == x and v != 0.0:  # a null move: its incumbent's value
+                nfe += 1  # a sure loser: counted, a trial
                 trials[i] += 1
                 continue
-            f, memo = settle(memos[i], step)
+            if settle is not None:  # bounded: f is the low, memo the step
+                if (not maximize and best_objective <= f < inf
+                        and (1.0 / (1.0 + f) if f >= 0.0 else 1.0 - f) < fitness[i]):
+                    nfe += 1  # a sure loser: counted, a trial, no settle
+                    trials[i] += 1
+                    continue
+                f, memo = settle(memos[i], memo)
             if maximize:
                 f = -f
             nfe += 1

@@ -4,11 +4,12 @@ All problems expose the same `Problem` record. Objectives are evaluated in the
 user's optimization sense; `evaluate_min` gives the minimization-sense value the
 optimizer works in (maximization problems are negated).
 
-`Sphere`, `Rastrigin`, `LennardJones` and `OnFloats`, the wrapper of the four
-fixed-size designs, carry the engine's `start`/`move`/`settle` hooks (the
-contract is stated in `engine._hooks`); Griewank, Ackley and Schaffer, plain
-functions of the array, get the hooks of an adapter there. The designs are
-functions of a list of Python floats and give nan off their real domain.
+`Sphere`, `Rastrigin` and `LennardJones` carry the engine's bounded hooks,
+`start`/`move`/`settle`, and `OnFloats`, the wrapper of the four fixed-size
+designs, its exact ones, `start`/`move` (the contract is stated in
+`engine._hooks`); Griewank, Ackley and Schaffer, plain functions of the
+array, get the exact hooks of an adapter there. The designs are functions of
+a list of Python floats and give nan off their real domain.
 """
 from __future__ import annotations
 
@@ -132,14 +133,14 @@ class Problem:
 class Sphere:
     """The sphere function, sum(x_i^2), as `x.dot(x)`: the BLAS dot product.
 
-    Its hooks (`engine._hooks`) keep that value and bound a one-coordinate
-    move first. The memo is `(x, total)`: the position array, never written
-    in place, and its value. `move` computes
+    Its bounded hooks (`engine._hooks`) keep that value and bound a
+    one-coordinate move first. The memo is `(x, total)`: the position array,
+    never written in place, and its value. `move` computes
     `total + (v*v - x_j*x_j)` and returns it less the rounding slack stated
     above `_TWO_U`, withheld as nan from 1e300 up, with the step `(j, v)`.
     `settle` copies x, sets coordinate j and takes the dot product, as the
-    adapter of `engine._hooks` would. A module-level callable, so a `Problem`
-    that uses it pickles into worker processes.
+    adapter's `move` in `engine._hooks` does. A module-level callable, so a
+    `Problem` that uses it pickles into worker processes.
     """
 
     def __call__(self, x):
@@ -263,11 +264,11 @@ _BENCHMARKS = {
 
 @dataclass(frozen=True)
 class OnFloats:
-    """An objective `fn` of a short list of Python floats, with the
-    `start`/`move`/`settle` hooks of `engine._hooks`: `__call__(x)` gives
+    """An objective `fn` of a short list of Python floats, with the exact
+    `start`/`move` hooks of `engine._hooks`: `__call__(x)` gives
     `fn(x.tolist())`, and the memo is `(c, f)`, the point as a list c and its
-    value f. `move` evaluates the moved point and returns its exact value as
-    the bound, with the new memo as the step, which `settle` hands back.
+    value f. `move` evaluates the moved point and returns its value with the
+    new memo.
 
     A null move, `c[j] == v` with `v != 0.0`, is the memo's own point, so
     `move` returns `(f, memo)`, the same memo object, without calling `fn`
@@ -297,10 +298,6 @@ class OnFloats:
         c[j] = v
         f = self.fn(c)
         return f, (c, f)
-
-    @staticmethod
-    def settle(memo, step):
-        return step[1], step
 
 
 # The design objectives take a list of Python floats (see `OnFloats`) and give

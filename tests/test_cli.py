@@ -534,6 +534,7 @@ class TestErrorsAndConfig:
     @pytest.mark.parametrize("flag,value", [
         ("--c-factor", "nan"),
         ("--c-factor", "-inf"),
+        ("--c-factor", "-1"),  # psi ~ U[0, C) needs C >= 0
         ("--max-nfe", "0"),
         ("--accuracy", "-1e-08"),
         ("--accuracy", "inf"),
@@ -631,8 +632,8 @@ class TestConfigFuzz:
             cfg = Path(tmp, "exp.cfg")
             cfg.write_text("\n".join(lines) + "\n")
             by_flags, by_file = Path(tmp, "flags"), Path(tmp, "file")
-            # a negative seed is refused both ways (exit 2), before any run
-            status = 0 if values["seed"] >= 0 else 2
+            # a negative seed or c-factor is refused both ways (exit 2), before any run
+            status = 0 if values["seed"] >= 0 and values["c-factor"] >= 0 else 2
             assert quiet_main(base + flags + ["--output-dir", str(by_flags)]) == status
             assert quiet_main(base + ["--config", str(cfg),
                                       "--output-dir", str(by_file)]) == status

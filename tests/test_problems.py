@@ -57,16 +57,18 @@ def _memo_bits(memo, shared):
 
 
 def check_hooks(f, x, moves):
-    """Check the `start`/`move`/`settle` contract of `engine._hooks` on the
-    objective f, from the point x through each move (j, v) in turn, by the
-    bits of every value and memo: `start`'s value is `f(x)`'s; each move's
-    `low` is nan or no greater than f at the moved point, and finite only
-    where that value is; `settle` gives f's value at the moved point and the
-    memo `start` gives there; neither step changes the memo it is given. An
-    `OnFloats` memo is also `(c, value)`, c the point as a list, its low is
-    the value itself, and `settle` gives back the very memo it is given
-    exactly on a null move, `c[j] == v` with `v != 0.0`."""
+    """Check the contract of `engine._hooks` on the objective f, from the
+    point x through each move (j, v) in turn, by the bits of every value and
+    memo, in the form f has: bounded (`start`/`move`/`settle`) or exact
+    (`start`/`move`). `start`'s value is `f(x)`'s. An exact `move` gives f's
+    value at the moved point and the memo `start` gives there. A bounded
+    move's `low` is nan or no greater than f at the moved point, and finite
+    only where that value is, and `settle` gives that value and `start`'s
+    memo. No step changes the memo it is given. An `OnFloats` memo is also
+    `(c, value)`, c the point as a list, and its `move` gives back the very
+    memo it is given exactly on a null move, `c[j] == v` with `v != 0.0`."""
     on_floats = isinstance(f, OnFloats)
+    bounded = hasattr(f, "settle")
     value, memo = f.start(x)
     # the Lennard-Jones partner table, shared by every memo
     shared = memo[4] if isinstance(f, LennardJones) else None
@@ -86,16 +88,21 @@ def check_hooks(f, x, moves):
         low, step = f.move(memo, j, v)
         # a losing step keeps the old memo
         assert bits(memo) == kept, "move changed the memo it was given"
-        value, new_memo = f.settle(memo, step)
-        assert bits(memo) == kept, "settle changed the memo it was given"
-        assert _bits(value) == _bits(f(x)), "settle's value is not f's"
-        assert type(low) is float, "move's low is not a float"
-        assert math.isnan(low) or low <= value, "move's low is above the value"
-        assert math.isfinite(value) or not math.isfinite(low), \
-            "a finite low for a value that is not finite"
-        assert bits(new_memo) == bits(f.start(x)[1]), "settle's memo is not start's"
+        if bounded:
+            value, new_memo = f.settle(memo, step)
+            assert bits(memo) == kept, "settle changed the memo it was given"
+            assert _bits(value) == _bits(f(x)), "settle's value is not f's"
+            assert type(low) is float, "move's low is not a float"
+            assert math.isnan(low) or low <= value, "move's low is above the value"
+            assert math.isfinite(value) or not math.isfinite(low), \
+                "a finite low for a value that is not finite"
+            assert bits(new_memo) == bits(f.start(x)[1]), "settle's memo is not start's"
+        else:  # exact: move gave the value and the new memo
+            value, new_memo = low, step
+            assert type(value) is float, "move's value is not a float"
+            assert _bits(value) == _bits(f(x)), "move's value is not f's"
+            assert bits(new_memo) == bits(f.start(x)[1]), "move's memo is not start's"
         if on_floats:
-            assert _bits(low) == _bits(value), "the low is not the value"
             assert (new_memo is memo) == null, "only a null move gives back its memo"
             assert bits(new_memo) == bits((x.tolist(), value)), "the memo is not (c, value)"
         memo = new_memo
@@ -926,7 +933,7 @@ class TestDesignsOnFloats:
             assert repr(f(np.array(point))) == repr(expected)
             memo = f.start(np.array([12.0] * 4))[1]
             for j, v in enumerate(point):
-                value, memo = f.settle(memo, f.move(memo, j, v)[1])
+                value, memo = f.move(memo, j, v)
             assert repr(value) == repr(expected)
 
 
@@ -964,10 +971,9 @@ class TestOnFloatsMemo:
             kept = list(memo[0])
             fn.calls = 0
             for j in range(p.dimension):
-                low, step = f.move(memo, j, x.item(j))
-                got, new_memo = f.settle(memo, step)
+                got, new_memo = f.move(memo, j, x.item(j))
                 assert new_memo is memo
-                assert _bits(got) == _bits(value) == _bits(low)
+                assert _bits(got) == _bits(value)
             assert fn.calls == 0
             assert memo[0] == kept
 
@@ -985,10 +991,8 @@ class TestOnFloatsMemo:
         f = OnFloats(fn)
         memo = f.start(np.array([old, 5.0]))[1]
         fn.calls = 0
-        low, step = f.move(memo, 0, v)
-        value, new_memo = f.settle(memo, step)
+        value, new_memo = f.move(memo, 0, v)
         assert fn.calls == 1
-        assert _bits(low) == _bits(value)
         assert new_memo is not memo and new_memo[0] is not memo[0]
         assert _bits(value) == _bits(f(np.array([v, 5.0])))
         assert new_memo[0][1] == 5.0 and _bits(new_memo[0][0]) == _bits(v)
@@ -1078,6 +1082,40 @@ class FreshNullMove(OnFloats):
         return value, (c, value)
 
 
+class ForgetsSettle:
+    """Rastrigin's bounded `start` and `move` without its `settle`: read as
+    exact, its `move` gives a bound and a step, not the value and a memo."""
+
+    def __init__(self):
+        self.inner = Rastrigin()
+
+    def __call__(self, x):
+        return self.inner(x)
+
+    def start(self, x):
+        return self.inner.start(x)
+
+    def move(self, memo, j, v):
+        return self.inner.move(memo, j, v)
+
+
+class ExactWritesItsMemo(OnFloats):
+    """An exact `move` that sets coordinate j in the list of the memo it is
+    given as well."""
+
+    def move(self, memo, j, v):
+        value, new_memo = super().move(memo, j, v)
+        memo[0][j] = v
+        return value, new_memo
+
+
+class KeepsItsMemo(OnFloats):
+    """An exact `move` that gives the moved point's value with the old memo."""
+
+    def move(self, memo, j, v):
+        return super().move(memo, j, v)[0], memo
+
+
 def rastrigin_overflow_window():
     """A Rastrigin point and a move (j, v) whose exact sum rounds past the
     float range while the point's value and `total + (t - b)` stay finite:
@@ -1108,9 +1146,14 @@ class TestHookContract:
          "settle's memo is not start's"),
         (OnFloats(_gas_production), FreshNullMove(_gas_production), [20.0, 400.0],
          (0, 20.0), "only a null move gives back its memo"),
+        (Rastrigin(), ForgetsSettle(), [0.5, -1.25, 3.0], (1, 2.0), "move's value is not f's"),
+        (OnFloats(_gas_production), ExactWritesItsMemo(_gas_production), [20.0, 400.0],
+         (0, 25.0), "move changed the memo it was given"),
+        (OnFloats(_gas_production), KeepsItsMemo(_gas_production), [20.0, 400.0],
+         (0, 25.0), "move's memo is not start's"),
     ], ids=["writes-its-memo", "settle-writes-its-memo", "writes-its-array", "one-ulp-off",
-            "low-above-value",
-            "no-overflow-guard", "zero-sign-lost", "fresh-null-move"])
+            "low-above-value", "no-overflow-guard", "zero-sign-lost", "fresh-null-move",
+            "forgets-settle", "exact-writes-its-memo", "exact-keeps-its-memo"])
     def test_check_hooks_fails_on_a_broken_hook(self, good, broken, x, move, fails):
         x = np.array(x, dtype=float)
         check_hooks(good, x, [move])
@@ -1122,6 +1165,7 @@ class TestHookContract:
         p = make_problem(name, n_atoms=13) if name == "lennard_jones" else make_problem(name)
         f = p.evaluate
         assert type(f) is HOOKED[name]
+        assert hasattr(f, "settle") == (type(f) is not OnFloats)  # bounded, or exact
         g = pickle.loads(pickle.dumps(f))
         assert g == f
         x = p.bounds.lower + np.random.default_rng(5).random(p.dimension) * (
