@@ -35,52 +35,35 @@ LJ_PENALTY = 1e30
 # (2.0 * math.pi) * c, so _TWO_PI * c gives the same bits
 _TWO_PI = 2.0 * math.pi
 
-# The bound `low` that `Rastrigin.move` and `LennardJones.move` give (Higham
-# 2002, Accuracy and Stability of Numerical Algorithms, sections 2.2 and 4.2).
-# A move replaces m terms of a sum, every term at least -L, by m new ones. The
-# memo keeps `total`, the exact sum S of the old terms rounded once by fsum, so
-# |S - total| <= u |total| with u = 2**-53. The move adds the new terms left to
-# right into a and the old ones into b; each sum is within (m - 1) u (to first
-# order) times the sum of its terms' magnitudes, and W is that sum over all 2m
-# terms. The new exact sum S' = S + sum(new) - sum(old) is then within
-# 2 u |total| + (m + 1) u W of fl(total + fl(a - b)), and the final
-# subtraction may round up by u (|total| + W) more. A term e >= -L has
-# |e| <= e + 2 L, so W is at most a + b + 4 L m, up to the same (m - 1) u, and
+# The bound `low` that `Sphere.move`, `Rastrigin.move` and `LennardJones.move`
+# give (Higham 2002, Accuracy and Stability of Numerical Algorithms, sections
+# 2.2 and 4.2). A move replaces m terms of a sum, every term at least -L
+# (L >= 0), by m new ones. The memo keeps `total`, the exact sum S of the old
+# terms rounded once by fsum, so |S - total| <= u |total| with u = 2**-53. The
+# move adds the new terms left to right into a and the old ones into b; each
+# sum is within (m - 1) u (to first order) times the sum of its terms'
+# magnitudes, and W is that sum over all 2m terms. The new exact sum
+# S' = S + sum(new) - sum(old) is then within 2 u |total| + (m + 1) u W of
+# fl(total + fl(a - b)), and the final subtraction may round up by
+# u (|total| + W) more. A term e >= -L has |e| <= e + 2 L, so W is at most
+# a + b + 4 L m, up to the same (m - 1) u, and
 #
 #     low = (total + (a - b)) - (|total| + (a + b + 4 L m)) * (m + 3) * 2u
 #
 # is at most S': the bound is twice the first-order error, which leaves room
 # for the second-order terms and the rounding of the bound itself for any m
-# below 2**40. Additions cannot underflow (a sum below 2**-1022 is exact), and
-# the product cannot either: a + b >= -2 L m, so its first factor is at least
-# about 2 L m. fsum rounds S' to the nearest float, so low, a float, is also
-# at most the value. A nan among the terms or in `total` gives a nan low, and
-# an infinite one a nan or -inf low (inf - inf, or an infinite bound).
-#
-# The bound `low` that `Sphere.move` gives (Higham 2002, section 3.1). The
-# memo keeps total = fl(x.x), the BLAS dot product of the D coordinates in
-# whatever order and blocking it takes, with or without fused multiply-adds.
-# For every such order |fl(x.x) - S| <= g S + D e, where S is the exact sum of
-# the squares, g = D u / (1 - D u) and e = 2**-1022 bounds the error of a
-# product that underflows, even one flushed to zero (a sum of subnormals is
-# exact). The moved point's exact sum is S' = S + v^2 - x_j^2, and its value
-# is at least S' - g S' - D e. The move rounds t = v*v, b = x_j*x_j and
-# c = total + (t - b), each within u of its exact result (plus e for a
-# product); so, to first order in u, S' >= c - (g + u) total - 3 u (t + b)
-# - (D + 2) e, and since g S' <= g (total + t + b) to first order, the value
-# is at least
-#
-#     c - (2 D + 1) u total - (D + 3) u (t + b) - (2 D + 2) e.
-#
-#     low = c - ((total + t + b) (D + 4) 2u + 1e-300)
-#
-# lies below that: the relative part exceeds the first-order terms by at
-# least 6 u (total + t + b), which covers the second-order terms and the
-# rounding of the slack and of low itself, for any D below 2**20; and 1e-300
-# covers (2 D + 3) e there. Every product is at least 0, so no partial sum of
-# the moved dot product is above S' (1 + g): a low below 1e300 means a finite
-# value, and a larger low is withheld as nan. A nan or an infinity in total,
-# t or b gives a nan low (inf - inf).
+# below 2**40. Additions cannot underflow (a sum below 2**-1022 is exact). For
+# L > 0 the product cannot either: a + b >= -2 L m, so its first factor is at
+# least about 2 L m. For L = 0 every term is at least 0, and the product may
+# underflow, off by up to 2**-1075. Where its first factor is at least
+# 2**-1021, the margin, (m + 3) u times that factor, is at least 2**-1072 and
+# covers it. Below 2**-1021, |total| + a + b and every partial sum in it are
+# multiples of 2**-1074 below 2**-1021, which are floats: each sum is exact,
+# total is S, fl(total + fl(a - b)) is S', and low, S' less a product at
+# least 0, is at most S'. fsum rounds S' to the nearest float, so low, a
+# float, is also at most the value. A nan among the terms or in `total`
+# gives a nan low, and an infinite one a nan or -inf low (inf - inf, or an
+# infinite bound).
 _TWO_U = 2.0 ** -52
 
 
@@ -129,44 +112,6 @@ class Problem:
 # Benchmark functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Sphere:
-    """The sphere function, sum(x_i^2), as `x.dot(x)`: the BLAS dot product.
-
-    Its bounded hooks (`engine._hooks`) keep that value and bound a
-    one-coordinate move first. The memo is `(x, total)`: the position array,
-    never written in place, and its value. `move` computes
-    `total + (v*v - x_j*x_j)` and returns it less the rounding slack stated
-    above `_TWO_U`, withheld as nan from 1e300 up, with the step `(j, v)`.
-    `settle` copies x, sets coordinate j and takes the dot product, as the
-    adapter's `move` in `engine._hooks` does. A module-level callable, so a
-    `Problem` that uses it pickles into worker processes.
-    """
-
-    def __call__(self, x):
-        return float(x.dot(x))
-
-    def start(self, x):
-        total = float(x.dot(x))
-        return total, (x, total)
-
-    @staticmethod
-    def move(memo, j, v):
-        x, total = memo
-        c = x.item(j)
-        t, b = v * v, c * c
-        low = (total + (t - b)) - ((total + t + b) * ((len(x) + 4) * _TWO_U) + 1e-300)
-        return (low if low < 1e300 else math.nan), (j, v)
-
-    @staticmethod
-    def settle(memo, step):
-        j, v = step
-        x = memo[0].copy()
-        x[j] = v
-        total = float(x.dot(x))
-        return total, (x, total)
-
-
 @functools.lru_cache(maxsize=None)
 def _griewank_divisor(n):
     """sqrt(1), ..., sqrt(n), shared read-only."""
@@ -191,37 +136,69 @@ def _ackley(x):
     )
 
 
-@dataclass(frozen=True)
-class Rastrigin:
-    """Rastrigin's function, 10*D + sum(x_i^2 - 10*cos(2*pi*x_i)).
-
-    The terms are summed exactly rounded (`math.fsum`), so the value does not
-    depend on the order of the terms. That makes one-coordinate moves, the
-    hooks of `engine._hooks`, cheap and exact. The memo is `(terms, total)`:
-    the list of per-coordinate terms and their fsum (inf where fsum
-    overflows). `move` recomputes term j from v alone by
-    the expression, with `math.cos`, that `start` applies to every term, and
-    returns `10*D + low`, the bound stated above `_TWO_U` with m = 1 and
-    L = 10 (x*x >= 0 and 10*cos >= -10, also after rounding), and the step
-    `(j, term)`. A low of 1e300 or more is withheld as nan: the exact sum is
-    then close enough to the float range that fsum could overflow. Below it
-    the exact sum is finite and, since every term is at least -10, so is
+class _BoundedSum:
+    """A sum of per-coordinate terms, summed exactly rounded (`math.fsum`),
+    so the value does not depend on the order of the terms, with the bounded
+    hooks of `engine._hooks`. The memo is `(terms, total)`: the list of
+    per-coordinate terms and their fsum (inf where fsum overflows). A
+    subclass computes its terms inline in `start`, from `x.tolist()`, and in
+    `move`, from v alone by the expression `start` applies to every term;
+    `move` returns the bound stated above `_TWO_U` with m = 1 and the step
+    `(j, term)`, and withholds a low of 1e300 or more as nan: the exact sum
+    is then close enough to the float range that fsum could overflow. Below
+    it the exact sum is finite and, since every term is at least -L, so is
     each partial sum fsum takes; so a finite low means a finite value.
-    `settle` copies the list, sets term j and sums it all.
-    A module-level callable, so a `Problem` that uses it pickles into worker
-    processes.
+    `settle` copies the list, sets term j and sums it all. The value is
+    `_offset * D` plus the sum. Subclasses are module-level callables, so a
+    `Problem` that uses one pickles into worker processes.
     """
 
-    @staticmethod
-    def _settled(terms):
-        try:
-            total = math.fsum(terms)
-        except OverflowError:  # fsum's exact sum passed the float range; terms >= -10
-            total = math.inf
-        return 10.0 * len(terms) + total, (terms, total)
+    _offset = 0.0  # a constant per coordinate, added to the sum
 
     def __call__(self, x):
         return self.start(x)[0]
+
+    def _settled(self, terms):
+        try:
+            total = math.fsum(terms)
+        except OverflowError:  # fsum's exact sum passed the float range; terms >= -L
+            total = math.inf
+        return self._offset * len(terms) + total, (terms, total)
+
+    def settle(self, memo, step):
+        j, t = step
+        terms = memo[0].copy()
+        terms[j] = t
+        return self._settled(terms)
+
+
+@dataclass(frozen=True)
+class Sphere(_BoundedSum):
+    """The sphere function, sum(x_i^2), a `_BoundedSum` of the squares
+    `c * c`: L = 0, and with no offset the value is the fsum itself (0.0
+    plus a sum that is never -0.0)."""
+
+    def start(self, x):
+        return self._settled([c * c for c in x.tolist()])
+
+    @staticmethod
+    def move(memo, j, v):
+        terms, total = memo
+        t = v * v
+        b = terms[j]
+        # m = 1 and L = 0: (m + 3) * _TWO_U is 2**-50; total >= 0 is |total|
+        low = (total + (t - b)) - (total + (t + b)) * 2.0 ** -50
+        return (low if low < 1e300 else math.nan), (j, t)
+
+
+@dataclass(frozen=True)
+class Rastrigin(_BoundedSum):
+    """Rastrigin's function, 10*D + sum(x_i^2 - 10*cos(2*pi*x_i)), a
+    `_BoundedSum` of the terms `c * c - 10 * cos(2 pi c)`, with `math.cos`,
+    and the offset 10: L = 10 (x*x >= 0 and 10*cos >= -10, also after
+    rounding), and `move` returns `10*D + low`."""
+
+    _offset = 10.0
 
     def start(self, x):
         return self._settled([c * c - 10.0 * math.cos(_TWO_PI * c) for c in x.tolist()])
@@ -233,12 +210,6 @@ class Rastrigin:
         # m = 1 and L = 10: (m + 3) * _TWO_U is 2**-50
         low = (total + (t - b)) - (abs(total) + ((t + b) + 40.0)) * 2.0 ** -50
         return (10.0 * len(terms) + low if low < 1e300 else math.nan), (j, t)
-
-    def settle(self, memo, step):
-        j, t = step
-        terms = memo[0].copy()
-        terms[j] = t
-        return self._settled(terms)
 
 
 def _schaffer(x):

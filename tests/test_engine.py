@@ -646,37 +646,31 @@ class TestPhaseLoop:
             phase(colony, BASIC, problem, RngStream(2))
         assert colony.nfe == 10 + 3  # the evaluations that returned
 
-    @staticmethod
-    def memo_arrays(memos):
-        """The position arrays among `memos`: the memo itself for an objective
-        without hooks, its first item for sphere's `(x, total)`."""
-        return [m if isinstance(m, np.ndarray) else m[0] for m in memos
-                if isinstance(m, np.ndarray) or isinstance(m[0], np.ndarray)]
-
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("name", ("griewank", "sphere", "rastrigin"))
     def test_a_phase_never_writes_a_position_in_place(self, name, strategy):
-        """Every source and best-memory list, and every memo array (griewank's
-        memo, which has no hooks, and the position in sphere's), holds its old
-        values after the employed and onlooker phases."""
+        """Every source and best-memory list, and every memo (griewank's, which
+        has no hooks, is the position array; sphere's and Rastrigin's hold
+        the list of terms), holds its old values after the employed and
+        onlooker phases."""
         problem = make_problem(name, 5)
         config = VariantConfig(strategy=strategy, initial_colony=12, sn_min=6, sn_max=12)
         rng = RngStream(8)
         colony = Colony(problem.bounds)
         for i in range(6):
             _new_source(colony, config, problem, rng, i)
-        assert len(self.memo_arrays(colony.memo)) == (0 if name == "rastrigin" else 6)
+        assert [isinstance(m, np.ndarray) for m in colony.memo] == [name == "griewank"] * 6
         replaced = 0
         for _ in range(20):
             sources = list(colony.sources)
             lists = [(x, x.copy()) for x in sources + [colony.best_position]]
-            memos = [(m, m.tobytes()) for m in self.memo_arrays(colony.memo)]
+            memos = [(m, _memo_bits(m, None)) for m in colony.memo]
             employed_phase(colony, config, problem, rng)
             onlooker_phase(colony, config, problem, rng)
             for x, old in lists:
                 assert x == old
             for m, old in memos:
-                assert m.tobytes() == old
+                assert _memo_bits(m, None) == old
             replaced += sum(x is not y for x, y in zip(sources, colony.sources))
         assert replaced > 0
 
@@ -1253,10 +1247,14 @@ def _tiny(c):
 
 
 class Sphere:
-    """The sphere function as a callable instance, to hang a lone hook on."""
+    """The registered sphere's value from a callable instance without its
+    hooks, to hang a lone hook on."""
 
     def __call__(self, x):
-        return float(np.dot(x, x))
+        return REGISTERED_SPHERE(x)
+
+
+REGISTERED_SPHERE = make_problem("sphere", 1).evaluate
 
 
 class Bounded:

@@ -40,11 +40,11 @@ PROBLEMS = {
 SCOUTING = dict(limit=5, initial_colony=20, sn_min=10, sn_max=40)
 
 GOLDEN = {
-    "sphere/basic": "882c24f9e148c48834224a207a33b157f61e738cf8155582ca4dd51a1f524cb8",
-    "sphere/sac": "46226afbf4446e8905ed7698bc1b9b0578bc41c79abc75db9efd14d8173473dd",
-    "sphere/sac1": "f35340b17af7f6202cdc4183851d251c85589d028698faaa8ce2ceac688c0ca9",
-    "sphere/sac2": "03a9440f74f6a649b1fb00332091f267258775930f7dfb06df8f4c3c32ee5872",
-    "sphere/gbest": "acda4d3a54deb7434bf311ac24ee1832db768bb523d5d3efb7d1909551739506",
+    "sphere/basic": "7ae5dfed54a3e4786e854d0ebf7ec5b9003cf527a442121fea0d130fee603de7",
+    "sphere/sac": "89e365489eca494806c3ec16b0500d0e64cc2cf6a57a8aab2d4ee03bd90f7158",
+    "sphere/sac1": "93c7db3f7550b00272118ddd802e7099907f44cd5bf62c88dff2a33e84df644a",
+    "sphere/sac2": "0352f0c85216ec1cd0701e780d92e388be76bbde2b40785598fdeaf18e9e571e",
+    "sphere/gbest": "a9305dccae6d968c7a7bd3d2e9dfeacf74860810e1f836c8d92b3208536ca591",
     "griewank/basic": "b57c76d106f60ad4af7f0bb4be82234b8d4214b16a2398714e0619e3aa7472a7",
     "griewank/sac": "66f11c7421e7a4be8316acf8578a164c7b9f47c4f78cf91856aac8d087dd749c",
     "griewank/sac1": "cf5c7ce735962c164096e8a2e94a4203ed8c4437ba3506a213dcd55c68e4eb92",
@@ -95,11 +95,11 @@ GOLDEN = {
     "gas_compressor/sac1": "70ac47d5050c0e070772528b8571e6688d172e5a05879c082e9330ed2697a17d",
     "gas_compressor/sac2": "5f435007c6592c9a3348e09ba963df5495759ad167b350a00d20fa15d2fd65ff",
     "gas_compressor/gbest": "97276c48e56e95a0089b169d97506a79f2a2c523dc591c7eb04c5fceedf12c8d",
-    "sphere-scouting/basic": "c522c6ad02f7fe5e49e0a8cddd6ef0e82ddf4342542890d2281ee551f9a56a2f",
-    "sphere-scouting/sac": "37109fd3dcadf3078812e816c43cad7b43c77bee1745cf16faa1715f5284631d",
-    "sphere-scouting/sac1": "15339d93ea6b6abff87440fc24f5e3a33fe774285b36a1f02ca4d60482bcf496",
-    "sphere-scouting/sac2": "e766bb9f0ae0d8316ea24a034516172f2dbc3c6d795db31822378630ee295286",
-    "sphere-scouting/gbest": "b218892fbeb37eefa72e0ce6ff86ff277373914c3d001d7697c069ace56c4f47",
+    "sphere-scouting/basic": "f91aefdc6cce9d5bf83d71f156c32bd5d233b1ebeb310520ce10c1d02dedaf5a",
+    "sphere-scouting/sac": "280ba85ffd586fb022f39953c9c63b325891b2de7123bba9338e2feacbac90a6",
+    "sphere-scouting/sac1": "8fc3ee85d82836741c70f0c608af861ef215c877546a92fbc4d898146659d822",
+    "sphere-scouting/sac2": "fcb1b7f37df4eb5e4c4774bc7a8e593f09c123fca146fa93ce9e0c8a8f4aae80",
+    "sphere-scouting/gbest": "0bbc2263e9f0bc073455788bfd6c7ad6beefc2a9af2bcf786b33d6a979edf77d",
 }
 
 
@@ -140,13 +140,13 @@ def test_seeded_results_match_golden_digest(name, strategy, extra):
 TARGET_ACCURACY = {"sphere-target": 1e-6, "sphere-target-initial": 10.0}
 
 GOLDEN_TARGET = {
-    "sphere-target/basic": "189f9ec37b3a20dcac6d9bcbe80665930a84085d05dbbcc85e23fcabb8727eb2",
-    "sphere-target/sac": "f5cbcbecd159f19ec9e93538823435ce2ede29140f89215e8664478b567d79bd",
-    "sphere-target/sac1": "2bf4ec2b7e0dfb1f00d098b01dd9d36431a419cebb78bfc6494d3c09a6d38472",
-    "sphere-target/sac2": "10b1396c33aa8c30bca71ffecaa1f53536524d8c170996e6cc08cf95e3bd4cd3",
-    "sphere-target/gbest": "efb5c065f4c255664883d74c9a86927f3c5f0acb3c51246c952d6f0f011951b6",
+    "sphere-target/basic": "21030b9c97d7a27b4510496ba5451e49ee7a6456ed00dd33c6e3b14e8e753344",
+    "sphere-target/sac": "da47181324359e23a69730a355f8d6c82dd6315da566fb786bd1a5da1fcaada5",
+    "sphere-target/sac1": "13d0d4e47028e6e280c5dca39f330103b14f87d46b15d262694f7c150b1fb27d",
+    "sphere-target/sac2": "1f9e1435b0c75e15ab6e8bfb7d46392e20a74fb315ccac4d3be6db48ed60fabd",
+    "sphere-target/gbest": "4d4db33305cd06a712308413c584eea88c1c16d96a853d204494ce08e3f79171",
     "sphere-target-initial/basic":
-        "ea818f2fb6b68c8df513eec7b7a8612e0a90a74eb71f89eee67b3e3723de38e8",
+        "160d0715aa46fdfc746743e40a5a02c6cbad7709c20d9b8bd1f4ba808df59155",
 }
 
 

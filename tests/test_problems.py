@@ -591,36 +591,6 @@ class TestRastriginMoves:
         assert f.settle(memo, step)[0] == math.inf
 
 
-class TestSphereMoves:
-    """`Sphere.start`/`settle` must give `__call__`'s bits, the BLAS dot
-    product, and `move`'s low must bound it: seeded sphere runs evaluate
-    every candidate through the hooks."""
-
-    # D from 1 to 200, across the dot product's unrolled and remainder loops
-    @settings(max_examples=300, deadline=None)
-    @given(_case(st.integers(1, 200), _box_lists, _RASTRIGIN_COORDS))
-    def test_moves_match_the_full_evaluation(self, case):
-        coords, moves = case
-        check_hooks(Sphere(), np.array(coords), moves)
-
-    @pytest.mark.parametrize("n", (1, 2, 15, 16, 17, 30, 31, 32, 33, 60, 130, 200))
-    def test_every_coordinate(self, n):
-        rng = np.random.default_rng(500 + n)
-        x = rng.uniform(-5.12, 5.12, n)
-        check_hooks(Sphere(), x, [(j, rng.uniform(-5.12, 5.12)) for j in range(n)])
-
-    def test_the_memo_holds_the_position_array(self):
-        f = Sphere()
-        x = np.array([1.0, -2.0, 0.5])
-        value, memo = f.start(x)
-        assert memo[0] is x and _bits(memo[1]) == _bits(value) == _bits(5.25)
-        low, step = f.move(memo, 1, 3.0)
-        assert step == (1, 3.0) and low <= 10.25
-        value, new_memo = f.settle(memo, step)
-        assert value == 10.25 and new_memo[0].tolist() == [1.0, 3.0, 0.5]
-        assert x.tolist() == [1.0, -2.0, 0.5]
-
-
 # Lennard-Jones atoms on a unit lattice: pairs that coincide (the penalty,
 # 1e30) next to pairs at unit distance (-1) and at sqrt(2), sqrt(3), ...;
 # the moves also bring an atom to within 1e-7 of a lattice point, below the
@@ -651,11 +621,74 @@ _NEAR_OVERFLOW = st.one_of(st.floats(-1.35e154, 1.35e154), st.sampled_from(_HUGE
 # Sphere coordinates that are nan or an infinity, or ordinary
 _NON_FINITE = (math.nan, math.inf, -math.inf)
 _ANY_SPHERE = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(_NON_FINITE))
-# Sphere coordinates where the dot product loses most: 1e-8 squares to just
-# under half an ulp of 1, so the summation order decides whether each square
-# of 1e-8 added after a 1 is kept.
+# Sphere coordinates where a float sum loses most: 1e-8 squares to just
+# under half an ulp of 1, so a sum in some order would drop each square of
+# 1e-8 added after a 1, where fsum keeps them.
 _LOST = (1.0, -1.0, 1e-8, -1e-8, 0.0)
 _LOSSY = st.sampled_from(_LOST)
+
+
+class TestSphereMoves:
+    """`Sphere.start`/`settle` must give `__call__`'s bits, the exactly
+    rounded sum of the squares, and `move`'s low must bound it: seeded
+    sphere runs evaluate every candidate through the hooks."""
+
+    # D from 1 to 200
+    @settings(max_examples=300, deadline=None)
+    @given(_case(st.integers(1, 200), _box_lists, _RASTRIGIN_COORDS))
+    def test_moves_match_the_full_evaluation(self, case):
+        coords, moves = case
+        check_hooks(Sphere(), np.array(coords), moves)
+
+    @pytest.mark.parametrize("n", (1, 2, 15, 16, 17, 30, 31, 32, 33, 60, 130, 200))
+    def test_every_coordinate(self, n):
+        rng = np.random.default_rng(500 + n)
+        x = rng.uniform(-5.12, 5.12, n)
+        check_hooks(Sphere(), x, [(j, rng.uniform(-5.12, 5.12)) for j in range(n)])
+
+    def test_the_memo_holds_the_squares_and_their_sum(self):
+        f = Sphere()
+        x = np.array([1.0, -2.0, 0.5])
+        value, memo = f.start(x)
+        assert memo == ([1.0, 4.0, 0.25], 5.25) and _bits(memo[1]) == _bits(value)
+        low, step = f.move(memo, 1, 3.0)
+        assert step == (1, 9.0) and low <= 10.25
+        value, new_memo = f.settle(memo, step)
+        assert value == 10.25 and new_memo == ([1.0, 9.0, 0.25], 10.25)
+        assert memo == ([1.0, 4.0, 0.25], 5.25) and x.tolist() == [1.0, -2.0, 0.5]
+
+    # coordinates in the box, a few far outside it, and those whose squares
+    # a float sum loses or that underflow; moves to any float up to 1e150 in
+    # magnitude, so that the sum of at most 60 squares stays finite
+    @settings(max_examples=300, deadline=None)
+    @given(_case(st.integers(1, 60), lambda n: _coordinate_lists(
+                     n, -5.12, 5.12, _LOST, _TINY_SPECIAL, (1e150, -3e100, 1e50, -1e-100)),
+                 st.one_of(st.floats(-1e150, 1e150), st.sampled_from(_LOST + _TINY_SPECIAL))),
+           st.randoms(use_true_random=False))
+    def test_every_value_is_the_fsum_of_the_squares_in_any_order(self, case, random):
+        """`__call__`, `start` and every settled move give
+        `math.fsum(c * c for c in x.tolist())` bit for bit, and so the same
+        bits under any permutation of x, which a BLAS dot product, summing
+        in its own order, does not."""
+        def fsum_of_squares(x):
+            return math.fsum(c * c for c in x.tolist())
+
+        coords, moves = case
+        f = Sphere()
+        x = np.array(coords)
+        expected = fsum_of_squares(x)
+        value, memo = f.start(x)
+        assert _bits(f(x)) == _bits(value) == _bits(expected)
+        for j, v in moves:
+            x = x.copy()
+            x[j] = v
+            value, memo = f.settle(memo, f.move(memo, j, v)[1])
+            assert _bits(value) == _bits(fsum_of_squares(x))
+        for _ in range(3):
+            order = list(range(len(x)))
+            random.shuffle(order)
+            shuffled = x[order]
+            assert _bits(f(shuffled)) == _bits(f.start(shuffled)[0]) == _bits(value)
 
 
 class TestMoveBounds:
@@ -717,8 +750,6 @@ class TestMoveBounds:
         coords, moves = case
         check_hooks(Sphere(), np.array(coords), moves)
 
-    # numpy warns when a dot product overflows, as `x.dot(x)` does anywhere
-    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(_case(st.integers(1, 4),
                  lambda n: _coordinate_lists(n, -1.35e154, 1.35e154, _HUGE_SPECIAL),
@@ -771,8 +802,8 @@ class TestMoveBounds:
 
     @pytest.mark.parametrize("n", (2, 3, 9, 15, 16, 17, 33, 130))
     def test_sphere_move_onto_a_large_square(self, n):
-        # from squares of 1e-8 alone, summed with little loss, coordinate 0
-        # moves to 1, which the dot product adds before some or all of them
+        # from squares of 1e-8 alone, coordinate 0 moves to 1, next to which
+        # a float sum in some order would lose them
         x = np.array([0.0] + [1e-8] * (n - 1))
         check_hooks(Sphere(), x, [(0, 1.0), (0, 0.0), (n - 1, 1.0), (0, -1.0)])
 
@@ -1060,16 +1091,39 @@ class ZeroSignLost(LennardJones):
         return value, new_memo
 
 
-class WritesItsArray(Sphere):
-    """A `settle` that moves the memo's own position array in place."""
+class ArraySphere:
+    """The sphere as a bounded objective whose memo is `(x, value)`, the
+    position array, never written in place, and its value: `move` gives no
+    bound and the step `(j, v)`, and `settle` sets coordinate j of a copy."""
+
+    def __call__(self, x):
+        return Sphere()(x)
+
+    def start(self, x):
+        value = self(x)
+        return value, (x, value)
 
     @staticmethod
-    def settle(memo, step):
+    def move(memo, j, v):
+        return math.nan, (j, v)
+
+    def settle(self, memo, step):
+        j, v = step
+        x = memo[0].copy()
+        x[j] = v
+        value = self(x)
+        return value, (x, value)
+
+
+class WritesItsArray(ArraySphere):
+    """A `settle` that moves the memo's own position array in place."""
+
+    def settle(self, memo, step):
         x, _ = memo
         j, v = step
         x[j] = v
-        total = float(x.dot(x))
-        return total, (x, total)
+        value = self(x)
+        return value, (x, value)
 
 
 class FreshNullMove(OnFloats):
@@ -1135,7 +1189,7 @@ class TestHookContract:
          "move changed the memo it was given"),
         (Rastrigin(), SettleWritesItsMemo(), [0.5, -1.25, 3.0], (1, 2.0),
          "settle changed the memo it was given"),
-        (Sphere(), WritesItsArray(), [0.5, -1.25, 3.0], (1, 2.0),
+        (ArraySphere(), WritesItsArray(), [0.5, -1.25, 3.0], (1, 2.0),
          "settle changed the memo it was given"),
         (Rastrigin(), OneUlpOff(), [0.5, -1.25, 3.0], (1, 2.0), "settle's value is not f's"),
         (Rastrigin(), LowAboveValue(), [0.5, -1.25, 3.0], (1, 2.0),
