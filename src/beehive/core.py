@@ -89,8 +89,10 @@ class RngStream:
         self.random = random.Random(seed).random
 
 
-def random_position(bounds: Bounds, rng: RngStream) -> np.ndarray:
-    """Uniform sample of the box, one independent draw per coordinate."""
+def random_position(bounds: Bounds, rng: RngStream) -> list[float]:
+    """Uniform sample of the box as a list of floats, one draw u per
+    coordinate, in coordinate order: `lo + u * (hi - lo)`, the bits numpy's
+    elementwise `lower + u * (upper - lower)` gives."""
     rand = rng.random
-    lower = bounds.lower
-    return lower + np.array([rand() for _ in range(lower.size)]) * (bounds.upper - lower)
+    return [lo + rand() * (hi - lo)
+            for lo, hi in zip(bounds.lower.tolist(), bounds.upper.tolist())]

@@ -13,7 +13,7 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -219,16 +219,27 @@ class Colony:
     def put(self, i, position, objective, gene, memo):
         """Store a fresh source with no trials as source i; i == len(sources) appends."""
         state = (position, fitness_map(objective), 0, gene, memo)
-        for column, value in zip(self.columns(), state):
-            column[i:i + 1] = [value]  # replaces item i, or appends at the end
+        if i == len(self.sources):
+            for column, value in zip(self.columns(), state):
+                column.append(value)
+        else:
+            for column, value in zip(self.columns(), state):
+                column[i] = value
 
 
-def selection_probabilities(colony: Colony) -> np.ndarray:
-    """Fitness-proportional onlooker probabilities; sums to 1."""
-    if not colony.sources:
+def selection_probabilities(colony: Colony) -> list[float]:
+    """Fitness-proportional onlooker probabilities `fit_i / S`, S the exactly
+    rounded sum of the fitnesses (`math.fsum`), so S does not depend on their
+    order; sums to 1 up to rounding. Past the float range S is inf, as
+    numpy's sum gives it, and every probability 0.0."""
+    fitness = colony.fitness
+    if not fitness:
         raise ValueError("colony is empty")
-    fits = np.array(colony.fitness)
-    return fits / fits.sum()
+    try:
+        total = math.fsum(fitness)
+    except OverflowError:  # fsum refuses an overflowing sum of finite terms
+        total = math.inf
+    return [fit / total for fit in fitness]
 
 
 def _hooks(evaluate):
@@ -249,9 +260,10 @@ def _hooks(evaluate):
     the memo it is given, because a losing candidate keeps its source's
     memo; a bounded candidate that `low` shows to lose is never settled
     (`_phase`)."""
-    start, move, settle = (getattr(evaluate, h, None) for h in ("start", "move", "settle"))
+    start = getattr(evaluate, "start", None)
+    move = getattr(evaluate, "move", None)
     if start is not None and move is not None:
-        return start, move, settle
+        return start, move, getattr(evaluate, "settle", None)
 
     def start(x):
         return evaluate(x), x
@@ -423,21 +435,21 @@ def _new_source(colony, config, problem, rng, i):
     """A uniform random source, evaluated and counted, stored by `put` as source i.
 
     Draws the position, then (adaptive variants only) a size gene uniform over
-    the integers in [sn_min, sn_max].
+    the integers in [sn_min, sn_max]. The position list is stored as the
+    source, and as the best if it is one; `start` gets it as an array.
     """
     pos = random_position(problem.bounds, rng)
     gene = None
     if config.adaptive_sizing:
         gene = float(config.sn_min
                      + math.floor(rng.random() * (config.sn_max - config.sn_min + 1)))
-    f, memo = _hooks(problem.evaluate)[0](pos)
+    f, memo = _hooks(problem.evaluate)[0](np.array(pos))
     if problem.direction != "minimize":
         f = -f
     colony.nfe += 1
-    position = pos.tolist()
     if f < colony.best_objective or not math.isfinite(f):
-        _keep_best(colony, problem, f, position)
-    colony.put(i, position, f, gene, memo)
+        _keep_best(colony, problem, f, pos)
+    colony.put(i, pos, f, gene, memo)
 
 
 def employed_phase(colony, config, problem, rng):
@@ -449,7 +461,8 @@ def onlooker_phase(colony, config, problem, rng):
     """Exactly SN fitness-proportional placements, one raw draw each.
 
     The roulette inverts the cumulative `selection_probabilities`, taken once
-    per phase: a placement goes to the first source whose cumulative
+    per phase as a left fold (`accumulate`, the order of numpy's `cumsum`):
+    a placement goes to the first source whose cumulative
     probability exceeds a draw u = random(), or to the last source where
     rounding has left the cumulative total at or below u. The last
     cumulative value is set to infinity, so `bisect_right` alone gives both.
@@ -457,7 +470,7 @@ def onlooker_phase(colony, config, problem, rng):
     `_phase` asks for the next placement, and stops after SN placements
     without drawing again.
     """
-    cum = selection_probabilities(colony).cumsum().tolist()
+    cum = list(accumulate(selection_probabilities(colony)))
     cum[-1] = math.inf
     placements = map(bisect_right, repeat(cum, len(cum)), iter(rng.random, None))
     _phase(colony, config, problem, rng, placements)

@@ -101,8 +101,10 @@ class ReferenceRun:
             self.candidate(i)
 
     def onlooker(self):
-        fits = np.array(self.fits)
-        cum = (fits / fits.sum()).cumsum().tolist()
+        """Fitness-proportional placements: the first source whose cumulative
+        probability exceeds the draw, else the last. The probabilities divide
+        by the exactly rounded sum of the fitnesses."""
+        cum = (np.array(self.fits) / math.fsum(self.fits)).cumsum().tolist()
         last = len(cum) - 1
         for _ in range(len(cum)):
             u = self.rand()

@@ -228,7 +228,7 @@ def test_criterion_09_property_suite():
     from test_engine import make_colony, proposed
     colony = make_colony([[x, 0] for x in np.linspace(0.1, 2.0, 9)])
     checks.append(("probability-sum",
-                   abs(selection_probabilities(colony).sum() - 1.0) < 1e-12))
+                   abs(math.fsum(selection_probabilities(colony)) - 1.0) < 1e-12))
 
     # strategy reductions: zero weight / zero pull collapse to the basic move
     from conftest import ScriptedRng, index_draw, real_draw

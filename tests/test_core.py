@@ -9,6 +9,13 @@ from beehive.core import Bounds, ConfigurationError, RngStream, random_position
 from conftest import in_box
 
 
+def bits(position):
+    """The position as a list of Python floats, by their bits: an ndarray or
+    a numpy scalar fails the type check."""
+    assert type(position) is list and all(type(x) is float for x in position)
+    return [x.hex() for x in position]
+
+
 class TestBounds:
     def test_cube_shape_and_values(self):
         b = Bounds.cube(-5.12, 5.12, 30)
@@ -70,14 +77,14 @@ class TestRandomPosition:
     def test_scripted_edges(self, scripted):
         b = Bounds(np.array([-3.0, 100.0]), np.array([-1.0, 101.0]))
         rng = scripted(raws=[0.0, 1.0, 0.5, 0.5])
-        assert random_position(b, rng).tolist() == [-3.0, 101.0]
-        assert random_position(b, rng).tolist() == [-2.0, 100.5]
+        assert bits(random_position(b, rng)) == bits([-3.0, 101.0])
+        assert bits(random_position(b, rng)) == bits([-2.0, 100.5])
 
     @given(st.integers(0, 2**32 - 1),
            st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(1e-3, 1e6)),
                     min_size=1, max_size=60))
     def test_matches_the_coordinate_loop_bytewise(self, seed, box):
-        """The one-expression fill equals, byte for byte, the loop it replaced:
+        """The list of floats equals, bit for bit, the numpy loop it replaced:
         one numpy element per coordinate, u drawn as uniform_real(0.0, 1.0)."""
         lower = np.array([lo for lo, _ in box])
         b = Bounds(lower, lower + np.array([width for _, width in box]))
@@ -86,7 +93,21 @@ class TestRandomPosition:
         for j in range(b.dimension):
             u = 0.0 + (1.0 - 0.0) * rng.random()
             out[j] = b.lower[j] + u * (b.upper[j] - b.lower[j])
-        assert random_position(b, RngStream(seed)).tobytes() == out.tobytes()
+        assert bits(random_position(b, RngStream(seed))) == bits(out.tolist())
+
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(1e-300, 1e300)),
+                    min_size=1, max_size=200))
+    def test_equals_the_numpy_expression_bitwise(self, seed, box):
+        """`lower + u * (upper - lower)` on arrays, the expression it replaced,
+        for D from 1 to 200 and widths from 1e-300 to 1e300; each lower limit
+        is a multiple of its width, so the box is never empty."""
+        lower = np.array([c * width for c, width in box])
+        b = Bounds(lower, lower + np.array([width for _, width in box]))
+        rand = RngStream(seed).random
+        u = np.array([rand() for _ in range(b.dimension)])
+        expected = b.lower + u * (b.upper - b.lower)
+        assert bits(random_position(b, RngStream(seed))) == bits(expected.tolist())
 
 
 class TestRngStream:

@@ -6,7 +6,9 @@ import math
 import pickle
 import re
 import sys
+import warnings
 from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -168,20 +170,51 @@ class TestFitnessMap:
 class TestSelectionProbabilities:
     def test_equal_fitness(self):
         colony = make_colony([[1, 0], [0, 1], [-1, 0], [0, -1]])
-        assert selection_probabilities(colony).tolist() == [0.25] * 4
+        assert selection_probabilities(colony) == [0.25] * 4
 
     def test_proportional(self):
         colony = make_colony([[0, 0], [0, 0]], objectives=[-2.0, 0.0])
-        assert selection_probabilities(colony).tolist() == [0.75, 0.25]
+        assert selection_probabilities(colony) == [0.75, 0.25]
 
     def test_single_source(self):
         colony = make_colony([[1, 1]])
-        assert selection_probabilities(colony).tolist() == [1.0]
+        assert selection_probabilities(colony) == [1.0]
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(2)
         colony = make_colony([[x, 0] for x in rng.random(17) * 5])
-        assert abs(selection_probabilities(colony).sum() - 1.0) < 1e-12
+        assert abs(math.fsum(selection_probabilities(colony)) - 1.0) < 1e-12
+
+    @given(st.lists(st.floats(1e-6, 1e300), min_size=1, max_size=100).flatmap(
+        lambda fits: st.tuples(st.just(fits), st.permutations(fits))))
+    # a left fold sums these to 1e16, and their reversal to 1e16 + 2
+    @example(([1e16, 1.0, 1.0], [1.0, 1.0, 1e16]))
+    def test_the_sum_does_not_depend_on_the_order(self, fits_and_order):
+        """Each source keeps its probability, bit for bit, when the fitness
+        list is permuted: S is the exactly rounded sum."""
+        fits, order = fits_and_order
+        colony = make_colony([[0.0, 0.0]] * len(fits))
+        colony.fitness[:] = fits
+        probs = dict(zip(fits, selection_probabilities(colony)))
+        colony.fitness[:] = order
+        assert selection_probabilities(colony) == [probs[fit] for fit in order]
+
+    def test_past_the_float_range_every_onlooker_goes_last(self, monkeypatch):
+        """50 sources at objective -1e307: the fitness sum passes the float
+        range, so S is inf and every probability 0.0, and every placement
+        goes to the last source, with no warning (numpy's sum warned)."""
+        colony = make_colony([[0.0, 0.0]] * 50, objectives=[-1e307] * 50)
+        placed = []
+
+        def spy(colony, config, problem, rng, placements):
+            placed.extend(placements)
+
+        monkeypatch.setattr("beehive.engine._phase", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert selection_probabilities(colony) == [0.0] * 50
+            onlooker_phase(colony, BASIC, small_problem(), RngStream(3))
+        assert placed == [49] * 50
 
     def test_empty_colony_raises(self):
         with pytest.raises(ValueError):
@@ -433,7 +466,7 @@ class TestPhases:
         # [1/6, 1/3, 5/6, 0.9999999999999999]
         colony = make_colony([[1, 0], [0, 1], [-1, 0], [0, -1]],
                              objectives=[0.0, 0.0, -2.0, 0.0])
-        cum = selection_probabilities(colony).cumsum().tolist()
+        cum = list(accumulate(selection_probabilities(colony)))
         assert cum[-1] == 0.9999999999999999
         # a draw equal to a cumulative value goes to the next source, and the
         # largest draw below 1 lies past the rounded total: the clamp path
@@ -459,7 +492,7 @@ class TestPhases:
         n = len(fits)
         colony = make_colony([[0.0, 0.0]] * n)
         colony.fitness[:] = fits
-        cum = selection_probabilities(colony).cumsum().tolist()
+        cum = list(accumulate(selection_probabilities(colony)))
         edges = [0.0, 0.9999999999999999] + [c for c in cum if c < 1.0]
         draws = [edges[u % len(edges)] if isinstance(u, int) else u for u in picks[:n]]
         placed = []
