@@ -89,10 +89,10 @@ class RngStream:
         self.random = random.Random(seed).random
 
 
-def random_position(bounds: Bounds, rng: RngStream) -> list[float]:
-    """Uniform sample of the box as a list of floats, one draw u per
-    coordinate, in coordinate order: `lo + u * (hi - lo)`, the bits numpy's
-    elementwise `lower + u * (upper - lower)` gives."""
+def random_position(lower: list[float], upper: list[float], rng: RngStream) -> list[float]:
+    """Uniform sample of the box with the limits `lower` and `upper`, lists of
+    floats, as a list of floats, one draw u per coordinate, in coordinate
+    order: `lo + u * (hi - lo)`, the bits numpy's elementwise
+    `lower + u * (upper - lower)` gives."""
     rand = rng.random
-    return [lo + rand() * (hi - lo)
-            for lo, hi in zip(bounds.lower.tolist(), bounds.upper.tolist())]
+    return [lo + rand() * (hi - lo) for lo, hi in zip(lower, upper)]

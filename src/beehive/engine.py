@@ -438,7 +438,7 @@ def _new_source(colony, config, problem, rng, i):
     the integers in [sn_min, sn_max]. The position list is stored as the
     source, and as the best if it is one; `start` gets it as an array.
     """
-    pos = random_position(problem.bounds, rng)
+    pos = random_position(colony.lower, colony.upper, rng)
     gene = None
     if config.adaptive_sizing:
         gene = float(config.sn_min

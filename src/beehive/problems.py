@@ -8,12 +8,14 @@ optimizer works in (maximization problems are negated).
 `start`/`move`/`settle`, and `OnFloats`, the wrapper of the four fixed-size
 designs, its exact ones, `start`/`move` (the contract is stated in
 `engine._hooks`); Griewank, Ackley and Schaffer, plain functions of the
-array, get the exact hooks of an adapter there. The designs are functions of
-a list of Python floats and give nan off their real domain.
+array, get the exact hooks of an adapter there. All but those three convert
+their input to a list of Python floats once and compute on it; the designs
+give nan off their real domain.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -320,13 +322,8 @@ def _gear_train(x):
         a, b, c, d = floor(x1 + 0.5), floor(x2 + 0.5), floor(x3 + 0.5), floor(x4 + 0.5)
         # float products, which round as numpy's do where exact ints would not
         return (1.0 / 6.931 - (float(a) * b) / (float(c) * d)) ** 2
-    except (ArithmeticError, ValueError):
-        # a NaN or an infinity, a zero teeth count or an overflow, which Python
-        # floats raise on: numpy gives its IEEE value, nan or inf, silently,
-        # as the other designs give nan
-        with np.errstate(all="ignore"):
-            t = np.floor(np.array(x) + 0.5)
-            return float((1.0 / 6.931 - (t[0] * t[1]) / (t[2] * t[3])) ** 2)
+    except (ArithmeticError, ValueError):  # a nan or infinity, a zero count, an overflow
+        return math.nan
 
 
 @dataclass(frozen=True)
@@ -356,22 +353,12 @@ class LJConfig:
 
 
 @functools.lru_cache(maxsize=None)
-def _lj_pairs(n):
-    """Pair index table for n atoms in `np.triu_indices` order: (first, second),
-    shared read-only."""
-    first, second = np.triu_indices(n, 1)
-    first.flags.writeable = second.flags.writeable = False
-    return first, second
-
-
-@functools.lru_cache(maxsize=None)
 def _lj_partners(n):
     """For each atom k of n, the pairs it is in: ((i, index of pair (i, k)), ...)
-    over every other atom i in order; as tuples, shared read-only. Built from
-    `_lj_pairs(n)`, so the pair indices follow its order."""
-    first, second = _lj_pairs(n)
+    over every other atom i in order; as tuples, shared read-only. Pairs are
+    indexed in `combinations(range(n), 2)` order, which is `np.triu_indices`'."""
     partners = [[] for _ in range(n)]
-    for p, (a, b) in enumerate(zip(first.tolist(), second.tolist())):
+    for p, (a, b) in enumerate(itertools.combinations(range(n), 2)):
         # pairs (i, k) with i < k come before those with k first, each in order
         partners[a].append((b, p))
         partners[b].append((a, p))
@@ -389,14 +376,16 @@ class LennardJones:
 
     The pair energies are summed exactly rounded (`math.fsum`), so the value
     does not depend on their order, and one-coordinate moves, the hooks of
-    `engine._hooks`, are cheap and exact. The memo is
-    `(xs, ys, zs, energies, partners, total)`: the atoms' x, y and z
-    coordinates and the pair energies in `np.triu_indices` order, as lists of
-    Python floats, the shared `_lj_partners` table, and the fsum of the
-    energies, which is the value. A move shifts atom k = j // 3 along one
-    axis: `move` copies the energies, recomputes atom k's n - 1 pair energies
-    in the copy with the kernel's arithmetic, and returns the bound stated
-    above `_TWO_U` with m = n - 1 and the step `(k, axis, v, energies)`.
+    `engine._hooks`, are cheap and exact. `start` converts x to a list of
+    Python floats once and computes every pair energy with `move`'s
+    statements. The memo is `(xs, ys, zs, energies, partners, total)`: the
+    atoms' x, y and z coordinates and the pair energies in
+    `combinations(range(n), 2)` order, as lists of Python floats, the shared
+    `_lj_partners` table, and the fsum of the energies, which is the value. A
+    move shifts atom k = j // 3 along one axis: `move` copies the energies,
+    recomputes atom k's n - 1 pair energies in the copy, and returns the
+    bound stated above `_TWO_U` with m = n - 1 and the step
+    `(k, axis, v, energies)`.
     Every pair energy y*y - 2*y, y = 1/r^6 > 0, is at least
     -(1 + u)/(1 - u) after rounding, so L = 1.25, unless it is nan or the
     penalty; none is above about 1e72, so the value is nan or finite, and a
@@ -410,25 +399,26 @@ class LennardJones:
         return self.start(x)[0]
 
     def start(self, x):
-        n = self.n_atoms
-        first, second = _lj_pairs(n)
-        pts = np.asarray(x, dtype=float).reshape(n, 3)
-        d = pts.take(second, axis=0) - pts.take(first, axis=0)
-        sq = d * d
-        # the grouping np.einsum("ij,ij->i", d, d) gives, stated; `move` uses it too
-        r2 = (sq[:, 0] + sq[:, 2]) + sq[:, 1]
-        tiny = None
-        if not r2.min() >= LJ_R2_FLOOR:  # also true for a NaN distance
-            tiny = r2 < LJ_R2_FLOOR
-            r2[tiny] = 1.0
-        inv6 = 1.0 / (r2 * r2 * r2)
-        pair = inv6 * inv6 - 2.0 * inv6
-        if tiny is not None:
-            pair[tiny] = LJ_PENALTY
-        values = pair.tolist()
-        xs, ys, zs = pts.T.tolist()
+        c = np.asarray(x, dtype=float).tolist()
+        if len(c) != 3 * self.n_atoms:  # slicing would drop or mismatch coordinates
+            raise ValueError(
+                f"{self.n_atoms} atoms take {3 * self.n_atoms} coordinates, got {len(c)}")
+        xs, ys, zs = c[0::3], c[1::3], c[2::3]
+        values = []
+        for (xi, yi, zi), (xk, yk, zk) in itertools.combinations(zip(xs, ys, zs), 2):
+            # `move`'s statements, with atom k the second of the pair
+            dx = xi - xk
+            dy = yi - yk
+            dz = zi - zk
+            r2 = (dx * dx + dz * dz) + dy * dy
+            if r2 < LJ_R2_FLOOR:
+                e = LJ_PENALTY
+            else:  # a NaN distance gives a NaN energy
+                inv6 = 1.0 / (r2 * r2 * r2)
+                e = inv6 * inv6 - 2.0 * inv6
+            values.append(e)
         total = math.fsum(values)
-        return total, (xs, ys, zs, values, _lj_partners(n), total)
+        return total, (xs, ys, zs, values, _lj_partners(self.n_atoms), total)
 
     def move(self, memo, j, v):
         xs, ys, zs, energies, partners, total = memo
@@ -443,14 +433,14 @@ class LennardJones:
         values = energies.copy()
         a = b = 0.0  # the new and the old energies of atom k's pairs
         for i, p in partners[k]:
-            # exactly the kernel's difference or its negation: the same square
+            # `start`'s difference or its negation: the same square
             dx = xs[i] - xk
             dy = ys[i] - yk
             dz = zs[i] - zk
             r2 = (dx * dx + dz * dz) + dy * dy
             if r2 < LJ_R2_FLOOR:
                 e = LJ_PENALTY
-            else:  # a NaN distance gives a NaN energy, as in `start`
+            else:  # a NaN distance gives a NaN energy
                 inv6 = 1.0 / (r2 * r2 * r2)
                 e = inv6 * inv6 - 2.0 * inv6
             b += values[p]
