@@ -261,39 +261,25 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
         parser.error(f"config file {path}: {exc}")
 
 
-def _count(minimum: int, even: bool = False):
-    """argparse type: an integer >= minimum, and even if asked. argparse reports a
-    bad value with the flag, so the error names both (exit 2)."""
-    kind = "an even integer" if even else "an integer"
+def _number(convert, minimum: int, even: bool = False):
+    """argparse type: an int or a float, by `convert`, in [minimum, inf), so not
+    nan, and even if asked; argparse puts the flag before the error, which names
+    the value as given (exit 2). An int compares with inf without overflowing."""
+    kind = "a finite number" if convert is float else "an even integer" if even else "an integer"
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < minimum or (even and value % 2):
-            raise argparse.ArgumentTypeError(f"{value} is not {kind} >= {minimum}")
+    def parse(text: str):
+        value = convert(text)
+        if not minimum <= value < math.inf or (even and value % 2):
+            raise argparse.ArgumentTypeError(f"{text} is not {kind} >= {minimum}")
         return value
 
-    parse.__name__ = "int"  # a non-integer reads "invalid int value"
-    return parse
-
-
-def _finite(minimum: float | None = None):
-    """argparse type: a finite float, and >= minimum if given; the error names
-    the flag and the value as `_count`'s does."""
-    kind = "a finite number" + ("" if minimum is None else f" >= {minimum:g}")
-
-    def parse(text: str) -> float:
-        value = float(text)
-        if not math.isfinite(value) or (minimum is not None and value < minimum):
-            raise argparse.ArgumentTypeError(f"{text} is not {kind}")
-        return value
-
-    parse.__name__ = "float"  # a non-number reads "invalid float value"
+    parse.__name__ = convert.__name__  # a non-number reads "invalid int value" (or float)
     return parse
 
 
 def _names(text: str) -> list[str]:
     """argparse type: comma-separated names, none empty or repeated; the error
-    names the flag and the value as `_count`'s does."""
+    names the flag and the value as `_number`'s does."""
     names = [name.strip() for name in text.split(",")]
     for name in names:
         if not name or names.count(name) > 1:
@@ -304,26 +290,26 @@ def _names(text: str) -> list[str]:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     """The flags every subcommand shares; the run's own defaults are the library's."""
-    parser.add_argument("--runs", type=_count(1), default=30)
-    parser.add_argument("--seed", type=_count(0), default=1,
+    parser.add_argument("--runs", type=_number(int, 1), default=30)
+    parser.add_argument("--seed", type=_number(int, 0), default=1,
                         help="base seed, >= 0; run i uses seed+i")
-    parser.add_argument("--colony", type=_count(8, even=True),
+    parser.add_argument("--colony", type=_number(int, 8, even=True),
                         default=VariantConfig.initial_colony,
                         help="colony size (bees); food sources are half of this")
-    parser.add_argument("--limit", type=_count(1), default=VariantConfig.limit,
+    parser.add_argument("--limit", type=_number(int, 1), default=VariantConfig.limit,
                         help="abandonment limit")
-    parser.add_argument("--c-factor", type=_finite(0.0), default=VariantConfig.c_factor)
-    parser.add_argument("--max-nfe", type=_count(1), default=TerminationRule.max_nfe)
-    parser.add_argument("--accuracy", type=_finite(0.0), default=TerminationRule.accuracy)
+    parser.add_argument("--c-factor", type=_number(float, 0), default=VariantConfig.c_factor)
+    parser.add_argument("--max-nfe", type=_number(int, 1), default=TerminationRule.max_nfe)
+    parser.add_argument("--accuracy", type=_number(float, 0), default=TerminationRule.accuracy)
     parser.add_argument("--no-adaptive", action="store_true",
                         help="disable adaptive colony sizing for the sac variants")
     parser.add_argument("--sample-sd", action="store_true",
                         help="use the n-1 standard deviation instead of population")
-    parser.add_argument("--jobs", type=_count(1), default=1)
+    parser.add_argument("--jobs", type=_number(int, 1), default=1)
     parser.add_argument("--output-dir", default="beehive_out")
     parser.add_argument("--format", choices=("csv", "json", "both"), default="both")
     parser.add_argument("--config", help="key=value config file; flags win on conflict")
-    parser.add_argument("--atoms", type=_count(2), default=None,
+    parser.add_argument("--atoms", type=_number(int, 2), default=None,
                         help="atom count for lennard_jones")
 
 
@@ -334,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one problem with one variant", allow_abbrev=False)
     p_run.add_argument("--problem", required=True)
-    p_run.add_argument("--dim", type=_count(1), help="benchmark dimension")
+    p_run.add_argument("--dim", type=_number(int, 1), help="benchmark dimension")
     p_run.add_argument("--variant", choices=STRATEGIES, default="basic")
     p_run.add_argument("--traces", action="store_true",
                        help="write per-run trace CSVs and the median convergence series")
@@ -345,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
                            allow_abbrev=False)
     p_cmp.add_argument("--problems", type=_names, required=True,
                        help="comma-separated problem names")
-    p_cmp.add_argument("--dim", type=_count(1), help="benchmark dimension")
+    p_cmp.add_argument("--dim", type=_number(int, 1), help="benchmark dimension")
     p_cmp.add_argument("--variants", type=_names, default="basic,sac,sac1,sac2")
     p_cmp.add_argument("--baseline", default="sac2")
     _add_common(p_cmp)
@@ -369,7 +355,7 @@ def main(argv=None) -> int:
     if "BEEHIVE_SEED" in os.environ:
         value = os.environ["BEEHIVE_SEED"]
         try:
-            args.seed = _count(0)(value)
+            args.seed = _number(int, 0)(value)
         except (ValueError, argparse.ArgumentTypeError):
             print(f"error: BEEHIVE_SEED must be an integer >= 0, not {value!r}",
                   file=sys.stderr)

@@ -1,12 +1,12 @@
-"""Shared value types: box bounds and the seeded RNG stream, and the checks
-that turn a configuration value into a plain int or float."""
+"""Shared value types: box bounds, the seeded RNG stream and the equality of
+those that hold arrays, and the checks that turn a value into an int or float."""
 from __future__ import annotations
 
 import math
 import numbers
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,8 +35,22 @@ def real(name: str, value) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class Bounds:
+class ArrayFields:
+    """Base of a dataclass (`eq=False`) with array fields: equal to the same type
+    with equal fields, arrays by `np.array_equal`, others by `==`; unhashable."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+                   else a == b for a, b in pairs)
+
+
+@dataclass(frozen=True, eq=False)
+class Bounds(ArrayFields):
     """Axis-aligned search box with finite, strictly ordered per-coordinate limits."""
 
     lower: np.ndarray

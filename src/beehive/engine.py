@@ -17,7 +17,7 @@ from itertools import accumulate, repeat
 
 import numpy as np
 
-from .core import ConfigurationError, RngStream, integer, random_position, real
+from .core import ArrayFields, ConfigurationError, RngStream, integer, random_position, real
 from .problems import Problem
 
 STRATEGIES = ("basic", "sac", "sac1", "sac2", "gbest")
@@ -159,8 +159,8 @@ class Trace(Sequence):
         return Trace._of, (self._nfe, self._best)
 
 
-@dataclass(frozen=True)
-class RunResult:
+@dataclass(frozen=True, eq=False)
+class RunResult(ArrayFields):
     """Outcome of a single seeded run, reported in the user's optimization sense.
 
     `trace` holds the NFE count and the best objective so far after the

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Bounds, ConfigurationError, integer, real
+from .core import ArrayFields, Bounds, ConfigurationError, integer, real
 
 # Degenerate-bracket cutoff for the gas production objective: below this the
 # 0^(-0.85) term is treated as 0 so the function stays total at x1 = 40.
@@ -69,8 +69,8 @@ _TWO_PI = 2.0 * math.pi
 _TWO_U = 2.0 ** -52
 
 
-@dataclass(frozen=True)
-class Problem:
+@dataclass(frozen=True, eq=False)
+class Problem(ArrayFields):
     """An objective with its box, optimization sense, and optional known optimum."""
 
     name: str

@@ -405,6 +405,24 @@ class TestErrorsAndConfig:
             assert named in capsys.readouterr().err
         assert not (tmp_path / "stats.json").exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--c-factor", "-1"), ("--c-factor", "inf"),
+        ("--accuracy", "nan"), ("--accuracy", "-1e-9"),
+    ])
+    def test_bad_real_exits_2_naming_flag_and_value(self, tmp_path, capsys, flag, value):
+        """The same refusal from every subcommand, with the value as given; the
+        `=` form, as argparse takes a separate -1e-9 for an option."""
+        for command in (("run", "--problem", "sphere", "--dim", "2"),
+                        ("compare", "--problems", "sphere,gas_production",
+                         "--variants", "basic,sac2"),
+                        ("bench", "engineering")):
+            code = run_cli(*command, "--max-nfe", "100", f"{flag}={value}",
+                           "--output-dir", str(tmp_path))
+            assert code == 2
+            assert f"argument {flag}: {value} is not a finite number >= 0" in \
+                capsys.readouterr().err
+        assert not (tmp_path / "stats.json").exists()
+
     def test_adaptive_colony_above_sn_max_exits_2(self, tmp_path, capsys):
         code = run_cli("run", "--problem", "sphere", "--dim", "2", "--runs", "1",
                        "--max-nfe", "100", "--colony", "300", "--variant", "sac",

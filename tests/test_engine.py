@@ -216,6 +216,25 @@ class TestSelectionProbabilities:
             onlooker_phase(colony, BASIC, small_problem(), RngStream(3))
         assert placed == [49] * 50
 
+    def test_a_draw_between_nearly_equal_bounds_pins_the_sum(self, monkeypatch):
+        """Fitnesses [1e16, 1, 1]: the exactly rounded S is 1e16 + 2, which
+        gives the cumulative bounds [1 - 2**-52, 1 - 2**-53, inf], so a draw
+        u = 1 - 2**-53 goes to source 2. A left fold (Python's `sum`, numpy's
+        `fits.sum()`) gives S = 1e16 and the bounds [1.0, 1.0, inf], which
+        send it to source 0."""
+        colony = make_colony([[0.0, 0.0]] * 3, objectives=[-1e16, 0.0, 0.0])
+        assert colony.fitness == [1e16, 1.0, 1.0]
+        placed = []
+
+        def spy(colony, config, problem, rng, placements):
+            placed.extend(placements)
+
+        monkeypatch.setattr("beehive.engine._phase", spy)
+        rng = ScriptedRng([0.9999999999999999] * 3)
+        onlooker_phase(colony, BASIC, small_problem(), rng)
+        assert placed == [2, 2, 2]
+        assert rng.used_up()
+
     def test_empty_colony_raises(self):
         with pytest.raises(ValueError):
             selection_probabilities(Colony(Bounds.cube(-1, 1, 1)))
@@ -1084,6 +1103,44 @@ class TestRun:
         bests = [f for _, f in result.trace]
         assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
         assert result.best_objective == problem.evaluate(result.best_position)
+
+
+class TestValueEquality:
+    """`RunResult`, `Bounds` and `Problem` compare by value, their arrays by
+    `np.array_equal`, and are unhashable, as the arrays they hold are."""
+
+    @pytest.mark.parametrize("problem", [make_problem("sphere", 1), make_problem("sphere", 2),
+                                         make_problem("sphere", 30), make_problem("air_heater")],
+                             ids=["sphere-1", "sphere-2", "sphere-30", "air_heater-maximize"])
+    def test_seeded_runs(self, problem):
+        config, termination = VariantConfig(), TerminationRule(max_nfe=500)
+        result = run(problem, config, termination, seed=3)
+        assert result == run(problem, config, termination, seed=3)
+        assert result != run(problem, config, termination, seed=4)
+        assert pickle.loads(pickle.dumps(result)) == result
+        assert result != (result.best_objective, result.best_position)
+
+    def test_bounds_and_problems(self):
+        assert Bounds.cube(-1, 1, 3) == Bounds.cube(-1, 1, 3)
+        assert Bounds.cube(-1, 1, 3) != Bounds.cube(-1, 2, 3)
+        assert Bounds.cube(-1, 1, 3) != Bounds.cube(-1, 1, 4)
+        assert make_problem("sphere", 3) == make_problem("sphere", 3)
+        assert make_problem("sphere", 3) != make_problem("sphere", 4)
+        gear = make_problem("gear_train")
+        assert gear == make_problem("gear_train")
+        assert pickle.loads(pickle.dumps(gear)) == gear
+        assert gear != make_problem("air_heater")
+        assert gear != dataclasses.replace(gear, integrality=None)
+        assert dataclasses.replace(gear, integrality=None) != gear
+
+    @pytest.mark.parametrize("value", [
+        run(make_problem("sphere", 2), BASIC, TerminationRule(max_nfe=100), seed=1),
+        Bounds.cube(-1, 1, 2),
+        make_problem("gear_train"),
+    ], ids=lambda value: type(value).__name__)
+    def test_unhashable(self, value):
+        with pytest.raises(TypeError, match=f"unhashable type: '{type(value).__name__}'"):
+            hash(value)
 
 
 def retained_bytes(obj):
