@@ -9,8 +9,10 @@ optimizer works in (maximization problems are negated).
 designs, its exact ones, `start`/`move` (the contract is stated in
 `engine._hooks`); Griewank, Ackley and Schaffer, plain functions of the
 array, get the exact hooks of an adapter there. All but those three convert
-their input to a list of Python floats once and compute on it; the designs
-give nan off their real domain.
+their input to a list of Python floats once and compute on it, and a memo
+holds only the state of its point (Lennard-Jones keeps one `(x, y, z)` tuple
+per atom, and its pair table on the objective); the designs give nan off
+their real domain.
 """
 from __future__ import annotations
 
@@ -352,19 +354,6 @@ class LJConfig:
         return 2.0 * self.n_atoms ** (1.0 / 3.0)
 
 
-@functools.lru_cache(maxsize=None)
-def _lj_partners(n):
-    """For each atom k of n, the pairs it is in: ((i, index of pair (i, k)), ...)
-    over every other atom i in order; as tuples, shared read-only. Pairs are
-    indexed in `combinations(range(n), 2)` order, which is `np.triu_indices`'."""
-    partners = [[] for _ in range(n)]
-    for p, (a, b) in enumerate(itertools.combinations(range(n), 2)):
-        # pairs (i, k) with i < k come before those with k first, each in order
-        partners[a].append((b, p))
-        partners[b].append((a, p))
-    return tuple(map(tuple, partners))
-
-
 @dataclass(frozen=True)
 class LennardJones:
     """Cluster potential energy of `n_atoms` atoms from their 3N coordinates.
@@ -378,22 +367,33 @@ class LennardJones:
     does not depend on their order, and one-coordinate moves, the hooks of
     `engine._hooks`, are cheap and exact. `start` converts x to a list of
     Python floats once and computes every pair energy with `move`'s
-    statements. The memo is `(xs, ys, zs, energies, partners, total)`: the
-    atoms' x, y and z coordinates and the pair energies in
-    `combinations(range(n), 2)` order, as lists of Python floats, the shared
-    `_lj_partners` table, and the fsum of the energies, which is the value. A
-    move shifts atom k = j // 3 along one axis: `move` copies the energies,
-    recomputes atom k's n - 1 pair energies in the copy, and returns the
-    bound stated above `_TWO_U` with m = n - 1 and the step
-    `(k, axis, v, energies)`.
+    statements. The memo is `(atoms, energies, total)`: the atoms as a list
+    of `(x, y, z)` tuples and the pair energies in `combinations(range(n), 2)`
+    order as a list, all Python floats, and the fsum of the energies, which
+    is the value. A move shifts atom k = j // 3 along one axis: `move`
+    copies the energies, recomputes atom k's n - 1 pair energies in the copy,
+    and returns the bound stated above `_TWO_U` with m = n - 1 and the step
+    `(k, point, energies)`, point being atom k's new `(x, y, z)`.
     Every pair energy y*y - 2*y, y = 1/r^6 > 0, is at least
     -(1 + u)/(1 - u) after rounding, so L = 1.25, unless it is nan or the
     penalty; none is above about 1e72, so the value is nan or finite, and a
-    finite low means a finite value. `settle` copies the moved axis's list,
-    sharing the other two with the memo it is given, and sums the energies.
+    finite low means a finite value. `settle` copies the atom list, puts the
+    point at k and sums the energies.
     """
 
     n_atoms: int
+
+    @functools.cached_property
+    def _partners(self):
+        """For each atom k, the pairs it is in: ((i, index of pair (i, k)), ...)
+        over every other atom i in order, as tuples. Pairs are indexed in
+        `combinations(range(n), 2)` order, which is `np.triu_indices`'."""
+        partners = [[] for _ in range(self.n_atoms)]
+        for p, (a, b) in enumerate(itertools.combinations(range(self.n_atoms), 2)):
+            # pairs (i, k) with i < k come before those with k first, each in order
+            partners[a].append((b, p))
+            partners[b].append((a, p))
+        return tuple(map(tuple, partners))
 
     def __call__(self, x):
         return self.start(x)[0]
@@ -403,9 +403,9 @@ class LennardJones:
         if len(c) != 3 * self.n_atoms:  # slicing would drop or mismatch coordinates
             raise ValueError(
                 f"{self.n_atoms} atoms take {3 * self.n_atoms} coordinates, got {len(c)}")
-        xs, ys, zs = c[0::3], c[1::3], c[2::3]
+        atoms = list(zip(c[0::3], c[1::3], c[2::3]))
         values = []
-        for (xi, yi, zi), (xk, yk, zk) in itertools.combinations(zip(xs, ys, zs), 2):
+        for (xi, yi, zi), (xk, yk, zk) in itertools.combinations(atoms, 2):
             # `move`'s statements, with atom k the second of the pair
             dx = xi - xk
             dy = yi - yk
@@ -418,12 +418,12 @@ class LennardJones:
                 e = inv6 * inv6 - 2.0 * inv6
             values.append(e)
         total = math.fsum(values)
-        return total, (xs, ys, zs, values, _lj_partners(self.n_atoms), total)
+        return total, (atoms, values, total)
 
     def move(self, memo, j, v):
-        xs, ys, zs, energies, partners, total = memo
+        atoms, energies, total = memo
         k, axis = divmod(j, 3)
-        xk, yk, zk = xs[k], ys[k], zs[k]
+        xk, yk, zk = atoms[k]
         if axis == 0:
             xk = v
         elif axis == 1:
@@ -432,11 +432,12 @@ class LennardJones:
             zk = v
         values = energies.copy()
         a = b = 0.0  # the new and the old energies of atom k's pairs
-        for i, p in partners[k]:
+        for i, p in self._partners[k]:
+            xi, yi, zi = atoms[i]
             # `start`'s difference or its negation: the same square
-            dx = xs[i] - xk
-            dy = ys[i] - yk
-            dz = zs[i] - zk
+            dx = xi - xk
+            dy = yi - yk
+            dz = zi - zk
             r2 = (dx * dx + dz * dz) + dy * dy
             if r2 < LJ_R2_FLOOR:
                 e = LJ_PENALTY
@@ -448,22 +449,14 @@ class LennardJones:
             a += e
         m = self.n_atoms - 1
         low = (total + (a - b)) - (abs(total) + ((a + b) + 5.0 * m)) * ((m + 3) * _TWO_U)
-        return low, (k, axis, v, values)
+        return low, (k, (xk, yk, zk), values)
 
     def settle(self, memo, step):
-        xs, ys, zs, _, partners, _ = memo
-        k, axis, v, values = step
-        if axis == 0:
-            xs = xs.copy()
-            xs[k] = v
-        elif axis == 1:
-            ys = ys.copy()
-            ys[k] = v
-        else:
-            zs = zs.copy()
-            zs[k] = v
+        k, point, values = step
+        atoms = memo[0].copy()
+        atoms[k] = point
         total = math.fsum(values)
-        return total, (xs, ys, zs, values, partners, total)
+        return total, (atoms, values, total)
 
 
 def make_lennard_jones(config: LJConfig) -> Problem:

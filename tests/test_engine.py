@@ -33,7 +33,7 @@ from beehive.engine import (
     scout_phase,
     selection_probabilities,
 )
-from beehive.problems import LennardJones, OnFloats, Problem, Rastrigin, make_problem
+from beehive.problems import OnFloats, Problem, Rastrigin, make_problem
 from conftest import ScriptedRng, in_box, index_draw, real_draw
 from test_golden import SCOUTING
 from test_problems import DESIGNS, CountingFn, _memo_bits
@@ -716,13 +716,13 @@ class TestPhaseLoop:
         for _ in range(20):
             sources = list(colony.sources)
             lists = [(x, x.copy()) for x in sources + [colony.best_position]]
-            memos = [(m, _memo_bits(m, None)) for m in colony.memo]
+            memos = [(m, _memo_bits(m)) for m in colony.memo]
             employed_phase(colony, config, problem, rng)
             onlooker_phase(colony, config, problem, rng)
             for x, old in lists:
                 assert x == old
             for m, old in memos:
-                assert _memo_bits(m, None) == old
+                assert _memo_bits(m) == old
             replaced += sum(x is not y for x, y in zip(sources, colony.sources))
         assert replaced > 0
 
@@ -1624,9 +1624,6 @@ class TestIncrementalEvaluation:
         rng = RngStream(5)
         colony = Colony(problem.bounds)
         start = getattr(problem.evaluate, "start", None)
-        # the Lennard-Jones partner table, shared by every memo and not walked
-        shared = (start(np.zeros(problem.dimension))[1][4]
-                  if isinstance(problem.evaluate, LennardJones) else None)
         phases = [employed_phase, onlooker_phase, scout_phase]
         if config.adaptive_sizing:
             phases.append(adapt_colony_size)
@@ -1643,4 +1640,4 @@ class TestIncrementalEvaluation:
                     if start is None:
                         assert memo.tobytes() == point.tobytes()
                     else:
-                        assert _memo_bits(memo, shared) == _memo_bits(start(point)[1], shared)
+                        assert _memo_bits(memo) == _memo_bits(start(point)[1])

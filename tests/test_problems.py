@@ -41,17 +41,14 @@ def _bits(f):
     return struct.pack("<d", f)
 
 
-def _memo_bits(memo, shared):
-    """`memo`, a float, a list of floats, a float array or a tuple of memos,
-    with every float as its bytes, so that `==` compares bits; a fresh
-    object, so it also serves as a snapshot. `shared`, a read-only table
-    every memo holds, is kept as it is, neither copied nor walked."""
-    if memo is shared:
-        return memo
+def _memo_bits(memo):
+    """`memo`, a float, a float array, or a list or tuple of memos (a list of
+    floats, of point tuples), with every float as its bytes, so that `==`
+    compares bits; a fresh object, so it also serves as a snapshot."""
     if isinstance(memo, tuple):
-        return tuple(_memo_bits(m, shared) for m in memo)
+        return tuple(_memo_bits(m) for m in memo)
     if isinstance(memo, list):
-        return [struct.pack(f"<{len(memo)}d", *memo)]
+        return [_memo_bits(m) for m in memo]
     if isinstance(memo, np.ndarray):
         return [memo.dtype.str, memo.shape, memo.tobytes()]
     return _bits(memo)
@@ -71,41 +68,38 @@ def check_hooks(f, x, moves):
     on_floats = isinstance(f, OnFloats)
     bounded = hasattr(f, "settle")
     value, memo = f.start(x)
-    # the Lennard-Jones partner table, shared by every memo
-    shared = memo[4] if isinstance(f, LennardJones) else None
-
-    def bits(memo):
-        return _memo_bits(memo, shared)
-
     assert _bits(value) == _bits(f(x)), "start's value is not f's"
     if on_floats:
-        assert bits(memo) == bits((x.tolist(), value)), "the memo is not (c, value)"
+        assert _memo_bits(memo) == _memo_bits((x.tolist(), value)), "the memo is not (c, value)"
     for j, v in moves:
         x = x.copy()
         x[j] = v
         v = x.item(j)
         null = on_floats and memo[0][j] == v and v != 0.0
-        kept = bits(memo)
+        kept = _memo_bits(memo)
         low, step = f.move(memo, j, v)
         # a losing step keeps the old memo
-        assert bits(memo) == kept, "move changed the memo it was given"
+        assert _memo_bits(memo) == kept, "move changed the memo it was given"
         if bounded:
             value, new_memo = f.settle(memo, step)
-            assert bits(memo) == kept, "settle changed the memo it was given"
+            assert _memo_bits(memo) == kept, "settle changed the memo it was given"
             assert _bits(value) == _bits(f(x)), "settle's value is not f's"
             assert type(low) is float, "move's low is not a float"
             assert math.isnan(low) or low <= value, "move's low is above the value"
             assert math.isfinite(value) or not math.isfinite(low), \
                 "a finite low for a value that is not finite"
-            assert bits(new_memo) == bits(f.start(x)[1]), "settle's memo is not start's"
+            assert _memo_bits(new_memo) == _memo_bits(f.start(x)[1]), \
+                "settle's memo is not start's"
         else:  # exact: move gave the value and the new memo
             value, new_memo = low, step
             assert type(value) is float, "move's value is not a float"
             assert _bits(value) == _bits(f(x)), "move's value is not f's"
-            assert bits(new_memo) == bits(f.start(x)[1]), "move's memo is not start's"
+            assert _memo_bits(new_memo) == _memo_bits(f.start(x)[1]), \
+                "move's memo is not start's"
         if on_floats:
             assert (new_memo is memo) == null, "only a null move gives back its memo"
-            assert bits(new_memo) == bits((x.tolist(), value)), "the memo is not (c, value)"
+            assert _memo_bits(new_memo) == _memo_bits((x.tolist(), value)), \
+                "the memo is not (c, value)"
         memo = new_memo
 
 
@@ -1128,9 +1122,9 @@ class ZeroSignLost(LennardJones):
 
     def settle(self, memo, step):
         value, new_memo = super().settle(memo, step)
-        k, axis, v, _ = step
-        if v == 0.0:
-            new_memo[axis][k] = -0.0  # the moved axis's list is the settle's own copy
+        k, point, _ = step
+        # the atom list is the settle's own copy
+        new_memo[0][k] = tuple(-0.0 if c == 0.0 else c for c in point)
         return value, new_memo
 
 
