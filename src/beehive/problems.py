@@ -131,12 +131,11 @@ def _griewank(x):
 
 
 def _ackley(x):
+    # each half is exactly 0.0 at the origin: exp(0.0) is 1.0 and exp(1.0) is e
     n = x.size
     return float(
-        -20.0 * math.exp(-0.2 * math.sqrt(x.dot(x) / n))
-        - math.exp(np.cos(_TWO_PI * x).sum() / n)
-        + 20.0
-        + math.e
+        (20.0 - 20.0 * math.exp(-0.2 * math.sqrt(x.dot(x) / n)))
+        + (math.e - math.exp(np.cos(_TWO_PI * x).sum() / n))
     )
 
 

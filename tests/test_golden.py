@@ -50,11 +50,11 @@ GOLDEN = {
     "griewank/sac1": "cf5c7ce735962c164096e8a2e94a4203ed8c4437ba3506a213dcd55c68e4eb92",
     "griewank/sac2": "7cbcf217695769133ba44cd5710a78fb2b73e80e6e76a2d985875741ac745d2a",
     "griewank/gbest": "2af2c7b5cb9919a1ab48b07081e59887bdb7330a8578f54a69f9ab65303e0812",
-    "ackley/basic": "1054bfaea4de1304d9a18de05d024b0bcecc2bbc1a5289d37f8884b283bbe6a1",
-    "ackley/sac": "0502f2fc04e64287cfc146866b884489d86a2394dc41275a20a357bf14d110f6",
-    "ackley/sac1": "c60edb52600c6a9282d84c8e7c6b156d13c4907c05adcd34385d5888277f7cf3",
-    "ackley/sac2": "14eaa0fc0bbc32cd8fe9c31e9bc2530099ab0678f2e88a288de6797b51e1649e",
-    "ackley/gbest": "559fd7911bc7fccf88a655d4d16fd7cb62fd5c7b448c13d43665823e681b0f06",
+    "ackley/basic": "7850857cb382408cc88124d852f0fde26eb1cba98a22842e9330d3a18c0943c8",
+    "ackley/sac": "f90e71dd7de4f8e2213ed30afc2f4cfda557f085fdd26fcb8e6c2d857f26de2b",
+    "ackley/sac1": "d34f0f6599672bbe8ff01a21c9cda4e02442daa71598ba62d9c9dbe676e72d7e",
+    "ackley/sac2": "b56194f6fed4c6474ea16035c179d62ddd51555ff7f92e1cb0eba38bded8edbc",
+    "ackley/gbest": "462e4d2ebd5dfeadaff51ccefc808bfee7f8de50950b770079bab57d541c8b2e",
     "rastrigin/basic": "d237f77576a66537ebecab5ec6f9c68eb6b15790f5be546f792be56400a974a6",
     "rastrigin/sac": "b323ab6f6b6187ffe2c6c5ca2fe371bd6851ebc6965f0e99ba08a6b19a47de3a",
     "rastrigin/sac1": "d9ab5622688e3f76be4223acac09f63a3cdbd01bef671c4a98e0d57726843fad",

@@ -105,10 +105,13 @@ def check_hooks(f, x, moves):
 
 class TestBenchmarkValues:
     def test_origin_is_zero_for_all(self):
+        """Exactly 0.0, so a run can stop on target at any accuracy above 0."""
         for name in BENCHMARK_NAMES:
-            p = make_problem(name, dimension=4)
-            assert abs(p.evaluate(np.zeros(4))) < 1e-12, name
-            assert p.known_optimum == 0.0
+            for dimension in (1, 2, 3, 4, 30, 60):
+                p = make_problem(name, dimension=dimension)
+                for zero in (0.0, -0.0):
+                    assert p.evaluate(np.full(dimension, zero)) == 0.0, (name, dimension, zero)
+                assert p.known_optimum == 0.0
 
     def test_sphere(self):
         f = _fn("sphere", 3)
