@@ -18,6 +18,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -261,6 +262,18 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
         parser.error(f"config file {path}: {exc}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, as are the subparsers it makes, that reads a token
+    like a negative number as a value, not a flag, also with an exponent:
+    argparse's own pattern takes -1 and -.5 but not -1e-9, so
+    `--accuracy -1e-9` failed with "expected one argument" where `_number`
+    now refuses it as it does `--accuracy=-1e-9`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+
+
 def _number(convert, minimum: int, even: bool = False):
     """argparse type: an int or a float, by `convert`, in [minimum, inf), so not
     nan, and even if asked; argparse puts the flag before the error, which names
@@ -314,8 +327,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="beehive", allow_abbrev=False,
-                                     description="Bee colony optimization experiments")
+    parser = _Parser(prog="beehive", allow_abbrev=False,
+                     description="Bee colony optimization experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one problem with one variant", allow_abbrev=False)

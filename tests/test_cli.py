@@ -405,18 +405,22 @@ class TestErrorsAndConfig:
             assert named in capsys.readouterr().err
         assert not (tmp_path / "stats.json").exists()
 
+    @pytest.mark.parametrize("joined", (True, False), ids=("joined", "separate"))
     @pytest.mark.parametrize("flag,value", [
-        ("--c-factor", "-1"), ("--c-factor", "inf"),
-        ("--accuracy", "nan"), ("--accuracy", "-1e-9"),
+        ("--c-factor", "-1"), ("--c-factor", "inf"), ("--c-factor", "-1e-3"),
+        ("--accuracy", "nan"), ("--accuracy", "-1e-9"), ("--accuracy", "-2.5E+3"),
     ])
-    def test_bad_real_exits_2_naming_flag_and_value(self, tmp_path, capsys, flag, value):
-        """The same refusal from every subcommand, with the value as given; the
-        `=` form, as argparse takes a separate -1e-9 for an option."""
+    def test_bad_real_exits_2_naming_flag_and_value(self, tmp_path, capsys, flag, value,
+                                                    joined):
+        """The same refusal from every subcommand, with the value as given,
+        both as `--flag=value` and as two tokens: a negative number with an
+        exponent is a value, not a flag."""
+        given = [f"{flag}={value}"] if joined else [flag, value]
         for command in (("run", "--problem", "sphere", "--dim", "2"),
                         ("compare", "--problems", "sphere,gas_production",
                          "--variants", "basic,sac2"),
                         ("bench", "engineering")):
-            code = run_cli(*command, "--max-nfe", "100", f"{flag}={value}",
+            code = run_cli(*command, "--max-nfe", "100", *given,
                            "--output-dir", str(tmp_path))
             assert code == 2
             assert f"argument {flag}: {value} is not a finite number >= 0" in \
