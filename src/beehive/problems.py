@@ -382,17 +382,18 @@ class LennardJones:
 
     n_atoms: int
 
-    @functools.cached_property
-    def _partners(self):
-        """For each atom k, the pairs it is in: ((i, index of pair (i, k)), ...)
-        over every other atom i in order, as tuples. Pairs are indexed in
-        `combinations(range(n), 2)` order, which is `np.triu_indices`'."""
+    def __post_init__(self):
+        # `_partners`: for each atom k, the pairs it is in, ((i, index of pair
+        # (i, k)), ...) over every other atom i in order, as tuples; pairs are
+        # indexed in `combinations(range(n), 2)` order, which is
+        # `np.triu_indices`'. A plain attribute, not a cached property, which
+        # `move` would look up more slowly on every call.
         partners = [[] for _ in range(self.n_atoms)]
         for p, (a, b) in enumerate(itertools.combinations(range(self.n_atoms), 2)):
             # pairs (i, k) with i < k come before those with k first, each in order
             partners[a].append((b, p))
             partners[b].append((a, p))
-        return tuple(map(tuple, partners))
+        object.__setattr__(self, "_partners", tuple(map(tuple, partners)))
 
     def __call__(self, x):
         return self.start(x)[0]
