@@ -194,11 +194,11 @@ class Colony:
     attempts in a row; null moves count), `gene[i]` (proposed source count,
     None unless adaptive) and `memo[i]` hold the rest. The memo is what the
     hooks of `_hooks` keep about the position (from `start`, and from
-    `settle` or an exact `move`): for an objective without its own hooks,
-    the position as the 1-d array it is evaluated on (also never written in
-    place). The best objective is in minimization sense. The box limits are
-    Python floats. The colony only stores: the problem's objective decides
-    how a point is evaluated.
+    `settle` or an exact `move`): for a user objective without its own
+    hooks, the position as the 1-d array it is evaluated on (also never
+    written in place). The best objective is in minimization sense. The box
+    limits are Python floats. The colony only stores: the problem's
+    objective decides how a point is evaluated.
     """
 
     __slots__ = ("lower", "upper", "sources", "fitness", "trials", "gene", "memo",
@@ -247,6 +247,8 @@ def _hooks(evaluate):
     `start` and `move` but no `settle`; else those of an adapter that calls
     `evaluate` once per counted evaluation, in `start` or in `move`, with the
     position array, never written in place, as the memo, and settle None.
+    Every registered problem has hooks of its own, so the adapter serves
+    user objectives, and objectives wrapped in a plain function.
 
     The hook contract. `start(x) -> (f, memo)` evaluates a fresh point. A
     move sets coordinate j of the memo's own point to the float v, in one of

@@ -4,19 +4,21 @@ All problems expose the same `Problem` record. Objectives are evaluated in the
 user's optimization sense; `evaluate_min` gives the minimization-sense value the
 optimizer works in (maximization problems are negated).
 
-`Sphere`, `Rastrigin` and `LennardJones` carry the engine's bounded hooks,
-`start`/`move`/`settle`, and `OnFloats`, the wrapper of the four fixed-size
-designs, its exact ones, `start`/`move` (the contract is stated in
-`engine._hooks`); Griewank, Ackley and Schaffer, plain functions of the
-array, get the exact hooks of an adapter there. All but those three convert
-their input to a list of Python floats once and compute on it, and a memo
-holds only the state of its point (Lennard-Jones keeps one `(x, y, z)` tuple
-per atom, and its pair table on the objective); the designs give nan off
-their real domain.
+Every registered objective carries the hooks of `engine._hooks`, where their
+contract is stated: `Sphere`, `Rastrigin` and `LennardJones` the bounded
+ones, `start`/`move`/`settle`; `Griewank` and `Ackley` (one base class,
+`_SquaresAndCosines`) and `OnFloats`, the wrapper of Schaffer and the four
+fixed-size designs, the exact ones, `start`/`move`. The adapter of
+`engine._hooks` serves user objectives without hooks. Each objective
+converts its input to a list of Python floats once and computes on it, sums
+with `math.fsum`, and calls no numpy after that, and a memo holds only the
+state of its point (Lennard-Jones keeps one `(x, y, z)` tuple per atom, and
+its pair table on the objective). Griewank, Ackley and Schaffer give nan at
+a non-finite coordinate and where the sum of squares passes the float range;
+the designs give nan off their real domain.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -112,32 +114,47 @@ class Problem(ArrayFields):
         return f_min if self.direction == "minimize" else -f_min
 
 
+@dataclass(frozen=True)
+class OnFloats:
+    """An objective `fn` of a short list of Python floats, with the exact
+    `start`/`move` hooks of `engine._hooks`: `__call__(x)` gives
+    `fn(x.tolist())`, and the memo is `(c, f)`, the point as a list c and its
+    value f. `move` evaluates the moved point and returns its value with the
+    new memo.
+
+    A null move, `c[j] == v` with `v != 0.0`, is the memo's own point, so
+    `move` returns `(f, memo)`, the same memo object, without calling `fn`
+    or copying the list. Equal nonzero floats have the same bits, so that is
+    the value `fn` would give; zero is excluded because `-0.0 == 0.0` and an
+    `fn` may tell them apart, and a NaN compares unequal, so both compute.
+    Every other move calls `fn` on a copy of c with element j set. `fn` is a
+    module-level function, so a `Problem` that uses it pickles into worker
+    processes.
+    """
+
+    fn: Callable[[list], float]
+
+    def __call__(self, x):
+        return self.fn(x.tolist())
+
+    def start(self, x):
+        c = x.tolist()
+        f = self.fn(c)
+        return f, (c, f)
+
+    def move(self, memo, j, v):
+        c = memo[0]
+        if c[j] == v and v != 0.0:
+            return memo[1], memo
+        c = c.copy()
+        c[j] = v
+        f = self.fn(c)
+        return f, (c, f)
+
+
 # ---------------------------------------------------------------------------
 # Benchmark functions
 # ---------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=None)
-def _griewank_divisor(n):
-    """sqrt(1), ..., sqrt(n), shared read-only."""
-    divisor = np.sqrt(np.arange(1, n + 1))
-    divisor.flags.writeable = False
-    return divisor
-
-
-def _griewank(x):
-    s = x.dot(x) / 4000.0
-    p = np.multiply.reduce(np.cos(x / _griewank_divisor(x.size)))
-    return float(s - p + 1.0)
-
-
-def _ackley(x):
-    # each half is exactly 0.0 at the origin: exp(0.0) is 1.0 and exp(1.0) is e
-    n = x.size
-    return float(
-        (20.0 - 20.0 * math.exp(-0.2 * math.sqrt(x.dot(x) / n)))
-        + (math.e - math.exp(np.cos(_TWO_PI * x).sum() / n))
-    )
-
 
 class _BoundedSum:
     """A sum of per-coordinate terms, summed exactly rounded (`math.fsum`),
@@ -215,9 +232,91 @@ class Rastrigin(_BoundedSum):
         return (10.0 * len(terms) + low if low < 1e300 else math.nan), (j, t)
 
 
+class _SquaresAndCosines:
+    """An objective of s, the `math.fsum` of the squares `v * v`, and of the
+    list of per-coordinate cosines, with the exact hooks of `engine._hooks`.
+    The memo is `(squares, cosines, f)`: the two lists of Python floats and
+    the value. `move` copies both lists, sets term j of each and computes
+    the value again from them, so it gives `start`'s bits by construction.
+    A subclass gives `_angle(j, v)`, the cosine's argument for coordinate j,
+    and `_of(s, cosines)`, the value. The value is nan where s is nan or
+    infinite: at a nan or infinite coordinate, and where a square or their
+    sum passes the float range (|x_i| from about 1.3e154). An infinite
+    angle, where `math.cos` raises, gives a nan cosine; its square is
+    infinite too. Subclasses are module-level callables, so a `Problem` that
+    uses one pickles into worker processes.
+    """
+
+    def __call__(self, x):
+        return self.start(x)[0]
+
+    def start(self, x):
+        c = x.tolist()
+        return self._valued([v * v for v in c], [self._cosine(j, v) for j, v in enumerate(c)])
+
+    def move(self, memo, j, v):
+        squares = memo[0].copy()
+        squares[j] = v * v
+        cosines = memo[1].copy()
+        cosines[j] = self._cosine(j, v)
+        return self._valued(squares, cosines)
+
+    def _cosine(self, j, v):
+        try:
+            return math.cos(self._angle(j, v))
+        except ValueError:  # math.cos of an infinity
+            return math.nan
+
+    def _valued(self, squares, cosines):
+        try:
+            s = math.fsum(squares)
+        except OverflowError:  # finite squares whose sum passes the float range
+            s = math.inf
+        f = self._of(s, cosines) if s < math.inf else math.nan
+        return f, (squares, cosines, f)
+
+
+@dataclass(frozen=True)
+class Griewank(_SquaresAndCosines):
+    """Griewank's function, s/4000 - prod(cos(x_i / sqrt(i))) + 1, the
+    product a left fold (`math.prod`)."""
+
+    @staticmethod
+    def _angle(j, v):
+        return v / math.sqrt(j + 1)
+
+    @staticmethod
+    def _of(s, cosines):
+        return s / 4000.0 - math.prod(cosines) + 1.0
+
+
+@dataclass(frozen=True)
+class Ackley(_SquaresAndCosines):
+    """Ackley's function, grouped as (20 - 20 exp(-0.2 sqrt(s/D))) +
+    (e - exp(c/D)), c the `math.fsum` of the cosines cos(2 pi x_i): each
+    half is exactly 0.0 at the origin, since exp(0.0) is 1.0 and exp(1.0)
+    is e."""
+
+    @staticmethod
+    def _angle(j, v):
+        return _TWO_PI * v
+
+    @staticmethod
+    def _of(s, cosines):
+        n = len(cosines)
+        return ((20.0 - 20.0 * math.exp(-0.2 * math.sqrt(s / n)))
+                + (math.e - math.exp(math.fsum(cosines) / n)))
+
+
 def _schaffer(x):
-    s = float(x.dot(x))
-    return 0.5 + (math.sin(math.sqrt(s)) ** 2 - 0.5) / (1.0 + 0.001 * s) ** 2
+    # a list of floats (see `OnFloats`); every square a product, not a pow
+    try:
+        s = math.fsum([v * v for v in x])
+        t = math.sin(math.sqrt(s))
+    except (OverflowError, ValueError):  # the sum of squares passes the float range
+        return math.nan
+    d = 1.0 + 0.001 * s
+    return 0.5 + (t * t - 0.5) / (d * d)
 
 
 # Each benchmark: (objective, half-width of its cube box, the dimensions
@@ -225,54 +324,16 @@ def _schaffer(x):
 # their minimum 0 at the origin.
 _BENCHMARKS = {
     "sphere": (Sphere(), 5.12, (30, 60)),
-    "griewank": (_griewank, 600.0, (30, 60)),
-    "ackley": (_ackley, 32.0, (30, 60)),
+    "griewank": (Griewank(), 600.0, (30, 60)),
+    "ackley": (Ackley(), 32.0, (30, 60)),
     "rastrigin": (Rastrigin(), 5.12, (30, 60)),
-    "schaffer": (_schaffer, 100.0, (2, 3)),
+    "schaffer": (OnFloats(_schaffer), 100.0, (2, 3)),
 }
 
 
 # ---------------------------------------------------------------------------
 # Engineering design problems
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OnFloats:
-    """An objective `fn` of a short list of Python floats, with the exact
-    `start`/`move` hooks of `engine._hooks`: `__call__(x)` gives
-    `fn(x.tolist())`, and the memo is `(c, f)`, the point as a list c and its
-    value f. `move` evaluates the moved point and returns its value with the
-    new memo.
-
-    A null move, `c[j] == v` with `v != 0.0`, is the memo's own point, so
-    `move` returns `(f, memo)`, the same memo object, without calling `fn`
-    or copying the list. Equal nonzero floats have the same bits, so that is
-    the value `fn` would give; zero is excluded because `-0.0 == 0.0` and an
-    `fn` may tell them apart, and a NaN compares unequal, so both compute.
-    Every other move calls `fn` on a copy of c with element j set. `fn` is a
-    module-level function, so a `Problem` that uses it pickles into worker
-    processes.
-    """
-
-    fn: Callable[[list], float]
-
-    def __call__(self, x):
-        return self.fn(x.tolist())
-
-    def start(self, x):
-        c = x.tolist()
-        f = self.fn(c)
-        return f, (c, f)
-
-    def move(self, memo, j, v):
-        c = memo[0]
-        if c[j] == v and v != 0.0:
-            return memo[1], memo
-        c = c.copy()
-        c[j] = v
-        f = self.fn(c)
-        return f, (c, f)
-
 
 # The design objectives take a list of Python floats (see `OnFloats`) and give
 # nan off their real domain, where Python floats would raise (a logarithm or

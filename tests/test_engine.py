@@ -39,6 +39,19 @@ from test_golden import SCOUTING
 from test_problems import DESIGNS, CountingFn, _memo_bits
 
 
+def user_griewank(x):
+    """Griewank's function as a user might write it: on the position array,
+    through numpy, and without hooks, so `_hooks` gives it its adapter."""
+    divisor = np.sqrt(np.arange(1.0, x.size + 1.0))
+    return float(np.dot(x, x) / 4000.0 - np.prod(np.cos(x / divisor)) + 1.0)
+
+
+def user_problem(dimension):
+    """Griewank's box and optimum with `user_griewank` as the objective."""
+    return dataclasses.replace(make_problem("griewank", dimension), name="user_griewank",
+                               evaluate=user_griewank)
+
+
 def make_colony(positions, objectives=None, genes=None):
     """Hand-built colony in the box [-10, 10]^D; best memory points at the
     lowest objective. Each position is a list of floats and its memo is the
@@ -699,19 +712,19 @@ class TestPhaseLoop:
         assert colony.nfe == 10 + 3  # the evaluations that returned
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    @pytest.mark.parametrize("name", ("griewank", "sphere", "rastrigin"))
+    @pytest.mark.parametrize("name", ("user_griewank", "sphere", "rastrigin"))
     def test_a_phase_never_writes_a_position_in_place(self, name, strategy):
-        """Every source and best-memory list, and every memo (griewank's, which
-        has no hooks, is the position array; sphere's and Rastrigin's hold
-        the list of terms), holds its old values after the employed and
-        onlooker phases."""
-        problem = make_problem(name, 5)
+        """Every source and best-memory list, and every memo (the user
+        objective's, which has no hooks, is the position array; sphere's and
+        Rastrigin's hold the list of terms), holds its old values after the
+        employed and onlooker phases."""
+        problem = user_problem(5) if name == "user_griewank" else make_problem(name, 5)
         config = VariantConfig(strategy=strategy, initial_colony=12, sn_min=6, sn_max=12)
         rng = RngStream(8)
         colony = Colony(problem.bounds)
         for i in range(6):
             _new_source(colony, config, problem, rng, i)
-        assert [isinstance(m, np.ndarray) for m in colony.memo] == [name == "griewank"] * 6
+        assert [isinstance(m, np.ndarray) for m in colony.memo] == [name == "user_griewank"] * 6
         replaced = 0
         for _ in range(20):
             sources = list(colony.sources)
@@ -1035,7 +1048,7 @@ class TestRun:
 
     def test_nfe_matches_actual_evaluations(self):
         calls = [0]
-        base = make_problem("griewank", dimension=3)
+        base = user_problem(3)
 
         def counting(x, _inner=base.evaluate):
             calls[0] += 1
@@ -1253,7 +1266,7 @@ class TestTrace:
 
 class TestColonyInvariantsOverManyCycles:
     def test_population_stays_in_box_and_even_sized(self):
-        problem = make_problem("griewank", dimension=3)
+        problem = user_problem(3)
         for strategy in STRATEGIES:
             config = VariantConfig(strategy=strategy, initial_colony=20,
                                    sn_min=10, sn_max=20, limit=15)
@@ -1423,12 +1436,16 @@ HOOKED_RUNS = (
     + [_cell(make_problem("rastrigin", dim), dim) for dim in (3, 10, 30, 130)]
     + [_cell(make_problem("lennard_jones", n_atoms=atoms), atoms) for atoms in (3, 4, 13)]
     + [_cell(make_problem(name), len(name)) for name in DESIGNS]
+    + [_cell(make_problem(name, dim), dim) for name, dim in
+       (("griewank", 10), ("ackley", 10), ("schaffer", 2))]
     + [_cell(dataclasses.replace(make_problem("rastrigin", 10), evaluate=Negated(Rastrigin()),
                                  direction="maximize"), 10)])
-# the hooked objectives, and griewank, which has no hooks
+# the hooked objectives, and a user objective without hooks
 MEMO_COLUMNS = [_cell(p) for p in (make_problem("sphere", 10), make_problem("rastrigin", 10),
                                    make_problem("lennard_jones", n_atoms=13),
-                                   *map(make_problem, DESIGNS), make_problem("griewank", 10))]
+                                   *map(make_problem, DESIGNS), make_problem("griewank", 10),
+                                   make_problem("ackley", 10), make_problem("schaffer"),
+                                   user_problem(10))]
 
 
 def assert_adapter(evaluate):

@@ -20,6 +20,8 @@ from beehive.problems import (
     LJ_PENALTY,
     LJ_R2_FLOOR,
     PROBLEM_NAMES,
+    Ackley,
+    Griewank,
     LJConfig,
     LennardJones,
     OnFloats,
@@ -27,7 +29,7 @@ from beehive.problems import (
     Rastrigin,
     Sphere,
     _gas_production,
-    _griewank,
+    _schaffer,
     make_lennard_jones,
     make_problem,
 )
@@ -736,6 +738,157 @@ class TestSphereMoves:
             assert _bits(f(shuffled)) == _bits(f.start(shuffled)[0]) == _bits(value)
 
 
+def _fsum_of_squares(c):
+    """`math.fsum` of the squares `v * v` of the list c, or inf where that
+    sum passes the float range (fsum raises there)."""
+    try:
+        return math.fsum([v * v for v in c])
+    except OverflowError:
+        return math.inf
+
+
+def griewank_reference(c):
+    """Griewank's function at the list c, coordinate by coordinate: nan
+    where the sum of squares is not finite, else s/4000 - p + 1, with the
+    product p of cos(c_i / sqrt(i)) taken left to right from 1.0."""
+    s = _fsum_of_squares(c)
+    if not math.isfinite(s):
+        return math.nan
+    p = 1.0
+    for i, v in enumerate(c, 1):
+        p *= math.cos(v / math.sqrt(i))
+    return s / 4000.0 - p + 1.0
+
+
+def ackley_reference(c):
+    """Ackley's function at the list c, in the grouping that is exactly 0.0
+    at the origin: nan where the sum of squares is not finite."""
+    s = _fsum_of_squares(c)
+    if not math.isfinite(s):
+        return math.nan
+    n = len(c)
+    cosines = math.fsum([math.cos(2.0 * math.pi * v) for v in c])
+    return (20.0 - 20.0 * math.exp(-0.2 * math.sqrt(s / n))) + (math.e - math.exp(cosines / n))
+
+
+def schaffer_reference(c):
+    """Schaffer's function at the list c, every square a product: nan where
+    the sum of squares is not finite."""
+    s = _fsum_of_squares(c)
+    if not math.isfinite(s):
+        return math.nan
+    sine = math.sin(math.sqrt(s))
+    denominator = (1.0 + 0.001 * s) * (1.0 + 0.001 * s)
+    return 0.5 + (sine * sine - 0.5) / denominator
+
+
+# Each: (its pure-Python reference, the half-width of its box)
+REFERENCES = {
+    "griewank": (griewank_reference, 600.0),
+    "ackley": (ackley_reference, 32.0),
+    "schaffer": (schaffer_reference, 100.0),
+}
+# the zeros, integers and a subnormal, where a cosine or a square is exact or
+# extreme, and the values that make a sum of squares pass the float range or
+# are not finite
+_EXACT_SPECIAL = (0.0, -0.0, 1.0, -2.0, 5e-324)
+_OUT_OF_RANGE = (1e154, 1.35e154, -1e300, math.inf, -math.inf, math.nan)
+
+
+def _reference_case(classes):
+    """A benchmark's name, a start point of 1 to 60 coordinates and one to
+    five moves: each coordinate anywhere in the box or, with equal odds,
+    from one of `classes`."""
+    def case(name):
+        half = REFERENCES[name][1]
+        coordinate = st.one_of(st.floats(-half, half),
+                               *(st.sampled_from(values) for values in classes))
+        return st.tuples(st.just(name), _case(
+            st.integers(1, 60), lambda n: _coordinate_lists(n, -half, half, *classes),
+            coordinate))
+    return st.sampled_from(sorted(REFERENCES)).flatmap(case)
+
+
+class TestGriewankAckleySchaffer:
+    """Griewank and Ackley keep the squares and the cosines in their memo,
+    with exact hooks; Schaffer is an `OnFloats` function. Each value, from
+    `__call__`, `start` or a `move`, is its pure-Python reference's, bit for
+    bit: seeded runs evaluate every candidate through `move`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_reference_case((_EXACT_SPECIAL,)))
+    def test_value_and_every_move_match_the_reference(self, case):
+        self.check_against_the_reference(case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_reference_case((_EXACT_SPECIAL, _OUT_OF_RANGE)))
+    def test_out_of_range_coordinates_match_the_reference(self, case):
+        self.check_against_the_reference(case)
+
+    @staticmethod
+    def check_against_the_reference(case):
+        name, (coords, moves) = case
+        reference = REFERENCES[name][0]
+        f = make_problem(name, len(coords)).evaluate
+        x = np.array(coords)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, memo = f.start(x)
+            assert _bits(f(x)) == _bits(value) == _bits(reference(coords))
+            for j, v in moves:
+                coords = coords.copy()
+                coords[j] = v
+                value, memo = f.move(memo, j, v)
+                assert _bits(value) == _bits(reference(coords))
+            check_hooks(f, x, moves)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", sorted(REFERENCES))
+    @pytest.mark.parametrize("point", [
+        [math.nan, 0.5], [0.5, math.inf], [-math.inf, 0.5],
+        [1.35e154, 0.0],  # a square past the float range
+        [1e154, 1e154],  # finite squares whose sum passes it
+        [-1e308, 2.0],
+    ])
+    def test_a_non_finite_coordinate_or_sum_of_squares_gives_nan(self, name, point):
+        """Where numpy let out a RuntimeWarning, and `math.cos` or `math.sin`
+        of an infinity would raise, the value is nan, also after a move;
+        a move back into the box gives the box value again."""
+        f = make_problem(name, 2).evaluate
+        assert math.isnan(f(np.array(point)))
+        start = np.array([0.5, -1.5])
+        value, memo = f.start(start)
+        for j in (0, 1):
+            value, memo = f.move(memo, j, point[j])
+        assert math.isnan(value)
+        back = f.move(f.move(memo, 0, 0.5)[1], 1, -1.5)[0]
+        assert _bits(back) == _bits(f(start))
+
+    @pytest.mark.parametrize("cls", (Griewank, Ackley))
+    def test_the_memo_holds_the_squares_the_cosines_and_the_value(self, cls):
+        f = cls()
+        x = np.array([1.0, -2.0, 0.5])
+        value, memo = f.start(x)
+        squares, cosines, kept = memo
+        assert squares == [1.0, 4.0, 0.25] and len(cosines) == 3
+        assert _bits(kept) == _bits(value)
+        moved, new_memo = f.move(memo, 1, 3.0)
+        assert new_memo[0] == [1.0, 9.0, 0.25] and new_memo[1][::2] == cosines[::2]
+        assert _bits(new_memo[2]) == _bits(moved) == _bits(f(np.array([1.0, 3.0, 0.5])))
+        assert squares == [1.0, 4.0, 0.25]  # the given memo is left as it was
+
+    def test_schaffer_is_a_function_of_a_list(self):
+        assert make_problem("schaffer").evaluate == OnFloats(_schaffer)
+        assert _bits(_schaffer([3.0, 4.0])) == _bits(schaffer_reference([3.0, 4.0]))
+
+    # points where this C library's pow(t, 2) is not t * t, for Schaffer's
+    # sine or its denominator: a Schaffer that squares with `**` gives other
+    # bits there (elsewhere, and with a correctly rounded pow, the same)
+    @pytest.mark.parametrize("point", [[-47.0, 67.12], [53.0, 58.4], [12.0, -13.44]])
+    def test_schaffer_squares_by_multiplying(self, point):
+        assert _bits(_schaffer(point)) == _bits(schaffer_reference(point))
+
+
 class TestMoveBounds:
     """`move`'s low stays at or below the settled value, and is finite only
     where the value is, on the inputs most likely to break the rounding
@@ -1071,9 +1224,12 @@ class TestOnFloatsMemo:
         assert _bits(memo[0][0]) == _bits(old)  # the given memo is left as it was
 
 
-# every registered objective with hooks, and the type of its `evaluate`
+# every registered objective, each with hooks, and the type of its `evaluate`
 HOOKED = {"sphere": Sphere, "rastrigin": Rastrigin, "lennard_jones": LennardJones,
+          "griewank": Griewank, "ackley": Ackley, "schaffer": OnFloats,
           **dict.fromkeys(DESIGNS, OnFloats)}
+# the objectives whose hooks are bounded, with `settle`; the others' are exact
+BOUNDED = (Sphere, Rastrigin, LennardJones)
 
 
 class WritesItsMemo(Rastrigin):
@@ -1259,22 +1415,13 @@ class TestHookContract:
         p = make_problem(name, n_atoms=13) if name == "lennard_jones" else make_problem(name)
         f = p.evaluate
         assert type(f) is HOOKED[name]
-        assert hasattr(f, "settle") == (type(f) is not OnFloats)  # bounded, or exact
+        assert hasattr(f, "settle") == (type(f) in BOUNDED)
         g = pickle.loads(pickle.dumps(f))
         assert g == f
         x = p.bounds.lower + np.random.default_rng(5).random(p.dimension) * (
             p.bounds.upper - p.bounds.lower)
         assert _bits(g(x)) == _bits(f(x))
         check_hooks(g, x, [(j, x.item(-1 - j)) for j in range(p.dimension)])
-
-
-def test_griewank_matches_the_uncached_divisor():
-    rng = np.random.default_rng(3)
-    for n in (1, 2, 10, 30, 60):
-        for _ in range(200):
-            x = rng.uniform(-600.0, 600.0, n)
-            p = np.cos(x / np.sqrt(np.arange(1.0, n + 1.0))).prod()
-            assert _griewank(x) == float(np.dot(x, x) / 4000.0 - p + 1.0)
 
 
 class TestGasCompressor:
@@ -1303,8 +1450,6 @@ NUMPY_CONVERSIONS = {
     # `Colony` takes the box limits, and hooked objectives their input, as floats
     "ndarray.tolist": "an array to a list of Python floats",
 }
-# the objectives without hooks that still reduce through numpy
-NUMPY_REDUCTIONS = ("griewank", "ackley", "schaffer")
 
 
 def _numpy_name(fn):
@@ -1316,11 +1461,7 @@ def _numpy_name(fn):
     return None
 
 
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=pytest.mark.xfail(
-        strict=True, reason="ndarray.dot, ufunc.reduce, ndarray.sum, ndarray.copy"))
-    if name in NUMPY_REDUCTIONS else name
-    for name in PROBLEM_NAMES])
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
 def test_a_seeded_run_calls_numpy_only_to_convert(name):
     """A seeded 2,000-NFE run of each strategy calls no numpy C function or
     method outside `NUMPY_CONVERSIONS`, as `sys.setprofile` sees it: a
