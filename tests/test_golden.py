@@ -45,26 +45,26 @@ GOLDEN = {
     "sphere/sac1": "93c7db3f7550b00272118ddd802e7099907f44cd5bf62c88dff2a33e84df644a",
     "sphere/sac2": "0352f0c85216ec1cd0701e780d92e388be76bbde2b40785598fdeaf18e9e571e",
     "sphere/gbest": "a9305dccae6d968c7a7bd3d2e9dfeacf74860810e1f836c8d92b3208536ca591",
-    "griewank/basic": "b57c76d106f60ad4af7f0bb4be82234b8d4214b16a2398714e0619e3aa7472a7",
-    "griewank/sac": "66f11c7421e7a4be8316acf8578a164c7b9f47c4f78cf91856aac8d087dd749c",
-    "griewank/sac1": "cf5c7ce735962c164096e8a2e94a4203ed8c4437ba3506a213dcd55c68e4eb92",
-    "griewank/sac2": "7cbcf217695769133ba44cd5710a78fb2b73e80e6e76a2d985875741ac745d2a",
-    "griewank/gbest": "2af2c7b5cb9919a1ab48b07081e59887bdb7330a8578f54a69f9ab65303e0812",
-    "ackley/basic": "7850857cb382408cc88124d852f0fde26eb1cba98a22842e9330d3a18c0943c8",
-    "ackley/sac": "f90e71dd7de4f8e2213ed30afc2f4cfda557f085fdd26fcb8e6c2d857f26de2b",
-    "ackley/sac1": "d34f0f6599672bbe8ff01a21c9cda4e02442daa71598ba62d9c9dbe676e72d7e",
-    "ackley/sac2": "b56194f6fed4c6474ea16035c179d62ddd51555ff7f92e1cb0eba38bded8edbc",
-    "ackley/gbest": "462e4d2ebd5dfeadaff51ccefc808bfee7f8de50950b770079bab57d541c8b2e",
+    "griewank/basic": "69e734b2d0437d8b5db0b3d4f8f46ae2fee92a21abc4fe298da27a385d0b28c3",
+    "griewank/sac": "e30be601ec4155f1b82cf4bebb9f71762dab620142eb21fc44ca35f85e2b7023",
+    "griewank/sac1": "c6bffa1d46f4f689545f09bce380f98520c425cb6b60373f6098a6c1ba4947ca",
+    "griewank/sac2": "a2e5382cf244c923b51635470f659dd107e81ac2bd56ffdbffe8dc98048ea560",
+    "griewank/gbest": "96a78c99c47aae321b3fe74eb637bf03a84d81852e15bbc8ecb789c410b10395",
+    "ackley/basic": "1bc98e5237e13fb2c030dae318102e1e5f55817d960e1f6f3cf79cfcacbc6a0a",
+    "ackley/sac": "8bf043f9422ce62bd41451fdb0cda2f0bf8d8c2b21f40291bfb5d4c3228835ff",
+    "ackley/sac1": "183d616b404e72e6b9b59bb111869c7c8d2bb37dbb3d22be1d89e8c2d47550d8",
+    "ackley/sac2": "a257e4d53956e547e29ee622bc1ca7b57477df8adadb01bc0f68117f33b7d119",
+    "ackley/gbest": "eb35fcaf714267c05f4209f207a7b0cadbe7e41f7e6b858cbe9b54a587ee4f1e",
     "rastrigin/basic": "d237f77576a66537ebecab5ec6f9c68eb6b15790f5be546f792be56400a974a6",
     "rastrigin/sac": "b323ab6f6b6187ffe2c6c5ca2fe371bd6851ebc6965f0e99ba08a6b19a47de3a",
     "rastrigin/sac1": "d9ab5622688e3f76be4223acac09f63a3cdbd01bef671c4a98e0d57726843fad",
     "rastrigin/sac2": "39a913cd501e8108b47f4ec9b53e46c4bd4b861901871555c61a1438ded1b9ae",
     "rastrigin/gbest": "c60b456853afa74354741091bda3103b7893ec25a38df67e4602e294a7307123",
     "schaffer/basic": "816c73e1c41fb04e4011b20ab375b9059ee13237d53bbd3a9df3366ccd7417fd",
-    "schaffer/sac": "14e656acc86e20c508aa3c4b1d1ff1b1eb83f5d099f293344c1e907f0b44acb3",
-    "schaffer/sac1": "ec05970f799f38f08d783db3f3d0e6704f16378e364e521369fdfd0ccbacc42c",
-    "schaffer/sac2": "03d0bc5746780cc4d5546e7f0476b1dc25765bcd3ef5c97881724f6bb99f537f",
-    "schaffer/gbest": "68c8ac80def0ceada2f258f24fe09c1bfb68a53910528a4bccc8c939005490cf",
+    "schaffer/sac": "7076e7f5aa3a51daf5ddfdb6ab5a9879ed28cf49323f127e34bd1df4f6383229",
+    "schaffer/sac1": "7eaecff682822f0cc5f780b3ab7677ebef1cb8f5558677366a01f05585cc8802",
+    "schaffer/sac2": "084129d331aa7e343baa9fed23ef4681f47b12a9a124ec53e081d4af4dc40e07",
+    "schaffer/gbest": "54d82f273d054f026f055b929325857b4b74fc8377ba0a694e07ff614bab59d4",
     "gear_train/basic": "aa251361a526eff067558cf241ccae0daf0784906b0202bb06db19bfa63c56e4",
     "gear_train/sac": "e5fbfbabb7c6482835ef7b498ce1ea0ac3e4e5a4f43941be20c46312b8efd0c7",
     "gear_train/sac1": "df353aba6e6746ee571d3a045f271cf7f2ce283903ced7a3055e73b42e04b027",
