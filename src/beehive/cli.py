@@ -264,14 +264,16 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser, as are the subparsers it makes, that reads a token
-    like a negative number as a value, not a flag, also with an exponent.
-    argparse's own pattern takes -1 and -.5 but not -1e-9, which it would
-    read as a flag, leaving `--accuracy -1e-9` without its value; so that
-    `_number` refuses it as it does `--accuracy=-1e-9`."""
+    like a negative number as a value, not a flag, also with an exponent and
+    also -inf, -infinity and -nan in any case. argparse's own pattern takes
+    -1 and -.5 but not -1e-9 or -inf, which it would read as a flag, leaving
+    `--accuracy -1e-9` without its value; so that `_number` refuses it as it
+    does `--accuracy=-1e-9`."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|(?i:inf|infinity|nan))$")
 
 
 def _number(convert, minimum: int, even: bool = False):

@@ -409,12 +409,15 @@ class TestErrorsAndConfig:
     @pytest.mark.parametrize("flag,value", [
         ("--c-factor", "-1"), ("--c-factor", "inf"), ("--c-factor", "-1e-3"),
         ("--accuracy", "nan"), ("--accuracy", "-1e-9"), ("--accuracy", "-2.5E+3"),
+        ("--c-factor", "-inf"), ("--c-factor", "-Infinity"), ("--accuracy", "-NaN"),
+        ("--accuracy", "-INF"),
     ])
     def test_bad_real_exits_2_naming_flag_and_value(self, tmp_path, capsys, flag, value,
                                                     joined):
         """The same refusal from every subcommand, with the value as given,
-        both as `--flag=value` and as two tokens: a negative number with an
-        exponent is a value, not a flag."""
+        both as `--flag=value` and as two tokens: a negative number, also with
+        an exponent, and -inf, -infinity and -nan in any case, is a value, not
+        a flag."""
         given = [f"{flag}={value}"] if joined else [flag, value]
         for command in (("run", "--problem", "sphere", "--dim", "2"),
                         ("compare", "--problems", "sphere,gas_production",
