@@ -879,12 +879,14 @@ class TestGriewankAckleySchaffer:
 
     def test_schaffer_is_a_function_of_a_list(self):
         assert make_problem("schaffer").evaluate == OnFloats(_schaffer)
-        assert _bits(_schaffer([3.0, 4.0])) == _bits(schaffer_reference([3.0, 4.0]))
 
     # points where this C library's pow(t, 2) is not t * t, for Schaffer's
     # sine or its denominator: a Schaffer that squares with `**` gives other
-    # bits there (elsewhere, and with a correctly rounded pow, the same)
-    @pytest.mark.parametrize("point", [[-47.0, 67.12], [53.0, 58.4], [12.0, -13.44]])
+    # bits there (elsewhere, and with a correctly rounded pow, the same); and
+    # a finite sum of squares whose float `(1 + 0.001 s) ** 2` would raise
+    # OverflowError, where `d * d` is inf and the value about 0.5
+    @pytest.mark.parametrize("point", [[-47.0, 67.12], [53.0, 58.4], [12.0, -13.44],
+                                       [1e79, 1e79]])
     def test_schaffer_squares_by_multiplying(self, point):
         assert _bits(_schaffer(point)) == _bits(schaffer_reference(point))
 
