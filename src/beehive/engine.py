@@ -109,54 +109,39 @@ class Trace(Sequence):
     one `array('q')` and one `array('d')`: 16 bytes a pair, where a tuple of
     pairs takes about 103.
 
-    It stands in for the tuple of the same pairs: it indexes and iterates as
-    such tuples, equals and hashes as that tuple (and equals nothing else that
-    the tuple would not, so not a list) and has its repr. A slice is a Trace.
-    The floats keep their bits, -0.0 included, and a Trace pickles as its two
-    arrays.
+    `Trace(nfe, best)` holds the two arrays themselves, not copies. It indexes
+    and iterates as the tuple of its pairs, which `tuple(trace)` gives, and
+    prints as that tuple. A slice is a Trace. It equals only a Trace of the
+    same pairs and, like `RunResult`, is unhashable. The floats keep their
+    bits, -0.0 included, and a Trace pickles as its two arrays.
     """
 
     __slots__ = ("_nfe", "_best")
 
-    def __init__(self, pairs=()):
-        self._nfe, self._best = array("q"), array("d")
-        for nfe, best in pairs:
-            self._nfe.append(nfe)
-            self._best.append(best)
-
-    @classmethod
-    def _of(cls, nfe, best):
-        """The Trace over the two arrays themselves, not copies."""
-        trace = cls.__new__(cls)
-        trace._nfe, trace._best = nfe, best
-        return trace
+    def __init__(self, nfe, best):
+        self._nfe, self._best = nfe, best
 
     def __len__(self):
         return len(self._nfe)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Trace._of(self._nfe[index], self._best[index])
+            return Trace(self._nfe[index], self._best[index])
         return self._nfe[index], self._best[index]
 
     def __iter__(self):
         return zip(self._nfe, self._best)
 
-    def __eq__(self, other):
+    def __eq__(self, other):  # defining __eq__ alone leaves __hash__ None
         if isinstance(other, Trace):
             return self._nfe == other._nfe and self._best == other._best
-        if isinstance(other, tuple):
-            return tuple(self) == other
         return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self))
 
     def __repr__(self):
         return repr(tuple(self))
 
     def __reduce__(self):
-        return Trace._of, (self._nfe, self._best)
+        return Trace, (self._nfe, self._best)
 
 
 @dataclass(frozen=True, eq=False)
@@ -487,14 +472,15 @@ def scout_phase(colony, config, problem, rng):
 
 
 def adapt_colony_size(colony, config, problem, rng):
-    """Resize toward the gene average: round half up, force even, clamp.
+    """Resize toward the gene average (by `math.fsum`, so the same on every
+    Python): round half up, force even, clamp.
 
     Growth appends new random sources. Shrinkage drops the lowest-fitness
     ones, the later index first among equal fitness, from every column in
     place; the survivors keep their order. A stable sort by fitness of the
     indices in descending order gives that tie rule.
     """
-    mean_gene = sum(colony.gene) / len(colony.gene)
+    mean_gene = math.fsum(colony.gene) / len(colony.gene)
     sn = math.floor(mean_gene + 0.5)
     if sn % 2:
         sn += 1
@@ -548,6 +534,6 @@ def run(problem: Problem, config: VariantConfig, termination: TerminationRule,
         best_position=best_position,
         nfe=colony.nfe,
         cycles=cycles,
-        trace=Trace._of(nfes, bests),
+        trace=Trace(nfes, bests),
         seed=seed,
     )

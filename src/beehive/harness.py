@@ -1,6 +1,7 @@
 """Multi-run experiments: 30-run statistics, acceleration rates, comparison tables."""
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -149,7 +150,7 @@ def compare_table(stats: list[ExperimentStats], baseline_variant: str) -> Compar
             for p in problems
         }
         slower[v] = {p: ar[v][p] < 0 for p in problems}
-        average_ar[v] = sum(ar[v].values()) / len(problems)
+        average_ar[v] = math.fsum(ar[v].values()) / len(problems)
     return ComparisonTable(
         problems=problems,
         variants=variants,

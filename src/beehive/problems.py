@@ -388,6 +388,15 @@ def _gear_train(x):
         return math.nan
 
 
+def _set_atom_count(config):
+    """Store `config.n_atoms` as a plain int, or refuse a non-integer or a
+    count below 2, whose energy would be 0.0 at every point."""
+    n = integer("n_atoms", config.n_atoms)
+    if n < 2:
+        raise ConfigurationError(f"Lennard-Jones cluster needs at least 2 atoms, got {n}")
+    object.__setattr__(config, "n_atoms", n)
+
+
 @dataclass(frozen=True)
 class LJConfig:
     """Lennard-Jones cluster setup: atom count and the symmetric coordinate box."""
@@ -396,10 +405,7 @@ class LJConfig:
     box_half_width: float | None = None  # default scales with cluster radius
 
     def __post_init__(self):
-        object.__setattr__(self, "n_atoms", integer("n_atoms", self.n_atoms))
-        if self.n_atoms < 2:
-            raise ConfigurationError(
-                f"Lennard-Jones cluster needs at least 2 atoms, got {self.n_atoms}")
+        _set_atom_count(self)
         if self.box_half_width is not None:
             half = real("box_half_width", self.box_half_width)
             if not (math.isfinite(half) and half > 0.0):
@@ -444,6 +450,7 @@ class LennardJones:
     n_atoms: int
 
     def __post_init__(self):
+        _set_atom_count(self)
         # `_partners`: for each atom k, the pairs it is in, ((i, index of pair
         # (i, k)), ...) over every other atom i in order, as tuples; pairs are
         # indexed in `combinations(range(n), 2)` order, which is

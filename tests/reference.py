@@ -128,7 +128,7 @@ class ReferenceRun:
         """To the mean gene, rounded half up, made even and clamped; growth
         appends fresh sources, shrinkage drops the lowest fitness, the later
         index first among equals."""
-        sn = math.floor(sum(self.genes) / len(self.genes) + 0.5)
+        sn = math.floor(math.fsum(self.genes) / len(self.genes) + 0.5)
         sn = min(max(sn + sn % 2, self.config.sn_min), self.config.sn_max)
         n = len(self.sources)
         for _ in range(n, sn):

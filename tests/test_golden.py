@@ -175,7 +175,7 @@ def test_target_met_by_the_initial_colony_ends_without_a_cycle():
         r = target_run("sphere-target-initial/basic", seed)
         assert r.nfe == SCOUTING["initial_colony"] // 2
         assert r.cycles == 0
-        assert r.trace == ((r.nfe, r.best_objective),)
+        assert tuple(r.trace) == ((r.nfe, r.best_objective),)
 
 
 def test_target_cells_stop_in_the_employed_and_the_onlooker_phase(monkeypatch):

@@ -165,13 +165,14 @@ class TestRunBatches:
         (dict(base_seed=True), "base_seed must be an integer, got True"),
         (dict(jobs=True), "jobs must be an integer, got True"),
         (dict(base_seed=-2, runs=3), "base_seed must be >= 0, got -2"),
+        (dict(jobs=0), "jobs must be >= 1, got 0"),
     ])
     def test_bad_count_or_seed_is_refused_before_any_run(self, monkeypatch, args, named):
         # 0.5 ran seeds 0.5 and 1.5 as seeds 0 and 1, and jobs=1.5 was accepted
         started = []
         monkeypatch.setattr(harness, "run", lambda *a: started.append(a))
         cells = mixed_cells()[:1]
-        with pytest.raises(ConfigurationError, match=re.escape(named)):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(named)}$"):
             run_batches(cells, **{**dict(runs=2, base_seed=0, jobs=1), **args})
         assert started == []
 

@@ -337,6 +337,19 @@ class TestLennardJones:
         with pytest.raises(ConfigurationError, match=re.escape(named)):
             LJConfig(**{"n_atoms": 3, **fields})
 
+    @pytest.mark.parametrize("n_atoms,named", [
+        (1, "Lennard-Jones cluster needs at least 2 atoms, got 1"),
+        (0, "Lennard-Jones cluster needs at least 2 atoms, got 0"),
+        (True, "n_atoms must be an integer, got True"),
+        (2.0, "n_atoms must be an integer, got 2.0"),
+    ])
+    def test_objective_refuses_what_the_config_refuses(self, n_atoms, named):
+        # LennardJones(1), (0) and (True) gave 0.0 at every point, and (2.0)
+        # raised range's TypeError
+        for make in (LennardJones, LJConfig):
+            with pytest.raises(ConfigurationError, match=f"^{re.escape(named)}$"):
+                make(n_atoms)
+
     def test_config_stores_int_atoms_and_float_box(self):
         config = LJConfig(np.int64(4), box_half_width=2)
         assert (type(config.n_atoms), type(config.half_width)) == (int, float)
@@ -443,8 +456,11 @@ class TestLennardJonesPastTheFloatRange:
             result = run(p, VariantConfig(strategy), TerminationRule(max_nfe=500), 1)
         assert result.nfe >= 500
 
-    @pytest.mark.parametrize("n", (2, 3, 5, 13))
-    def test_huge_and_non_finite_coordinates(self, n):
+    @staticmethod
+    def check_huge_and_non_finite_coordinates(n):
+        """The value equals the reference's bit for bit, -0.0 included, or
+        both are NaN: the sign of a NaN that CPython computes depends on
+        whether its bytecode is specialized yet, so it is not compared."""
         f = LennardJones(n)
         values = (1e200, -1e200, math.inf, -math.inf, math.nan)
         rng = np.random.default_rng(n)
@@ -457,9 +473,26 @@ class TestLennardJonesPastTheFloatRange:
             warnings.simplefilter("error")
             for x in points:
                 with np.errstate(all="ignore"):
-                    expected = _bits(lj_reference(n, x))
-                assert _bits(f(x)) == expected, x
-                assert _bits(f.start(x)[0]) == expected, x
+                    expected = lj_reference(n, x)
+                for got in (f(x), f.start(x)[0]):
+                    if math.isnan(expected):
+                        assert math.isnan(got), x
+                    else:
+                        assert _bits(got) == _bits(expected), x
+
+    @pytest.mark.parametrize("n", (2, 3, 5, 13))
+    def test_huge_and_non_finite_coordinates(self, n):
+        self.check_huge_and_non_finite_coordinates(n)
+
+    def test_huge_and_non_finite_coordinates_under_a_trace_function(self):
+        """As above with a no-op trace function set, which keeps CPython from
+        specializing the bytecode, and so gives a NaN the other sign."""
+        before = sys.gettrace()
+        sys.settrace(lambda *args: None)
+        try:
+            self.check_huge_and_non_finite_coordinates(2)
+        finally:
+            sys.settrace(before)
 
 
 def _coordinate_lists(n, lo, hi, *value_sets):
